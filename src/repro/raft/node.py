@@ -100,6 +100,7 @@ class RaftMember:
         self.host = host
         self.group_id = group_id
         self.member_ids = list(member_ids)
+        self._peers = [m for m in self.member_ids if m != host.node_id]
         self.config = config or RaftConfig()
         self.apply_fn = apply_fn
         self.vote_payload_fn = vote_payload_fn or (lambda: None)
@@ -124,7 +125,14 @@ class RaftMember:
         #: next_index).
         self._sent_up_to: Dict[str, int] = {}
         self._votes: Dict[str, Any] = {}
+        #: Election timer, etcd-style: one armed timer per randomized
+        #: timeout, not one per message.  Leader contact only stamps
+        #: ``_last_contact``; when the timer fires it re-arms for whatever
+        #: remains of ``_election_timeout_ms`` since that stamp, or starts
+        #: the election if nothing remains.
         self._election_timer = None
+        self._election_timeout_ms = 0.0
+        self._last_contact = 0.0
         self._heartbeat_timer = None
         self._commit_callbacks: Dict[int, Callable[[LogEntry], None]] = {}
         #: Index of this term's no-op entry; the leader serving barrier
@@ -134,6 +142,10 @@ class RaftMember:
         #: Tracing: open replication spans keyed by log index.
         self._trace_spans: Dict[int, Any] = {}
         self.elections_started = 0
+        #: AppendEntries this member refused because its log did not match
+        #: at ``prev_log_index`` — each one costs the leader a resend of
+        #: the unacknowledged window.  Stays 0 on ordered, loss-free links.
+        self.appends_rejected = 0
 
         host.add_member(self)
 
@@ -184,8 +196,9 @@ class RaftMember:
         Ordering contract: the result preserves the group's configured
         member order, so every peer fan-out (vote requests, appends,
         heartbeats) iterates deterministically regardless of hashing.
+        Membership is fixed, so the list is built once; do not mutate it.
         """
-        return [m for m in self.member_ids if m != self.node_id]
+        return self._peers
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -204,7 +217,7 @@ class RaftMember:
             self._persist_term()
             self._become_leader(vote_payloads={})
         else:
-            self._reset_election_timer()
+            self._arm_election_timer()
 
     # ------------------------------------------------------------------
     # Durability (no-ops when the host has no WAL attached)
@@ -239,7 +252,7 @@ class RaftMember:
 
     def handle_host_recover(self) -> None:
         """Rejoin the group as a follower."""
-        self._reset_election_timer()
+        self._arm_election_timer()
 
     def _cancel_timers(self) -> None:
         if self._election_timer is not None:
@@ -286,19 +299,33 @@ class RaftMember:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def _reset_election_timer(self) -> None:
+    def _arm_election_timer(self) -> None:
+        """Start a fresh election countdown with a newly drawn randomized
+        timeout.  Called on every transition into waiting-for-a-leader
+        (start, recovery, step-down, candidacy) — never per message."""
         if self._election_timer is not None:
             self._election_timer.cancel()
-        timeout = self.host.kernel.random.uniform(
+        kernel = self.host.kernel
+        self._election_timeout_ms = kernel.random.uniform(
             self.config.election_timeout_min_ms,
             self.config.election_timeout_max_ms)
+        self._last_contact = kernel.now
         self._election_timer = self.host.set_timer(
-            timeout, self._on_election_timeout)
+            self._election_timeout_ms, self._on_election_timeout)
 
     def _on_election_timeout(self) -> None:
+        self._election_timer = None
         if self.state == LEADER:
             return
-        self._start_election()
+        remaining = self._last_contact + self._election_timeout_ms \
+            - self.host.kernel.now
+        if remaining > 0:
+            # Heard from a leader (or granted a vote) since arming: sleep
+            # out the rest of the same timeout.
+            self._election_timer = self.host.set_timer(
+                remaining, self._on_election_timeout)
+        else:
+            self._start_election()
 
     def _start_election(self) -> None:
         self.elections_started += 1
@@ -308,7 +335,7 @@ class RaftMember:
         self._persist_term()
         self.leader_id = None
         self._votes = {self.node_id: self.vote_payload_fn()}
-        self._reset_election_timer()
+        self._arm_election_timer()
         for peer in self.peers():
             self.host.send(peer, RequestVote(
                 group_id=self.group_id,
@@ -350,7 +377,7 @@ class RaftMember:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
-        self._reset_election_timer()
+        self._arm_election_timer()
 
     def _become_leader(self, vote_payloads: Dict[str, Any]) -> None:
         self.state = LEADER
@@ -408,7 +435,7 @@ class RaftMember:
                 granted = True
                 self.voted_for = msg.candidate_id
                 self._persist_term()
-                self._reset_election_timer()
+                self._last_contact = self.host.kernel.now
         self.host.send(msg.candidate_id, RequestVoteReply(
             group_id=self.group_id,
             term=self.current_term,
@@ -439,9 +466,10 @@ class RaftMember:
             self._step_down(msg.term)
         self.current_term = msg.term
         self.leader_id = msg.leader_id
-        self._reset_election_timer()
+        self._last_contact = self.host.kernel.now
 
         if not self.log.matches(msg.prev_log_index, msg.prev_log_term):
+            self.appends_rejected += 1
             conflict = min(self.log.last_index + 1, msg.prev_log_index)
             self.host.send(msg.leader_id, AppendEntriesReply(
                 group_id=self.group_id, term=self.current_term,

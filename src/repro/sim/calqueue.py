@@ -10,13 +10,13 @@ can be *physically removed* from its (small, sorted) bucket immediately,
 so cancellation-heavy workloads — protocol timeouts that almost always
 get cancelled — never pay dequeue or compaction cost for dead events.
 
-Buckets store ``(time, seq, event)`` triples rather than bare events:
-``(time, seq)`` is the kernel's strict total order and is unique, so
-every ``insort``/``bisect`` comparison resolves on the first two fields
-as a C-level tuple compare and never calls the Python ``Event.__lt__``
-the heap pays on every sift level.  The scan pops the globally minimal
-event, so the pop sequence is byte-identical to the heap's (see
-``tests/property/test_scheduler_equivalence.py``).
+Buckets store the kernel's ``(time, seq, event)`` entries rather than
+bare events: ``(time, seq)`` is the kernel's strict total order and is
+unique, so every ``insort``/``bisect`` comparison resolves on the first
+two fields as a C-level tuple compare and never reaches the event (the
+heap scheduler holds the same entries for the same reason).  The scan
+pops the globally minimal event, so the pop sequence is byte-identical
+to the heap's (see ``tests/property/test_scheduler_equivalence.py``).
 
 Correctness of the forward scan relies on ``day`` being monotone in
 ``time`` (IEEE division and truncation are monotone) and on the kernel
@@ -68,11 +68,11 @@ class CalendarQueue:
         self.resizes = 0
 
     # ------------------------------------------------------------------
-    def push(self, event) -> None:
-        """Insert ``event``, keeping its bucket sorted by (time, seq)."""
-        time = event.time
-        day = int(time / self._width)
-        insort(self._buckets[day & self._mask], (time, event.seq, event))
+    def push(self, entry) -> None:
+        """Insert a ``(time, seq, event)`` entry, keeping its bucket
+        sorted by (time, seq)."""
+        day = int(entry[0] / self._width)
+        insort(self._buckets[day & self._mask], entry)
         if day < self._day:
             # Keep the invariant `_day <= day(min live event)`: a push may
             # land before the scan pointer when no pop has consumed the

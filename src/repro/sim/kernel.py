@@ -18,7 +18,9 @@ The event queue is pluggable (``Kernel(scheduler=...)``): the default
 ``"calendar"`` is a :class:`~repro.sim.calqueue.CalendarQueue` with O(1)
 amortized operations and *eager* removal of cancelled events, which wins
 on cancellation-heavy workloads (see ``python -m repro perf``).  Both
-schedulers pop events in exactly the same ``(time, seq)`` order, so the
+hold ``(time, seq, event)`` entries — ``seq`` is unique, so every
+ordering comparison is a C-level tuple compare that never reaches the
+event — and pop them in exactly the same ``(time, seq)`` order, so the
 choice never changes simulation results — only wall-clock speed.
 
 Operation counters
@@ -34,7 +36,7 @@ from __future__ import annotations
 import heapq
 import random
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.calqueue import CalendarQueue
 from repro.trace.tracer import NULL_TRACER
@@ -46,8 +48,10 @@ SCHEDULERS = ("heap", "calendar")
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)`` so that simultaneous events fire in
-    the order they were scheduled.  Cancelling an event hands it back to the
+    Events fire in ``(time, seq)`` order, so simultaneous events fire in
+    the order they were scheduled; the schedulers keep that key beside the
+    event (``(time, seq, event)`` entries), so events themselves are never
+    compared.  Cancelling an event hands it back to the
     kernel's scheduler: the heap marks it dead and skips it on pop (with
     lazy compaction), the calendar queue removes it from its bucket
     immediately.
@@ -80,9 +84,6 @@ class Event:
             self._owner = None
             owner._note_cancelled(self)
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.3f} seq={self.seq} {state}>"
@@ -93,15 +94,15 @@ class HeapScheduler:
 
     Cancelled events stay heaped until popped; when dead entries
     outnumber live ones the heap is compacted in place (``compactions``
-    counts those passes).  ``push`` is bound to :func:`heapq.heappush`
-    on the (never rebound) heap list, so the hot path pays no Python-
-    level indirection.
+    counts those passes).  ``push`` takes a ``(time, seq, event)`` entry
+    and is bound to :func:`heapq.heappush` on the (never rebound) heap
+    list, so the hot path pays no Python-level indirection or comparison.
     """
 
     __slots__ = ("_heap", "_cancelled", "compactions", "push")
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._cancelled = 0
         self.compactions = 0
         self.push = partial(heapq.heappush, self._heap)
@@ -113,7 +114,7 @@ class HeapScheduler:
         if self._cancelled > 8 and self._cancelled * 2 > len(self._heap):
             # In-place rebuild: the heap list identity must survive
             # because ``push`` is bound to it.
-            self._heap[:] = [e for e in self._heap if not e.cancelled]
+            self._heap[:] = [e for e in self._heap if not e[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
             self.compactions += 1
@@ -123,12 +124,12 @@ class HeapScheduler:
         the heap is empty or that event is after ``limit``."""
         heap = self._heap
         while heap:
-            event = heap[0]
+            time, _, event = heap[0]
             if event.cancelled:
                 heapq.heappop(heap)
                 self._cancelled -= 1
                 continue
-            if limit is not None and event.time > limit:
+            if limit is not None and time > limit:
                 return None
             heapq.heappop(heap)
             return event
@@ -197,7 +198,7 @@ class Kernel:
         return self._sched.compactions
 
     @property
-    def _heap(self) -> List[Event]:
+    def _heap(self) -> List[Tuple[float, int, Event]]:
         # Back-compat observability hook for the heap scheduler's tests.
         return self._sched._heap
 
@@ -210,19 +211,31 @@ class Kernel:
         """
         if delay < 0:
             delay = 0.0
-        event = Event(self._now + delay, self._seq, callback, args)
-        self._seq += 1
+        return self._enqueue(self._now + delay, callback, args)
+
+    def schedule_at(self, time: float, callback: Callable[..., None],
+                    *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at an absolute virtual time.
+
+        The event fires at exactly ``time`` (no round trip through a
+        delay), clamped to now: the network's per-link FIFO order relies
+        on two deliveries given the same arrival time comparing equal.
+        """
+        if time < self._now:
+            time = self._now
+        return self._enqueue(time, callback, args)
+
+    def _enqueue(self, time: float, callback: Callable[..., None],
+                 args: tuple) -> Event:
+        seq = self._seq
+        event = Event(time, seq, callback, args)
+        self._seq = seq + 1
         self.events_scheduled += 1
         if self.tracer.enabled:
             event.ctx = self.tracer.current
         event._owner = self
-        self._push(event)
+        self._push((time, seq, event))
         return event
-
-    def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at an absolute virtual time."""
-        return self.schedule(time - self._now, callback, *args)
 
     def spawn(self, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run as soon as possible (a

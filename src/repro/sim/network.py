@@ -8,6 +8,14 @@ bytes against per-node bandwidth meters, and schedules delivery on the
 kernel.  Crashed destinations and partitioned pairs silently drop messages,
 matching the fail-stop, asynchronous model the paper assumes (§3.1).
 
+Every directed link is **ordered**, like the gRPC/TCP streams the paper's
+prototype runs on: a message never arrives before one sent earlier on the
+same ``src -> dst`` link (its arrival is the later of its own sampled
+arrival and the previous arrival on that link).  Jitter therefore varies
+delay but never reorders.  Reordering is a *fault*, not a property of the
+link: only the delay spikes and duplicates of an installed
+:class:`LinkFaults` model deliver out of order.
+
 Chaos testing (see :mod:`repro.chaos`) additionally attaches
 :class:`LinkFaults` to directed links: probabilistic message drop,
 duplication, and extra-delay spikes.  Fault decisions come from a
@@ -47,6 +55,11 @@ class LinkFaults:
         Probability that a (non-dropped) message suffers an extra delay
         spike, drawn uniformly from ``(0, delay_ms]`` — enough to reorder
         it behind later traffic on the same link.
+
+    Spikes and duplicates are the only way a link reorders: their extra
+    delay is added past the link's ordered arrival, so later traffic
+    overtakes them.  A model whose probabilities are all zero changes
+    nothing.
     """
 
     drop_prob: float = 0.0
@@ -139,6 +152,9 @@ class Network:
         #: Directed-link fault models, installed by the chaos harness.
         self._link_faults: Dict[Tuple[str, str], LinkFaults] = {}
         self._link_stats: Dict[Tuple[str, str], LinkStats] = {}
+        #: Latest ordered arrival time handed out on each directed link
+        #: (see :meth:`_fifo_arrival`).
+        self._link_tail: Dict[Tuple[str, str], float] = {}
         # Dedicated fault RNG: string-seeded from the kernel seed
         # (deterministic across processes, unlike tuple seeds) and
         # separate from kernel.random so installing faults never shifts
@@ -305,15 +321,17 @@ class Network:
         """Send ``msg`` from ``src`` to the node named ``dst_id``.
 
         The message is stamped, accounted, delayed by the topology's one-way
-        latency (with jitter), and delivered unless the sender or receiver
-        has crashed or the pair is partitioned.  Dropped messages are simply
-        lost: the model is asynchronous and protocols must use timeouts.
+        latency (with jitter) but never ahead of earlier traffic on the
+        same link, and delivered unless the sender or receiver has crashed
+        or the pair is partitioned.  Dropped messages are simply lost: the
+        model is asynchronous and protocols must use timeouts.
 
         When no accounting window, link faults, or protocol trace hook is
-        active (``self._fast``), the send takes an inline path whose only
-        allocations are the delivery event and its args tuple — payload
-        sizing, fault lookups, and per-link stats are all skipped, and the
-        jitter draw is bit-identical to the slow path's.
+        active (``self._fast``), the send takes an inline path that
+        allocates only what scheduling the delivery needs — payload
+        sizing, fault lookups, and per-link stats are all skipped — and
+        whose jitter draw and link order (:meth:`_fifo_arrival`) are
+        bit-identical to the slow path's.
         """
         try:
             dst = self.nodes[dst_id]
@@ -333,10 +351,12 @@ class Network:
             jitter = self.jitter_fraction
             if jitter > 0:
                 delay *= 1.0 + self._rand() * jitter
-            event = kernel.schedule(delay, self._deliver_cb, msg, dst)
+            arrival = self._fifo_arrival(src.node_id, dst_id, delay)
+            event = kernel.schedule_at(arrival, self._deliver_cb, msg, dst)
             tracer = kernel.tracer
             if tracer.enabled:
-                event.ctx = tracer.on_send(msg, src, dst, delay)
+                event.ctx = tracer.on_send(msg, src, dst,
+                                           arrival - kernel._now)
             digest = kernel.digest
             if digest is not None:
                 digest.on_send(kernel._now, event.seq, src.node_id,
@@ -359,10 +379,14 @@ class Network:
         if self.jitter_fraction > 0:
             delay *= 1.0 + self.kernel.random.uniform(0, self.jitter_fraction)
 
+        arrival = self._fifo_arrival(src.node_id, dst_id, delay)
+
         # Adversarial link faults: only links with an installed model pay
         # for (or draw) anything, keeping the hot path and RNG streams
-        # unchanged in fault-free runs.
-        duplicate_delay: Optional[float] = None
+        # unchanged in fault-free runs.  A spike or a duplicate lands its
+        # extra delay past the ordered arrival without moving the link's
+        # tail, so later traffic overtakes it: faults are what reorders.
+        duplicate: Optional[float] = None
         if self._link_faults:
             faults = self._link_faults.get((src.node_id, dst_id))
             if faults is not None:
@@ -376,33 +400,48 @@ class Network:
                     return
                 if faults.delay_prob > 0 and \
                         rng.random() < faults.delay_prob:
-                    delay += rng.uniform(0.0, faults.delay_ms)
+                    arrival += rng.uniform(0.0, faults.delay_ms)
                     stats.delayed += 1
                 if faults.dup_prob > 0 and \
                         rng.random() < faults.dup_prob:
-                    duplicate_delay = delay + rng.uniform(
+                    duplicate = arrival + rng.uniform(
                         0.0, faults.dup_lag_ms)
                     stats.duplicated += 1
 
-        self._schedule_delivery(src, dst, msg, delay)
-        if duplicate_delay is not None:
+        self._schedule_delivery(src, dst, msg, arrival)
+        if duplicate is not None:
             # The duplicate is a second wire copy: traced, digested, and
             # delivered independently of the original.
-            self._schedule_delivery(src, dst, msg, duplicate_delay)
+            self._schedule_delivery(src, dst, msg, duplicate)
+
+    def _fifo_arrival(self, src_id: str, dst_id: str, delay: float) -> float:
+        """Absolute arrival time of a message sent now on the
+        ``src_id -> dst_id`` link: its sampled ``delay`` from now, but
+        never before the previous arrival on that link (equal arrival
+        times fire in send order — the kernel breaks ties by sequence)."""
+        arrival = self.kernel._now + delay
+        link = (src_id, dst_id)
+        tail = self._link_tail.get(link, 0.0)
+        if tail > arrival:
+            return tail
+        self._link_tail[link] = arrival
+        return arrival
 
     def _schedule_delivery(self, src: "Node", dst: "Node", msg: Message,
-                           delay: float) -> None:
+                           arrival: float) -> None:
+        kernel = self.kernel
+        delay = arrival - kernel.now
         if self._trace_hook is not None:
             self._trace_hook(msg, delay)
-        event = self.kernel.schedule(delay, self._deliver, msg, dst)
-        tracer = self.kernel.tracer
+        event = kernel.schedule_at(arrival, self._deliver, msg, dst)
+        tracer = kernel.tracer
         if tracer.enabled:
             # The delivery event carries a child context: the sender's
             # causal chain extended by this hop (cross-DC hops deepen it).
             event.ctx = tracer.on_send(msg, src, dst, delay)
-        digest = self.kernel.digest
+        digest = kernel.digest
         if digest is not None:
-            digest.on_send(self.kernel.now, event.seq, src.node_id,
+            digest.on_send(kernel.now, event.seq, src.node_id,
                            dst.node_id, msg.type_name, msg.size_bytes(),
                            event.ctx)
 

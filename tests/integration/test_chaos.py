@@ -48,16 +48,21 @@ def test_chaos_run_is_deterministic():
 def test_planted_writeback_bug_is_caught_and_minimized():
     # Re-applying committed writes on the participant leader (but not
     # its followers) must trip the replica-divergence/value-parity
-    # oracles under the right fault schedule (carousel-fast, seed 3).
+    # oracles under the right fault schedule.  Which seed's schedule is
+    # "right" shifts with every DES rebaseline, so scan a small range
+    # (like the chaos-smoke CI step) and minimize the first catch.
     opts = ChaosOptions()
-    failing = run_chaos("carousel-fast", seed=3, opts=opts,
-                        planted_bug=planted_writeback_bug)
-    assert not failing.ok
+    for seed in range(8):
+        failing = run_chaos("carousel-fast", seed=seed, opts=opts,
+                            planted_bug=planted_writeback_bug)
+        if not failing.ok:
+            break
+    assert not failing.ok, "no seed in 0..7 catches the planted bug"
     oracles = {v.oracle for v in failing.violations}
     assert "replica-divergence" in oracles
 
     def still_fails(candidate):
-        rerun = run_chaos("carousel-fast", seed=3, opts=opts,
+        rerun = run_chaos("carousel-fast", seed=seed, opts=opts,
                           schedule=candidate,
                           planted_bug=planted_writeback_bug)
         return not rerun.ok

@@ -18,8 +18,7 @@ from repro.chaos import (
 )
 from repro.raft.node import RaftMember
 from repro.sim.failure import FailureInjector
-from repro.wal.log import WriteAheadLog
-from tests.support import ApplyRecorder, PlainRaftHost, RaftCluster
+from tests.support import RaftCluster, WalRaftHost
 
 #: Restart-weighted quick options: short runs that still power-cycle.
 RESTART_QUICK = ChaosOptions(rounds=12, window_ms=9000.0, n_events=4,
@@ -30,11 +29,15 @@ RESTART_QUICK = ChaosOptions(rounds=12, window_ms=9000.0, n_events=4,
 #: that a whole coordinator group gets power-cycled mid-writeback (the
 #: only window the decision's durability actually matters — see
 #: ``repro.chaos.bugs.planted_lost_commit_bug``).  Mirrors the
-#: ``chaos-restart`` CI job's inverted run.
+#: ``chaos-restart`` CI job's inverted run.  Whether one seed's schedule
+#: hits that window depends on every DES interleaving, so the check scans
+#: a small seed range and requires at least one catch: a rebaseline that
+#: shifts interleavings moves *which* seed discriminates, not whether
+#: one does.
 PLANT_OPTS = ChaosOptions(rounds=40, n_events=10, restart_weight=40,
                           final_restart=True)
 PLANT_SYSTEM = "carousel-fast"
-PLANT_SEED = 36
+PLANT_SEEDS = range(30, 46)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -74,27 +77,6 @@ def test_restart_weight_zero_keeps_legacy_timelines():
 # Raft-level restart: a power-cycled member rebuilt from its WAL image
 # must converge to the same applied history as never-crashed peers.
 # ----------------------------------------------------------------------
-
-
-class WalRaftHost(PlainRaftHost):
-    """Test host carrying a WAL so ``Node.restart`` works."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.wal = WriteAheadLog(self.node_id)
-        self.wal.attach_host(self)
-
-    def on_restart(self):
-        records = self.wal.replay()
-        specs = [(m.group_id, list(m.member_ids), m.config, m.apply_fn)
-                 for m in self.members.values()]
-        self.members = {}
-        for group_id, member_ids, config, apply_fn in specs:
-            if isinstance(apply_fn, ApplyRecorder):
-                apply_fn.commands.clear()  # RAM is gone; re-apply rebuilds
-            RaftMember(self, group_id, member_ids, config=config,
-                       apply_fn=apply_fn)
-        self.replay_raft_wal(records)
 
 
 class WalRaftCluster(RaftCluster):
@@ -158,16 +140,19 @@ def test_term_start_barrier_gates_new_leaders():
 
 
 def test_planted_lost_commit_is_caught_by_durability_oracle():
-    failing = run_chaos(PLANT_SYSTEM, seed=PLANT_SEED, opts=PLANT_OPTS,
-                        planted_bug=planted_lost_commit_bug)
-    assert not failing.ok
-    oracles = {v.oracle for v in failing.violations}
-    assert "durability-lost-commit" in oracles
+    caught = [
+        seed for seed in PLANT_SEEDS
+        if "durability-lost-commit" in {
+            v.oracle for v in run_chaos(
+                PLANT_SYSTEM, seed=seed, opts=PLANT_OPTS,
+                planted_bug=planted_lost_commit_bug).violations}]
+    assert caught, f"no seed in {PLANT_SEEDS} catches the planted bug"
 
 
-def test_unplanted_discriminator_seed_is_green():
-    clean = run_chaos(PLANT_SYSTEM, seed=PLANT_SEED, opts=PLANT_OPTS)
-    assert clean.ok, [str(v) for v in clean.violations]
+def test_unplanted_discriminator_seeds_are_green():
+    for seed in PLANT_SEEDS:
+        clean = run_chaos(PLANT_SYSTEM, seed=seed, opts=PLANT_OPTS)
+        assert clean.ok, (seed, [str(v) for v in clean.violations])
 
 
 def test_planted_lost_commit_restores_handler_on_exit():

@@ -8,6 +8,7 @@ from repro.raft.node import RaftConfig, RaftHost, RaftMember
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.topology import Topology, uniform_topology
+from repro.wal.log import WriteAheadLog
 
 
 class ApplyRecorder:
@@ -27,6 +28,27 @@ class PlainRaftHost(RaftHost):
         raise AssertionError(f"unexpected app message {msg!r}")
 
 
+class WalRaftHost(PlainRaftHost):
+    """Test host carrying a WAL so ``Node.restart`` works."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.wal = WriteAheadLog(self.node_id)
+        self.wal.attach_host(self)
+
+    def on_restart(self):
+        records = self.wal.replay()
+        specs = [(m.group_id, list(m.member_ids), m.config, m.apply_fn)
+                 for m in self.members.values()]
+        self.members = {}
+        for group_id, member_ids, config, apply_fn in specs:
+            if isinstance(apply_fn, ApplyRecorder):
+                apply_fn.commands.clear()  # RAM is gone; re-apply rebuilds
+            RaftMember(self, group_id, member_ids, config=config,
+                       apply_fn=apply_fn)
+        self.replay_raft_wal(records)
+
+
 class RaftCluster:
     """An n-member single-group Raft cluster for tests.
 
@@ -39,10 +61,12 @@ class RaftCluster:
                  rtt_ms: float = 10.0,
                  config: Optional[RaftConfig] = None,
                  bootstrap: Optional[str] = "n0",
-                 topology: Optional[Topology] = None):
+                 topology: Optional[Topology] = None,
+                 jitter_fraction: float = 0.0):
         self.kernel = Kernel(seed=seed)
         topo = topology or uniform_topology(n, rtt_ms)
-        self.network = Network(self.kernel, topo, jitter_fraction=0.0)
+        self.network = Network(self.kernel, topo,
+                               jitter_fraction=jitter_fraction)
         self.config = config or RaftConfig(
             election_timeout_min_ms=150.0,
             election_timeout_max_ms=300.0,

@@ -10,13 +10,18 @@ def _event(time, seq):
     return Event(time, seq, lambda: None, ())
 
 
+def _push(q, event):
+    """Push the way the kernel does: a ``(time, seq, event)`` entry."""
+    q.push((event.time, event.seq, event))
+
+
 class TestCalendarQueue:
     def test_pops_in_time_then_seq_order(self):
         q = CalendarQueue()
         events = [_event(t, s) for s, t in
                   enumerate([5.0, 1.0, 3.0, 1.0, 0.0])]
         for event in events:
-            q.push(event)
+            _push(q, event)
         popped = []
         while q.pending():
             popped.append(q.pop_until(None))
@@ -25,7 +30,7 @@ class TestCalendarQueue:
 
     def test_pop_until_respects_limit(self):
         q = CalendarQueue()
-        q.push(_event(10.0, 0))
+        _push(q, _event(10.0, 0))
         assert q.pop_until(5.0) is None
         assert q.pending() == 1
         assert q.pop_until(10.0).time == 10.0
@@ -36,8 +41,8 @@ class TestCalendarQueue:
     def test_discard_removes_eagerly(self):
         q = CalendarQueue()
         keep, drop = _event(1.0, 0), _event(1.0, 1)
-        q.push(keep)
-        q.push(drop)
+        _push(q, keep)
+        _push(q, drop)
         q.discard(drop)
         assert q.pending() == 1
         assert q.pop_until(None) is keep
@@ -45,7 +50,7 @@ class TestCalendarQueue:
 
     def test_discard_unknown_event_is_noop(self):
         q = CalendarQueue()
-        q.push(_event(1.0, 0))
+        _push(q, _event(1.0, 0))
         q.discard(_event(1.0, 1))  # same bucket, never pushed
         assert q.pending() == 1
 
@@ -53,7 +58,7 @@ class TestCalendarQueue:
         q = CalendarQueue()
         events = [_event(float(i % 97), i) for i in range(500)]
         for event in events:
-            q.push(event)
+            _push(q, event)
         assert q.resizes > 0
         popped = [q.pop_until(None) for _ in range(500)]
         assert [(e.time, e.seq) for e in popped] == \
@@ -62,7 +67,7 @@ class TestCalendarQueue:
     def test_shrink_resize_after_drain(self):
         q = CalendarQueue()
         for i in range(300):
-            q.push(_event(float(i), i))
+            _push(q, _event(float(i), i))
         grow_resizes = q.resizes
         while q.pending():
             q.pop_until(None)
@@ -74,16 +79,16 @@ class TestCalendarQueue:
         (regression test: the scan pointer must move backwards)."""
         q = CalendarQueue()
         for i in range(100):
-            q.push(_event(100.0 + i, i))
+            _push(q, _event(100.0 + i, i))
         early = _event(0.5, 1000)
-        q.push(early)
+        _push(q, early)
         assert q.pop_until(None) is early
 
     def test_far_future_fallback_search(self):
         q = CalendarQueue(width=0.001)  # one year = 16 us
         a, b = _event(500.0, 1), _event(400.0, 0)
-        q.push(a)
-        q.push(b)
+        _push(q, a)
+        _push(q, b)
         assert q.pop_until(None) is b
         assert q.pop_until(None) is a
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.raft.node import FOLLOWER, LEADER, RaftConfig, RaftNoop
+from repro.sim.network import LinkFaults
 from tests.support import RaftCluster
 
 
@@ -275,3 +276,60 @@ class TestElectionsAndFailover:
         n0_commands = cluster.applied["n0"].commands
         assert "winner" in n0_commands
         assert "orphan" not in n0_commands
+
+
+class TestOrderedLinksKeepRaftQuiet:
+    """On ordered links back-to-back AppendEntries never overtake each
+    other, so the follower's consistency check never fails and the
+    leader never resends its unacknowledged window; reordering — and the
+    repair path — is reached only through an installed link fault."""
+
+    N_PROPOSES = 500
+    GAP_MS = 0.01  # far inside the 2 % jitter of a 5 ms one-way delay
+    START_MS = 500.0
+    END_MS = 1100.0
+
+    def _burst(self, faults=None):
+        cluster = RaftCluster(n=3, seed=11, jitter_fraction=0.02,
+                              config=RaftConfig())
+        if faults is not None:
+            cluster.network.set_link_faults("n0", "n1", faults,
+                                            bidirectional=False)
+        appends = []
+        cluster.network.trace_hook = lambda msg, delay: appends.append(
+            cluster.kernel.now) if msg.type_name == "AppendEntries" else None
+        cluster.start()
+        leader = cluster.members["n0"]
+        for i in range(self.N_PROPOSES):
+            cluster.kernel.schedule_at(self.START_MS + i * self.GAP_MS,
+                                       leader.propose, f"cmd{i}")
+        cluster.kernel.run(until=self.END_MS)
+        sent_in_window = sum(1 for at in appends if at >= self.START_MS)
+        return cluster, sent_in_window
+
+    def test_fault_free_burst_costs_two_appends_per_propose(self):
+        cluster, sent = self._burst()
+        assert sum(m.appends_rejected
+                   for m in cluster.members.values()) == 0
+        heartbeat = cluster.config.heartbeat_interval_ms
+        heartbeat_rounds = int(self.END_MS // heartbeat) \
+            - int(self.START_MS // heartbeat)
+        assert sent == 2 * self.N_PROPOSES + 2 * heartbeat_rounds
+        expected = [f"cmd{i}" for i in range(self.N_PROPOSES)]
+        for recorder in cluster.applied.values():
+            assert recorder.commands == expected
+
+    def test_delay_fault_on_one_link_exercises_the_repair_path(self):
+        cluster, sent = self._burst(
+            LinkFaults(delay_prob=0.2, delay_ms=30.0))
+        assert cluster.members["n1"].appends_rejected > 0
+        assert cluster.members["n2"].appends_rejected == 0  # clean link
+        assert sent > 2 * self.N_PROPOSES + 4  # rejects cost resends
+        cluster.network.clear_all_link_faults()
+        cluster.run(1000.0)
+        expected = [f"cmd{i}" for i in range(self.N_PROPOSES)]
+        for node_id, recorder in cluster.applied.items():
+            assert recorder.commands == expected, node_id
+        logs = [[(e.term, e.command) for e in m.log.entries_from(1)]
+                for m in cluster.members.values()]
+        assert logs[0] == logs[1] == logs[2]
