@@ -6,15 +6,16 @@ whole distribution and the gap widens at higher percentiles.  TAPIR's
 median is ~44% above Carousel Fast's.
 """
 
+from repro import systems
 from repro.bench.report import render_cdf, render_latency_table
-from repro.bench.runner import SYSTEM_LABELS
 
 PAPER_MEDIANS_MS = {"tapir": 334.0, "carousel-basic": 290.0,
                     "carousel-fast": 232.0}
 
 
 def _recorders(results):
-    return {SYSTEM_LABELS[s]: r.stats.latency for s, r in results.items()}
+    return {systems.get(s).label: r.stats.latency
+            for s, r in results.items()}
 
 
 def test_fig4_latency_cdf(fig4_results, benchmark):
@@ -27,7 +28,7 @@ def test_fig4_latency_cdf(fig4_results, benchmark):
     print(render_latency_table(_recorders(fig4_results)))
     print("\nCDF series:")
     print(render_cdf(_recorders(fig4_results)))
-    print("\npaper medians:", {SYSTEM_LABELS[s]: v
+    print("\npaper medians:", {systems.get(s).label: v
                                for s, v in PAPER_MEDIANS_MS.items()})
 
     # Ordering: Carousel Fast < Carousel Basic < TAPIR at the median.

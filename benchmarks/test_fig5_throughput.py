@@ -9,13 +9,13 @@ Carousel Fast levels off around 8000 tps (it sends more messages per
 transaction than Basic).
 """
 
+from repro import systems
 from repro.bench.report import render_throughput_sweep
-from repro.bench.runner import SYSTEM_LABELS
 
 
 def _series(sweep):
     return {
-        SYSTEM_LABELS[system]: [
+        systems.get(system).label: [
             (r.target_tps, r.stats.committed_tps, r.stats.abort_rate)
             for r in points]
         for system, points in sweep.items()

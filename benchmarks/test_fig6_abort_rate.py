@@ -7,8 +7,8 @@ rate is above Carousel Basic's at high load (stale local-replica reads:
 spike.
 """
 
+from repro import systems
 from repro.bench.report import render_throughput_sweep
-from repro.bench.runner import SYSTEM_LABELS
 
 
 def _aborts(points):
@@ -22,7 +22,7 @@ def test_fig6_abort_rate_vs_target(throughput_sweep, benchmark):
         rounds=1, iterations=1)
 
     series = {
-        SYSTEM_LABELS[system]: [
+        systems.get(system).label: [
             (r.target_tps, r.stats.committed_tps, r.stats.abort_rate)
             for r in points]
         for system, points in throughput_sweep.items()

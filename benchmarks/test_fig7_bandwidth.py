@@ -9,14 +9,14 @@ approaches link saturation (the paper measures < 70 Mbps on 1 Gbps
 links).
 """
 
+from repro import systems
 from repro.bench.experiments import bandwidth_roles as _roles
 from repro.bench.report import render_bandwidth
-from repro.bench.runner import SYSTEM_LABELS
 
 
 def test_fig7_bandwidth_breakdown(bandwidth_results, benchmark):
     rows = benchmark.pedantic(
-        lambda: {SYSTEM_LABELS[s]: _roles(r)
+        lambda: {systems.get(s).label: _roles(r)
                  for s, r in bandwidth_results.items()},
         rounds=1, iterations=1)
 

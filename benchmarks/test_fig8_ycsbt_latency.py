@@ -7,15 +7,16 @@ plus closest-replica reads win at the median — but TAPIR's slow-path
 fallback gives it the longer tail.  TAPIR's median is ~30% above Fast's.
 """
 
+from repro import systems
 from repro.bench.report import render_cdf, render_latency_table
-from repro.bench.runner import SYSTEM_LABELS
 
 PAPER_MEDIANS_MS = {"tapir": 337.0, "carousel-basic": 400.0,
                     "carousel-fast": 259.0}
 
 
 def _recorders(results):
-    return {SYSTEM_LABELS[s]: r.stats.latency for s, r in results.items()}
+    return {systems.get(s).label: r.stats.latency
+            for s, r in results.items()}
 
 
 def test_fig8_latency_cdf(fig8_results, benchmark):
@@ -28,7 +29,7 @@ def test_fig8_latency_cdf(fig8_results, benchmark):
     print(render_latency_table(_recorders(fig8_results)))
     print("\nCDF series:")
     print(render_cdf(_recorders(fig8_results)))
-    print("\npaper medians:", {SYSTEM_LABELS[s]: v
+    print("\npaper medians:", {systems.get(s).label: v
                                for s, v in PAPER_MEDIANS_MS.items()})
 
     # Carousel Fast lowest; TAPIR beats Carousel Basic at the median

@@ -17,9 +17,11 @@ Baseline:
     :class:`repro.tapir.TapirConfig`.
 
 Deployments and experiments:
-    :class:`repro.bench.CarouselCluster`, :class:`repro.bench.TapirCluster`,
-    :class:`repro.bench.DeploymentSpec`, :mod:`repro.bench.experiments`,
-    and the ``python -m repro`` command line.
+    :func:`repro.systems.build` (any system in :data:`repro.systems.SYSTEMS`
+    by name) over :class:`repro.bench.CarouselCluster`,
+    :class:`repro.bench.LayeredCluster`, :class:`repro.bench.TapirCluster`
+    and :class:`repro.bench.DeploymentSpec`;
+    :mod:`repro.bench.experiments`, and the ``python -m repro`` command line.
 
 Substrates:
     :mod:`repro.sim` (deterministic discrete-event simulator),

@@ -178,14 +178,15 @@ def cmd_protolint(argv: List[str]) -> int:
 
 
 def _build_divergence_parser() -> argparse.ArgumentParser:
+    from repro import systems
+
     parser = argparse.ArgumentParser(
         prog="python -m repro divergence",
         description="Run the same scenario twice under different "
                     "PYTHONHASHSEED values and localize the first "
                     "divergent kernel event.")
-    parser.add_argument("--system",
-                        choices=["basic", "fast", "tapir", "layered"],
-                        default="basic")
+    parser.add_argument("--system", type=systems.canonical,
+                        choices=systems.SYSTEMS, default="carousel-basic")
     parser.add_argument("--seed", type=int, default=42,
                         help="kernel seed shared by both runs")
     parser.add_argument("--txns", type=int, default=2, metavar="N",

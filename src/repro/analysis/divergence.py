@@ -102,15 +102,13 @@ def _run_wide_scenario(system: str, seed: int, n_txns: int,
                        digest: DigestRecorder) -> None:
     """A transaction touching *every* partition (widest possible fan-out,
     so ordering bugs in coordinator loops have the most room to show)."""
-    from repro.bench.cluster import CarouselCluster, DeploymentSpec
-    from repro.core.config import BASIC, FAST, CarouselConfig
+    from repro import systems
+    from repro.bench.cluster import DeploymentSpec
     from repro.trace.tracer import Tracer
     from repro.txn import TransactionSpec
 
-    mode = FAST if system == "fast" else BASIC
-    cluster = CarouselCluster(DeploymentSpec(seed=seed,
-                                             jitter_fraction=0.0),
-                              CarouselConfig(mode=mode))
+    cluster = systems.build(
+        system, DeploymentSpec(seed=seed, jitter_fraction=0.0))
     cluster.kernel.digest = digest
     tracer = Tracer(cluster.kernel)
     cluster.run(500)  # settle bootstrap

@@ -59,7 +59,7 @@ class DeploymentSpec:
 
 
 class _BaseCluster:
-    """Common plumbing for Carousel and TAPIR deployments.
+    """Common plumbing for Carousel, layered and TAPIR deployments.
 
     ``runtime`` selects the execution backend (:mod:`repro.runtime`).
     ``None`` builds the discrete-event runtime exactly as this module
@@ -81,6 +81,9 @@ class _BaseCluster:
         self.directory = DirectoryService()
         self.partition_ids = [f"p{i}" for i in range(spec.n_partitions)]
         self.ring = ConsistentHashRing(self.partition_ids)
+        #: Server nodes this process hosts, by node id; each subclass
+        #: exposes it under its own name (``servers`` / ``replicas``).
+        self._nodes: Dict[str, Any] = {}
         self.clients: List[Any] = []
         self._clients_by_dc: Dict[str, List[Any]] = {}
 
@@ -90,6 +93,26 @@ class _BaseCluster:
         dcs = self.topology.datacenters
         return [dcs[(partition_index + j) % len(dcs)]
                 for j in range(self.spec.replication_factor)]
+
+    def _build_clients(self, make_client) -> None:
+        """``clients_per_dc`` clients in every datacenter, built by
+        ``make_client(client_id, dc)`` when this process hosts them."""
+        for dc in self.topology.datacenters:
+            per_dc = []
+            for i in range(self.spec.clients_per_dc):
+                client_id = f"client-{dc}-{i}"
+                if not self.network.claim(client_id, "client", dc):
+                    continue
+                client = make_client(client_id, dc)
+                per_dc.append(client)
+                self.clients.append(client)
+            self._clients_by_dc[dc] = per_dc
+
+    def _start_raft(self) -> None:
+        # Ordered: _nodes insertion order is construction order (per-dc,
+        # per-index), so the election-timeout RNG draws are deterministic.
+        for server in self._nodes.values():
+            server.start_raft()
 
     def run(self, ms: float) -> None:
         """Advance the simulation by ``ms`` virtual milliseconds."""
@@ -101,6 +124,27 @@ class _BaseCluster:
     def client_dcs(self) -> List[str]:
         return list(self.topology.datacenters)
 
+    def leader_of(self, pid: str):
+        """The server currently leading partition ``pid``."""
+        return self._nodes[self.directory.lookup(pid).leader]
+
+    def replicas_of(self, pid: str) -> List[Any]:
+        """Servers hosting replicas of partition ``pid``, group order."""
+        return [self._nodes[r]
+                for r in self.directory.lookup(pid).replicas]
+
+    def stores_of(self, pid: str) -> List[Any]:
+        """The versioned stores of every replica of ``pid``."""
+        return [server.partitions[pid].store
+                for server in self.replicas_of(pid)]
+
+    def populate(self, items: Dict[str, Any]) -> None:
+        """Load initial data directly into every replica (version 1),
+        bypassing the protocol — the standard benchmark loading shortcut."""
+        for key, value in items.items():
+            for store in self.stores_of(self.ring.partition_for(key)):
+                store.write(key, value, 1)
+
 
 class CarouselCluster(_BaseCluster):
     """A ready-to-run Carousel deployment (servers + clients + directory)."""
@@ -110,10 +154,12 @@ class CarouselCluster(_BaseCluster):
                  result_hook=None, runtime=None):
         super().__init__(spec or DeploymentSpec(), runtime=runtime)
         self.config = config or CarouselConfig()
-        self.servers: Dict[str, CarouselServer] = {}
+        self.servers: Dict[str, CarouselServer] = self._nodes
         self._build_servers()
-        self._build_clients(result_hook)
-        self._start()
+        self._build_clients(lambda client_id, dc: CarouselClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, self.config, result_hook=result_hook))
+        self._start_raft()
 
     def _server_id(self, dc: str, slot: int) -> str:
         return f"cds-{dc}-{slot}"
@@ -158,52 +204,6 @@ class CarouselCluster(_BaseCluster):
                         pid, replica_ids[pid],
                         bootstrap_leader=replica_ids[pid][0])
 
-    def _build_clients(self, result_hook) -> None:
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = CarouselClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring, self.config,
-                    result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
-
-    def _start(self) -> None:
-        # Ordered: servers insertion order is construction order (per-dc,
-        # per-index), so the election-timeout RNG draws are deterministic.
-        for server in self.servers.values():
-            server.start_raft()
-
-    # ------------------------------------------------------------------
-    # Conveniences
-    # ------------------------------------------------------------------
-    def leader_of(self, pid: str) -> CarouselServer:
-        """The server currently leading partition ``pid``."""
-        return self.servers[self.directory.lookup(pid).leader]
-
-    def replicas_of(self, pid: str) -> List[CarouselServer]:
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.servers[r]
-                for r in self.directory.lookup(pid).replicas]
-
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data directly into every replica (version 1),
-        bypassing the protocol — the standard benchmark loading shortcut."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for server in self.replicas_of(pid):
-                server.partitions[pid].store.write(key, value, 1)
-
-    def stores_of(self, pid: str):
-        """The versioned stores of every replica of ``pid``."""
-        return [server.partitions[pid].store
-                for server in self.replicas_of(pid)]
-
 
 class LayeredCluster(_BaseCluster):
     """A deployment of the layered (sequential 2PC over consensus)
@@ -218,7 +218,7 @@ class LayeredCluster(_BaseCluster):
 
         super().__init__(spec or DeploymentSpec(), runtime=runtime)
         self.retry_policy = retry_policy
-        self.servers: Dict[str, LayeredServer] = {}
+        self.servers: Dict[str, LayeredServer] = self._nodes
         slots: Dict[str, int] = {dc: 0 for dc in self.topology.datacenters}
         replica_ids: Dict[str, List[str]] = {}
         for i, pid in enumerate(self.partition_ids):
@@ -245,39 +245,10 @@ class LayeredCluster(_BaseCluster):
                     self.servers[server_id].add_partition(
                         pid, replica_ids[pid],
                         bootstrap_leader=replica_ids[pid][0])
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = LayeredClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring,
-                    retry_policy=retry_policy, result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
-        # Ordered: servers insertion order is construction order, so the
-        # election-timeout RNG draws are deterministic.
-        for server in self.servers.values():
-            server.start_raft()
-
-    def leader_of(self, pid: str):
-        """The server currently leading partition ``pid``."""
-        return self.servers[self.directory.lookup(pid).leader]
-
-    def replicas_of(self, pid: str):
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.servers[r]
-                for r in self.directory.lookup(pid).replicas]
-
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data into every replica (version 1), bypassing the protocol."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for server in self.replicas_of(pid):
-                server.partitions[pid].store.write(key, value, 1)
+        self._build_clients(lambda client_id, dc: LayeredClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, retry_policy=retry_policy, result_hook=result_hook))
+        self._start_raft()
 
 
 class TapirCluster(_BaseCluster):
@@ -292,7 +263,7 @@ class TapirCluster(_BaseCluster):
 
         super().__init__(spec or DeploymentSpec(), runtime=runtime)
         self.config = config or TapirConfig()
-        self.replicas: Dict[str, TapirReplica] = {}
+        self.replicas: Dict[str, TapirReplica] = self._nodes
         for i, pid in enumerate(self.partition_ids):
             ids, dcs = [], []
             for j, dc in enumerate(self.placement(i)):
@@ -309,28 +280,10 @@ class TapirCluster(_BaseCluster):
                     replica_id, dc, self.kernel, self.network,
                     pid, ids, self.config,
                     service_time_ms=self.spec.server_service_time_ms)
-        for dc in self.topology.datacenters:
-            per_dc = []
-            for i in range(self.spec.clients_per_dc):
-                client_id = f"client-{dc}-{i}"
-                if not self.network.claim(client_id, "client", dc):
-                    continue
-                client = TapirClient(
-                    client_id, dc, self.kernel, self.network,
-                    self.directory, self.ring, self.config,
-                    result_hook=result_hook)
-                per_dc.append(client)
-                self.clients.append(client)
-            self._clients_by_dc[dc] = per_dc
+        self._build_clients(lambda client_id, dc: TapirClient(
+            client_id, dc, self.kernel, self.network, self.directory,
+            self.ring, self.config, result_hook=result_hook))
 
-    def replicas_of(self, pid: str):
-        """Servers hosting replicas of partition ``pid``, group order."""
-        return [self.replicas[r]
-                for r in self.directory.lookup(pid).replicas]
-
-    def populate(self, items: Dict[str, Any]) -> None:
-        """Load initial data into every replica (version 1), bypassing the protocol."""
-        for key, value in items.items():
-            pid = self.ring.partition_for(key)
-            for replica in self.replicas_of(pid):
-                replica.store.write(key, value, 1)
+    def stores_of(self, pid: str) -> List[Any]:
+        """A TAPIR replica is one partition: its store is the node's."""
+        return [replica.store for replica in self.replicas_of(pid)]

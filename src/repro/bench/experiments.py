@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.bench.runner import SYSTEMS, SYSTEM_LABELS, ExperimentResult, \
-    RunRecord, run_workload
+from repro import systems
+from repro.bench.runner import ExperimentResult, RunRecord, run_workload
 from repro.sim.topology import ec2_five_regions, uniform_topology
 from repro.sweep.kinds import figure_spec
 
@@ -107,7 +107,7 @@ def fig4_specs(scale: str = QUICK) -> List:
         figure_spec(system=system, workload="retwis", target_tps=200.0,
                     topology=ec2_five_regions(), seed=4,
                     clients_per_dc=8, label=f"fig4:{system}", **params)
-        for system in SYSTEMS
+        for system in systems.EVALUATED
     ]
 
 
@@ -118,7 +118,7 @@ def fig8_specs(scale: str = QUICK) -> List:
         figure_spec(system=system, workload="ycsbt", target_tps=200.0,
                     topology=ec2_five_regions(), seed=8,
                     clients_per_dc=8, label=f"fig8:{system}", **params)
-        for system in SYSTEMS
+        for system in systems.EVALUATED
     ]
 
 
@@ -134,7 +134,7 @@ def sweep_specs(scale: str = QUICK) -> List:
                     server_service_time_ms=SERVICE_TIME_MS[system],
                     tapir_fast_path_timeout_ms=TAPIR_LOCAL_TIMEOUT_MS,
                     label=f"fig5:{system}@{target:g}", **params)
-        for system in SYSTEMS
+        for system in systems.EVALUATED
         for target in sweep_targets(scale)
     ]
 
@@ -156,13 +156,15 @@ def _run_specs(specs: List, executor=None) -> List[RunRecord]:
 def fig4_experiment(scale: str = QUICK,
                     executor=None) -> Dict[str, RunRecord]:
     """Figure 4: Retwis latency CDFs, EC2 topology, 200 tps."""
-    return dict(zip(SYSTEMS, _run_specs(fig4_specs(scale), executor)))
+    return dict(zip(systems.EVALUATED,
+                    _run_specs(fig4_specs(scale), executor)))
 
 
 def fig8_experiment(scale: str = QUICK,
                     executor=None) -> Dict[str, RunRecord]:
     """Figure 8: YCSB+T latency CDFs, EC2 topology, 200 tps."""
-    return dict(zip(SYSTEMS, _run_specs(fig8_specs(scale), executor)))
+    return dict(zip(systems.EVALUATED,
+                    _run_specs(fig8_specs(scale), executor)))
 
 
 def throughput_sweep_experiment(scale: str = QUICK, executor=None
@@ -172,7 +174,7 @@ def throughput_sweep_experiment(scale: str = QUICK, executor=None
     records = iter(_run_specs(sweep_specs(scale), executor))
     n_targets = len(sweep_targets(scale))
     return {system: [next(records) for _ in range(n_targets)]
-            for system in SYSTEMS}
+            for system in systems.EVALUATED}
 
 
 def bandwidth_experiment(scale: str = QUICK
@@ -192,7 +194,7 @@ def bandwidth_experiment(scale: str = QUICK
             server_service_time_ms=SERVICE_TIME_MS[system],
             tapir_fast_path_timeout_ms=TAPIR_LOCAL_TIMEOUT_MS,
             account_bandwidth=True, **params)
-        for system in SYSTEMS
+        for system in systems.EVALUATED
     }
 
 
@@ -229,12 +231,13 @@ def bandwidth_roles(result: ExperimentResult) -> Dict[str, float]:
 
 
 def latency_recorders(results: Dict[str, RunRecord]):
-    return {SYSTEM_LABELS[s]: r.stats.latency for s, r in results.items()}
+    return {systems.get(s).label: r.stats.latency
+            for s, r in results.items()}
 
 
 def sweep_series(sweep: Dict[str, List[RunRecord]]):
     return {
-        SYSTEM_LABELS[system]: [
+        systems.get(system).label: [
             (r.target_tps, r.stats.committed_tps, r.stats.abort_rate)
             for r in points]
         for system, points in sweep.items()

@@ -1,9 +1,9 @@
 """Standardized experiment runner used by every benchmark.
 
-``run_workload`` builds a deployment for one of the three evaluated systems
-("tapir", "carousel-basic", "carousel-fast"), drives a workload at a target
-throughput, and returns the measured statistics — one call per curve point
-in the paper's figures.
+``run_workload`` builds a deployment of one system from the
+:mod:`repro.systems` table, drives a workload at a target throughput, and
+returns the measured statistics — one call per curve point in the paper's
+figures.
 """
 
 from __future__ import annotations
@@ -11,22 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bench.cluster import CarouselCluster, DeploymentSpec, TapirCluster
-from repro.core.config import BASIC, FAST, CarouselConfig
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
 from repro.sim.topology import Topology, ec2_five_regions
-from repro.tapir.config import TapirConfig
 from repro.workloads.driver import WorkloadDriver, WorkloadStats
 from repro.workloads.retwis import RetwisWorkload
 from repro.workloads.ycsbt import YcsbTWorkload
-
-SYSTEMS = ("tapir", "carousel-basic", "carousel-fast")
-
-#: Display names matching the paper's figures.
-SYSTEM_LABELS = {
-    "tapir": "TAPIR",
-    "carousel-basic": "Carousel Basic",
-    "carousel-fast": "Carousel Fast",
-}
 
 
 @dataclass
@@ -44,7 +34,7 @@ class RunRecord:
 
     @property
     def label(self) -> str:
-        return SYSTEM_LABELS[self.system]
+        return systems.get(self.system).label
 
     def to_json(self) -> Dict[str, object]:
         """Canonical JSON form (sorted op counters) for the sweep
@@ -79,7 +69,7 @@ class ExperimentResult:
 
     @property
     def label(self) -> str:
-        return SYSTEM_LABELS[self.system]
+        return systems.get(self.system).label
 
     @property
     def op_counters(self) -> Dict[str, int]:
@@ -100,22 +90,6 @@ class ExperimentResult:
         return RunRecord(system=self.system, target_tps=self.target_tps,
                          stats=self.stats,
                          op_counters=dict(self.op_counters))
-
-
-def build_cluster(system: str, spec: DeploymentSpec,
-                  tapir_fast_path_timeout_ms: Optional[float] = None):
-    """Construct a deployment for one of the evaluated systems."""
-    if system == "tapir":
-        config = TapirConfig()
-        if tapir_fast_path_timeout_ms is not None:
-            config = TapirConfig(
-                fast_path_timeout_ms=tapir_fast_path_timeout_ms)
-        return TapirCluster(spec, config)
-    if system == "carousel-basic":
-        return CarouselCluster(spec, CarouselConfig(mode=BASIC))
-    if system == "carousel-fast":
-        return CarouselCluster(spec, CarouselConfig(mode=FAST))
-    raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
 
 def build_workload(name: str, n_keys: int, seed: int):
@@ -141,7 +115,11 @@ def run_workload(system: str, workload: str, target_tps: float,
         topology=topology or ec2_five_regions(),
         seed=seed, clients_per_dc=clients_per_dc,
         server_service_time_ms=server_service_time_ms)
-    cluster = build_cluster(system, spec, tapir_fast_path_timeout_ms)
+    timing = None
+    if tapir_fast_path_timeout_ms is not None:
+        timing = systems.Timing(
+            tapir_fast_path_timeout_ms=tapir_fast_path_timeout_ms)
+    cluster = systems.build(system, spec, timing)
     generator = build_workload(workload, n_keys=n_keys, seed=seed + 1)
     driver = WorkloadDriver(cluster, generator, target_tps=target_tps,
                             duration_ms=duration_ms, warmup_ms=warmup_ms,

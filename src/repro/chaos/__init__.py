@@ -29,11 +29,9 @@ from repro.chaos.nemesis import (
 )
 from repro.chaos.oracles import OracleViolation, check_durability
 from repro.chaos.runner import (
-    SYSTEMS,
     ChaosOptions,
     ChaosRunResult,
     ClusterAdapter,
-    canonical_system,
     run_chaos,
 )
 
@@ -46,12 +44,10 @@ __all__ = [
     "NemesisEvent",
     "OracleViolation",
     "PLANTABLE_BUGS",
-    "SYSTEMS",
     "ChaosOptions",
     "ChaosRunResult",
     "ClusterAdapter",
     "apply_schedule",
-    "canonical_system",
     "check_durability",
     "generate_schedule",
     "minimize_schedule",

@@ -18,38 +18,15 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro import systems
 from repro.bench.report import render_link_faults
 from repro.chaos.bugs import PLANTABLE_BUGS
 from repro.chaos.minimize import minimize_schedule
 from repro.chaos.oracles import OracleViolation
-from repro.chaos.runner import (
-    SYSTEMS,
-    ChaosOptions,
-    ChaosRunResult,
-    canonical_system,
-    run_chaos,
-)
+from repro.chaos.runner import ChaosOptions, ChaosRunResult, run_chaos
 from repro.trace.tracer import SPAN_NEMESIS
-
-
-def parse_seeds(text: str) -> List[int]:
-    """Parse ``"0..9"``, ``"3"``, or ``"1,4,7"`` into a seed list."""
-    seeds: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            start, stop = int(lo), int(hi)
-            if stop < start:
-                raise ValueError(f"empty seed range {part!r}")
-            seeds.extend(range(start, stop + 1))
-        elif part:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
 
 
 def _print_violations(violations: Sequence[OracleViolation],
@@ -143,8 +120,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Deterministic nemesis harness: adversarial faults, "
                     "safety/liveness oracles, schedule minimization.")
     parser.add_argument("--system", default="carousel-fast",
-                        help="carousel-basic|carousel-fast|layered|tapir|"
-                             "all (aliases: basic, fast)")
+                        help="|".join(systems.SYSTEMS)
+                             + "|all (aliases: basic, fast)")
     parser.add_argument("--seeds", default="0..4",
                         help='seed set: "0..9", "3", or "1,4,7"')
     parser.add_argument("--rounds", type=int, default=25,
@@ -173,10 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-
-    systems = list(SYSTEMS) if args.system == "all" else [
-        canonical_system(args.system)]
-    seeds = parse_seeds(args.seeds)
+    try:
+        names = systems.parse_systems(args.system)
+        seeds = systems.parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
     opts = ChaosOptions(rounds=args.rounds, n_events=args.events,
                         restart_weight=args.restart_weight,
                         final_restart=(args.final_restart
@@ -184,7 +162,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     planted_bug = PLANTABLE_BUGS.get(args.plant_bug)
 
     failures = 0
-    for system in systems:
+    for system in names:
         plant_note = (f" plant-bug={args.plant_bug}"
                       if args.plant_bug else "")
         print(f"chaos: system={system} seeds={args.seeds} "
@@ -213,7 +191,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                        jobs=args.jobs)
             # One counterexample is the deliverable; stop scanning.
             return 1
-    total = len(systems) * len(seeds)
+    total = len(names) * len(seeds)
     print(f"chaos: all oracles green ({total} run(s), "
-          f"{len(systems)} system(s))")
+          f"{len(names)} system(s))")
     return 0

@@ -1,7 +1,7 @@
 """Safety and liveness oracles for chaos runs.
 
 All oracles run *after* the final heal and a quiescence window, against
-an adapter (:class:`repro.chaos.runner.ClusterAdapter`) that gives them a
+an adapter (:class:`OracleAdapter`) that gives them a
 uniform view of clients, stores, and resolved-outcome maps across the
 four systems.  The workload is increment-only and keys start absent, so
 the expected store state is exact: a key's value **and** version must
@@ -50,6 +50,41 @@ class OracleViolation:
 
     def __str__(self) -> str:
         return f"[{self.oracle}] {self.detail}"
+
+
+class OracleAdapter:
+    """What the oracles read a deployment's final state through.
+
+    Subclasses supply ``ring``, ``partition_ids``, ``clients()``,
+    ``stores_for_key(key) -> [(node_id, store)]`` and
+    ``resolved_for_pid(pid) -> [(location, {tid: decision})]`` — from
+    live cluster objects (:class:`repro.chaos.runner.ClusterAdapter`) or
+    from merged per-process snapshots
+    (:class:`repro.runtime.harness.SnapshotAdapter`).
+    """
+
+    def client_pending(self, client: Any) -> int:
+        """Transactions this client still has in flight (or queued)."""
+        pending = len(client._active)
+        pending += len(getattr(client, "_queued", ()))
+        return pending
+
+    def client_quiesced(self, client: Any) -> bool:
+        """No active/queued work and no unacknowledged commit rounds."""
+        if self.client_pending(client):
+            return False
+        return not getattr(client, "_commit_acks_pending", None)
+
+    def partitions_for(self, keys: Sequence[str]) -> List[str]:
+        """Sorted partition ids holding ``keys``."""
+        return sorted({self.ring.partition_for(k) for k in keys})
+
+    def resolved_maps(self) -> List[Tuple[str, Dict]]:
+        """Resolved-outcome maps for every replica of every partition."""
+        out = []
+        for pid in self.partition_ids:
+            out.extend(self.resolved_for_pid(pid))
+        return out
 
 
 def check_liveness(adapter, expected: int,

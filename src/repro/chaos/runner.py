@@ -21,12 +21,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.cluster import (
-    CarouselCluster,
-    DeploymentSpec,
-    LayeredCluster,
-    TapirCluster,
-)
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
 from repro.chaos.nemesis import (
     NemesisEvent,
     apply_schedule,
@@ -34,6 +30,7 @@ from repro.chaos.nemesis import (
     schedule_horizon,
 )
 from repro.chaos.oracles import (
+    OracleAdapter,
     OracleViolation,
     ResultRow,
     check_decisions,
@@ -42,46 +39,29 @@ from repro.chaos.oracles import (
     check_stores,
 )
 from repro.core.backoff import RetryPolicy
-from repro.core.config import BASIC, FAST, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
 from repro.sim.stats import link_fault_summary, restart_summary
-from repro.tapir.config import TapirConfig
 from repro.trace.tracer import Tracer
 from repro.txn import TransactionSpec
-
-#: The four systems the nemesis torments.
-SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
-
-_ALIASES = {
-    "basic": "carousel-basic",
-    "fast": "carousel-fast",
-    "carousel": "carousel-fast",
-}
 
 #: Virtual ms the cluster runs before anything else happens (heartbeats
 #: establish; leaders are bootstrap-assigned so no elections are needed).
 _SETTLE_MS = 600.0
 
-_CHAOS_RAFT = dict(election_timeout_min_ms=400.0,
-                   election_timeout_max_ms=800.0,
-                   heartbeat_interval_ms=100.0)
-_CHAOS_BACKOFF = dict(base_ms=800.0, multiplier=2.0, max_ms=6400.0,
-                      jitter_fraction=0.1)
+#: The aggressive chaos profile (see the module docstring).
+CHAOS_TIMING = systems.Timing(
+    raft=RaftConfig(election_timeout_min_ms=400.0,
+                    election_timeout_max_ms=800.0,
+                    heartbeat_interval_ms=100.0),
+    retry=RetryPolicy(base_ms=800.0, multiplier=2.0, max_ms=6400.0,
+                      jitter_fraction=0.1),
+    client_heartbeat_ms=500.0)
 
 #: Virtual ms the final-restart verification phase runs: long enough for
 #: every group to elect a leader from scratch (400–800 ms timeouts, with
 #: retries for split votes), commit its term no-op, and re-apply its log.
 _RESTART_VERIFY_MS = 15_000.0
-
-
-def canonical_system(name: str) -> str:
-    """Resolve a system name or alias to its canonical form."""
-    canon = _ALIASES.get(name, name)
-    if canon not in SYSTEMS:
-        raise ValueError(f"unknown system {name!r}; expected one of "
-                         f"{', '.join(SYSTEMS)} (or basic/fast)")
-    return canon
 
 
 @dataclass
@@ -147,44 +127,25 @@ class ChaosRunResult:
         return not self.violations
 
 
-class ClusterAdapter:
-    """Uniform post-run access to cluster internals for the oracles.
-
-    Bridges the structural differences between the four systems: where
-    stores live (per-partition components vs. whole-replica stores),
-    what "resolved" means (writeback decisions vs. IR commit booleans),
-    and which nodes are legitimate nemesis targets.
-    """
+class ClusterAdapter(OracleAdapter):
+    """Uniform post-run access to live cluster internals for the oracles
+    and the nemesis; the :mod:`repro.systems` row of ``system`` says
+    where the server nodes and their replicated state live."""
 
     def __init__(self, system: str, cluster: Any):
         self.system = system
+        self.entry = systems.get(system)
         self.cluster = cluster
+        self.ring = cluster.ring
+        self.partition_ids = cluster.partition_ids
 
     def clients(self) -> List[Any]:
         """All workload clients, construction order."""
         return list(self.cluster.clients)
 
-    def client_pending(self, client: Any) -> int:
-        """Transactions this client still has in flight (or queued)."""
-        pending = len(client._active)
-        pending += len(getattr(client, "_queued", ()))
-        return pending
-
-    def client_quiesced(self, client: Any) -> bool:
-        """No active/queued work and no unacknowledged commit rounds."""
-        if self.client_pending(client):
-            return False
-        return not getattr(client, "_commit_acks_pending", None)
-
     def server_ids(self) -> List[str]:
         """Sorted server node ids — the nemesis's victim pool."""
-        if self.system == "tapir":
-            return sorted(self.cluster.replicas)
-        return sorted(self.cluster.servers)
-
-    def partitions_for(self, keys: Sequence[str]) -> List[str]:
-        """Sorted partition ids holding ``keys``."""
-        return sorted({self.cluster.ring.partition_for(k) for k in keys})
+        return sorted(self.entry.nodes(self.cluster))
 
     def replica_groups(self) -> List[Tuple[str, ...]]:
         """The replica node-id set of every consensus group (for TAPIR,
@@ -198,59 +159,14 @@ class ClusterAdapter:
     def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
         """``(node_id, VersionedKVStore)`` for every replica of ``key``."""
         pid = self.cluster.ring.partition_for(key)
-        out = []
-        for replica in self.cluster.replicas_of(pid):
-            if self.system == "tapir":
-                out.append((replica.node_id, replica.store))
-            else:
-                out.append((replica.node_id,
-                            replica.partitions[pid].store))
-        return out
+        return [(replica.node_id, store) for replica, store in zip(
+            self.cluster.replicas_of(pid), self.cluster.stores_of(pid))]
 
     def resolved_for_pid(self, pid: str) -> List[Tuple[str, Dict]]:
         """``(location, {tid: "commit"|"abort"})`` per replica of ``pid``."""
-        out = []
-        for replica in self.cluster.replicas_of(pid):
-            if self.system == "tapir":
-                resolved = {tid: ("commit" if ok else "abort")
-                            for tid, ok in replica.resolved.items()}
-            else:
-                resolved = dict(replica.partitions[pid].resolved)
-            out.append((f"{replica.node_id}/{pid}", resolved))
-        return out
-
-    def resolved_maps(self) -> List[Tuple[str, Dict]]:
-        """Resolved-outcome maps for every replica of every partition."""
-        out = []
-        for pid in self.cluster.partition_ids:
-            out.extend(self.resolved_for_pid(pid))
-        return out
-
-
-def _build_cluster(system: str, seed: int) -> Any:
-    spec = DeploymentSpec(seed=seed)
-    if system in ("carousel-basic", "carousel-fast"):
-        mode = FAST if system == "carousel-fast" else BASIC
-        return CarouselCluster(spec, CarouselConfig(
-            mode=mode,
-            heartbeat_interval_ms=500.0,
-            heartbeat_misses=3,
-            client_retry_ms=_CHAOS_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CHAOS_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CHAOS_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CHAOS_BACKOFF["jitter_fraction"],
-            raft=RaftConfig(**_CHAOS_RAFT)))
-    if system == "layered":
-        return LayeredCluster(spec, raft_config=RaftConfig(**_CHAOS_RAFT),
-                              retry_policy=RetryPolicy(**_CHAOS_BACKOFF))
-    if system == "tapir":
-        return TapirCluster(spec, TapirConfig(
-            fast_path_timeout_ms=250.0,
-            retry_ms=_CHAOS_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CHAOS_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CHAOS_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CHAOS_BACKOFF["jitter_fraction"]))
-    raise ValueError(f"unknown system {system!r}")  # pragma: no cover
+        return [(f"{replica.node_id}/{pid}",
+                 self.entry.replica_state(replica, pid)[1])
+                for replica in self.cluster.replicas_of(pid)]
 
 
 def candidate_links(adapter: ClusterAdapter) -> List[Tuple[str, str]]:
@@ -266,9 +182,9 @@ def candidate_links(adapter: ClusterAdapter) -> List[Tuple[str, str]]:
     cluster = adapter.cluster
     clients = sorted(c.node_id for c in adapter.clients())
     links = set()
-    if adapter.system == "tapir":
+    if adapter.entry.leaderless:
         for client_id in clients:
-            for replica_id in sorted(cluster.replicas):
+            for replica_id in adapter.server_ids():
                 links.add((client_id, replica_id))
     else:
         leaders = []
@@ -284,8 +200,9 @@ def candidate_links(adapter: ClusterAdapter) -> List[Tuple[str, str]]:
                 if a != b:
                     links.add(tuple(sorted((a, b))))
         servers_by_dc: Dict[str, List[str]] = {}
+        servers = adapter.entry.nodes(cluster)
         for server_id in adapter.server_ids():
-            server = cluster.servers[server_id]
+            server = servers[server_id]
             servers_by_dc.setdefault(server.dc, []).append(server_id)
         client_links = set()
         for client in adapter.clients():
@@ -343,10 +260,11 @@ def run_chaos(system: str, seed: int,
     the whole run (used to validate that the oracles catch known bugs).
     """
     opts = opts or ChaosOptions()
-    canon = canonical_system(system)
+    canon = systems.canonical(system)
     guard = planted_bug() if planted_bug is not None else nullcontext()
     with guard:
-        cluster = _build_cluster(canon, seed)
+        cluster = systems.build(canon, DeploymentSpec(seed=seed),
+                                CHAOS_TIMING)
         kernel = cluster.kernel
         adapter = ClusterAdapter(canon, cluster)
         kernel.run(until=_SETTLE_MS)

@@ -32,6 +32,7 @@ import json
 import sys
 from typing import Callable, Dict, Optional
 
+from repro import systems
 from repro.bench import experiments
 from repro.bench.report import (
     format_table,
@@ -40,7 +41,6 @@ from repro.bench.report import (
     render_latency_table,
     render_throughput_sweep,
 )
-from repro.bench.runner import SYSTEM_LABELS
 from repro.bench.traces import render_trace, trace_transaction
 from repro.core.config import BASIC, FAST
 
@@ -168,7 +168,7 @@ def cmd_fig5(args) -> None:
     sweep = _sweep(args)
     series = experiments.sweep_series(sweep)
     ops_by_label = {
-        SYSTEM_LABELS[system]: {
+        systems.get(system).label: {
             key: sum(r.op_counters[key] for r in points)
             for key in ("events_executed", "events_cancelled",
                         "messages_delivered")}
@@ -182,7 +182,7 @@ def cmd_fig5(args) -> None:
     print(_ops_table(ops_by_label))
     _emit_json(args.json, {
         "series": series,
-        "ops": {SYSTEM_LABELS[system]:
+        "ops": {systems.get(system).label:
                 [r.op_counters for r in points]
                 for system, points in sweep.items()},
     })
@@ -201,7 +201,7 @@ def cmd_fig6(args) -> None:
 
 def cmd_fig7(args) -> None:
     results = experiments.bandwidth_experiment(args.scale)
-    rows = {SYSTEM_LABELS[s]: experiments.bandwidth_roles(r)
+    rows = {systems.get(s).label: experiments.bandwidth_roles(r)
             for s, r in results.items()}
     print("Figure 7: average bandwidth at 5000 tps target "
           f"(Mbps per node, scale={args.scale})")
@@ -262,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="sweep result cache directory (default: "
                              "$REPRO_SWEEP_CACHE or .repro-sweep-cache)")
-    parser.add_argument("--system", choices=["basic", "fast", "tapir",
-                                             "layered"],
-                        default="basic",
-                        help="(trace) protocol variant to trace")
+    parser.add_argument("--system", type=systems.canonical,
+                        choices=systems.SYSTEMS, default="carousel-basic",
+                        help="(trace) system to trace (aliases: basic, "
+                             "fast)")
     parser.add_argument("--txn-id", type=int, default=1, metavar="N",
                         help="(trace) run N transactions and show the Nth")
     parser.add_argument("--read-only", action="store_true",

@@ -58,13 +58,6 @@ class PartitionComponent:
         #: Replicated prepare decisions: tid -> PrepareRecord.
         self.prepare_log: Dict[TID, PrepareRecord] = {}
         self.member: Optional[RaftMember] = None
-        #: In-flight proposals keyed to the term they were proposed in.
-        #: A marker from an older term means the entry (and its reply
-        #: callback) died with that leadership — Raft drops commit
-        #: callbacks on step-down — so a retransmission must re-propose
-        #: rather than be deduplicated against a dead proposal.
-        self._preparing: Dict[TID, int] = {}
-        self._writeback_inflight: Dict[TID, int] = {}
         #: Requests buffered while CPC leader recovery runs (§4.3.3 step 1).
         self.recovering = False
         self._buffered: List = []
@@ -148,21 +141,18 @@ class PartitionComponent:
             self._send(msg.src, WritebackAck(
                 tid=tid, partition_id=self.partition_id))
             return
-        if self._writeback_inflight.get(tid) == self.member.current_term:
+        if self.member.proposal_inflight(("writeback", tid)):
             return
-        self._writeback_inflight[tid] = self.member.current_term
         record = CommitRecord(
             tid=tid, partition_id=self.partition_id,
             decision=msg.decision, writes=tuple(msg.writes.items()))
         coordinator = msg.src
 
         def replicated(_entry):
-            self._writeback_inflight.pop(tid, None)
             self._send(coordinator, WritebackAck(
                 tid=tid, partition_id=self.partition_id))
 
-        if self.member.propose(record, on_committed=replicated) is None:
-            self._writeback_inflight.pop(tid, None)
+        self.member.propose_keyed(("writeback", tid), record, replicated)
 
     def on_prepare_query(self, msg: PrepareQuery) -> None:
         """A recovered coordinator re-requests our prepare result
@@ -212,7 +202,7 @@ class PartitionComponent:
                 decision=record.decision,
                 read_versions=record.read_versions))
             return
-        if self._preparing.get(tid) == self.member.current_term:
+        if self.member.proposal_inflight(("prepare", tid)):
             return  # replication in flight; the result will be sent
 
         self.prepares_attempted += 1
@@ -246,7 +236,6 @@ class PartitionComponent:
             read_versions=versions, term=term,
             coordinator_id=msg.coordinator_id,
             coord_group_id=msg.coord_group_id)
-        self._preparing[tid] = term
         tracer = self.server.tracer
         span = None
         if tracer.enabled:
@@ -256,15 +245,14 @@ class PartitionComponent:
 
         def replicated(_entry):
             # Slow-path completion: decision is durable, report it (§4.1.4).
-            self._preparing.pop(tid, None)
             self.server.tracer.span_end(span)
             self._send(record.coordinator_id, PrepareResult(
                 tid=tid, partition_id=self.partition_id,
                 decision=record.decision,
                 read_versions=record.read_versions))
 
-        if self.member.propose(record, on_committed=replicated) is None:
-            self._preparing.pop(tid, None)
+        if self.member.propose_keyed(("prepare", tid), record,
+                                     replicated) is None:
             self.server.tracer.span_end(span)
 
     def _follower_fast_vote(self, msg: ReadPrepareRequest) -> None:

@@ -50,14 +50,6 @@ class _LayeredPartition:
         self.resolved: Dict[TID, str] = {}
         self.prepare_decisions: Dict[TID, str] = {}
         self.member: Optional[RaftMember] = None
-        #: Proposals awaiting replication, keyed to the term they were
-        #: proposed in.  A marker from an older term is dead weight: the
-        #: entry (and its ack callback) died with that leadership, so a
-        #: retransmission must re-propose rather than be deduplicated.
-        self._inflight: Dict[TID, int] = {}
-
-    def _proposal_inflight(self, tid: TID) -> bool:
-        return self._inflight.get(tid) == self.member.current_term
 
     @property
     def is_leader(self) -> bool:
@@ -101,7 +93,7 @@ class _LayeredPartition:
                 tid=tid, partition_id=self.partition_id,
                 decision=self.prepare_decisions[tid]))
             return
-        if self._proposal_inflight(tid):
+        if self.member.proposal_inflight(tid):
             return
         read_versions = dict(msg.read_versions)
         # OCC validation: reads happened a round earlier, so versions are
@@ -122,16 +114,13 @@ class _LayeredPartition:
             read_keys=tuple(read_versions), write_keys=msg.write_keys,
             read_versions=freeze_versions(read_versions))
         coordinator = msg.src
-        self._inflight[tid] = self.member.current_term
 
         def replicated(__):
-            self._inflight.pop(tid, None)
             self.server.send(coordinator, LayeredPrepareAck(
                 tid=tid, partition_id=self.partition_id,
                 decision=decision))
 
-        if self.member.propose(record, on_committed=replicated) is None:
-            self._inflight.pop(tid, None)
+        self.member.propose_keyed(tid, record, replicated)
 
     def on_writeback(self, msg: LayeredWriteback) -> None:
         if not self.serving:
@@ -141,21 +130,18 @@ class _LayeredPartition:
             self.server.send(msg.src, LayeredWritebackAck(
                 tid=tid, partition_id=self.partition_id))
             return
-        if self._proposal_inflight(tid):
+        if self.member.proposal_inflight(tid):
             return
         record = LayeredCommitRecord(
             tid=tid, partition_id=self.partition_id,
             decision=msg.decision, writes=tuple(msg.writes.items()))
         coordinator = msg.src
-        self._inflight[tid] = self.member.current_term
 
         def replicated(__):
-            self._inflight.pop(tid, None)
             self.server.send(coordinator, LayeredWritebackAck(
                 tid=tid, partition_id=self.partition_id))
 
-        if self.member.propose(record, on_committed=replicated) is None:
-            self._inflight.pop(tid, None)
+        self.member.propose_keyed(tid, record, replicated)
 
     def apply(self, command) -> None:
         if isinstance(command, LayeredPrepareRecord):
@@ -350,7 +336,12 @@ class LayeredServer(RaftHost):
             # phase is stalled instead of silently waiting forever.
             if state.decision is None:
                 self._resend_prepares(state)
-            elif state.replied:
+            elif not state.replied:
+                # The decision was proposed but the client never heard:
+                # unless that proposal is still replicating, its commit
+                # callback died with a lost leadership — propose again.
+                self._propose_decision(state)
+            else:
                 self.send(msg.src, LayeredReply(
                     tid=state.tid,
                     committed=state.decision == COMMIT,
@@ -413,7 +404,16 @@ class LayeredServer(RaftHost):
         if tracer.enabled:
             tracer.span_end(state.trace_prepare_span, detail=decision)
             state.trace_prepare_span = None
+        self._propose_decision(state)
+
+    def _propose_decision(self, state: _CoordState) -> None:
+        """Replicate the 2PC decision in the coordinator's own group;
+        reply and write back once it commits."""
         member = self.members[state.group_id]
+        key = ("decision", state.tid)
+        if member.proposal_inflight(key):
+            return
+        decision = state.decision
 
         def decision_replicated(__):
             # Only after the decision is durable may the client learn it —
@@ -432,10 +432,10 @@ class LayeredServer(RaftHost):
                     detail=decision)
             self._send_writebacks(state)
 
-        if member.propose(LayeredDecisionRecord(tid=state.tid,
-                                                decision=decision),
-                          on_committed=decision_replicated) is None:
-            pass  # lost leadership; client retry will re-drive
+        # Refused when leadership is already lost; the client's retry
+        # lands here again (or at the new leader, which starts over).
+        member.propose_keyed(key, LayeredDecisionRecord(
+            tid=state.tid, decision=decision), decision_replicated)
 
     def _persist_decision(self, state: _CoordState) -> None:
         """Journal the 2PC outcome before the reply externalizes it."""

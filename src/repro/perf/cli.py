@@ -4,7 +4,7 @@ files.
 Usage::
 
     python -m repro perf run --quick --label seed
-    python -m repro perf run --suites timer-cancel-heap,timer-cancel-calendar
+    python -m repro perf run --suites kernel-churn-heap,timer-cancel-heap
     python -m repro perf run --list
     python -m repro perf compare BENCH_seed.json BENCH_pr.json
     python -m repro perf compare --ops-only BENCH_seed.json BENCH_pr.json

@@ -7,19 +7,20 @@ host-dependent rate and the deterministic operation counters described
 in :mod:`repro.perf.schema`.
 
 Microbenchmarks
-    ``kernel-churn-*``   raw event schedule/fire throughput, per scheduler
-    ``timer-cancel-*``   the protocol-timeout pattern (schedule a far
-                         timeout, cancel it shortly after), per scheduler
+    ``kernel-churn-heap``
+                         raw event schedule/fire throughput
+    ``timer-cancel-heap``
+                         the protocol-timeout pattern (schedule a far
+                         timeout, cancel it shortly after)
     ``net-send``         network send/deliver on the zero-allocation fast
                          path (no tracing, no fault models)
     ``net-send-traced``  the same traffic with a recording tracer and
                          link-fault models installed (slow path)
-    ``zipf-*``           workload key generation, approximation vs alias
-                         table
+    ``zipf-approx``      workload key generation
 
 End-to-end
     ``e2e-<system>``     committed transactions/sec under the Retwis
-                         driver for all four evaluated systems.
+                         driver for every system in :mod:`repro.systems`.
 
 All suites seed their kernels explicitly, so the op counters of a given
 (suite, scale) pair are stable across hosts and runs.
@@ -34,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro import systems
 from repro.perf.schema import SCHEMA_VERSION
 from repro.sim.kernel import Kernel
 from repro.sim.message import Message
@@ -42,9 +44,6 @@ from repro.sim.node import Node
 from repro.sim.topology import uniform_topology
 
 SCALES = ("quick", "full")
-
-#: The four evaluated systems, all of which get an e2e suite.
-E2E_SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
 
 
 @dataclass
@@ -89,7 +88,7 @@ class SuiteResult:
 _MICRO_REPS = 3
 
 
-def _bench_kernel_churn(scheduler: str, scale: str) -> SuiteResult:
+def _bench_kernel_churn(scale: str) -> SuiteResult:
     """Self-rescheduling event chains: the kernel's steady-state churn.
 
     64 concurrent chains each fire and immediately reschedule themselves
@@ -100,7 +99,7 @@ def _bench_kernel_churn(scheduler: str, scale: str) -> SuiteResult:
     n_events = 150_000 if scale == "quick" else 1_500_000
 
     def once() -> SuiteResult:
-        kernel = Kernel(seed=11, scheduler=scheduler)
+        kernel = Kernel(seed=11)
         expovariate = kernel.random.expovariate
         schedule = kernel.schedule
 
@@ -112,28 +111,28 @@ def _bench_kernel_churn(scheduler: str, scale: str) -> SuiteResult:
         start = time.perf_counter()
         executed = kernel.run(max_events=n_events)
         wall = time.perf_counter() - start
-        return SuiteResult(name=f"kernel-churn-{scheduler}",
+        return SuiteResult(name="kernel-churn-heap",
                            unit="events", units_processed=executed,
                            wall_seconds=wall, ops=kernel.op_counters())
 
     return once()
 
 
-def _bench_timer_cancel(scheduler: str, scale: str) -> SuiteResult:
+def _bench_timer_cancel(scale: str) -> SuiteResult:
     """The protocol-timeout pattern: almost every scheduled timer is
     cancelled before it fires.
 
     512 chains each keep one outstanding 100 ms timeout; every operation
     cancels the previous timeout and arms a new one, then reschedules
     itself ~0.5 ms out.  Roughly half of all scheduled events die by
-    cancellation, which is exactly the load that separates the heap's
-    lazy compaction from the calendar queue's eager bucket removal.
+    cancellation, which is exactly the load the heap's lazy compaction
+    exists for.
     """
     n_events = 60_000 if scale == "quick" else 600_000
     chains = 512
 
     def once() -> SuiteResult:
-        kernel = Kernel(seed=12, scheduler=scheduler)
+        kernel = Kernel(seed=12)
         expovariate = kernel.random.expovariate
         schedule = kernel.schedule
         timeouts: List[Optional[object]] = [None] * chains
@@ -153,7 +152,7 @@ def _bench_timer_cancel(scheduler: str, scale: str) -> SuiteResult:
         start = time.perf_counter()
         executed = kernel.run(max_events=n_events)
         wall = time.perf_counter() - start
-        return SuiteResult(name=f"timer-cancel-{scheduler}",
+        return SuiteResult(name="timer-cancel-heap",
                            unit="events", units_processed=executed,
                            wall_seconds=wall, ops=kernel.op_counters())
 
@@ -253,9 +252,9 @@ def _bench_net_send_traced(scale: str) -> SuiteResult:
 # workload-generation microbenchmarks
 
 
-def _bench_zipf(method: str, scale: str) -> SuiteResult:
+def _bench_zipf(scale: str) -> SuiteResult:
     """Zipfian rank draws at the paper's theta = 0.75.  ``rank_sum`` is a
-    deterministic checksum over the drawn ranks: any change to either
+    deterministic checksum over the drawn ranks: any change to the
     sampler's draw stream shows up as an exact op-counter diff."""
     from repro.workloads.zipf import ZipfianGenerator
 
@@ -264,15 +263,14 @@ def _bench_zipf(method: str, scale: str) -> SuiteResult:
 
     def once() -> SuiteResult:
         rng = Kernel(seed=17).random
-        generator = ZipfianGenerator(n_keys, theta=0.75, rng=rng,
-                                     method=method)
+        generator = ZipfianGenerator(n_keys, theta=0.75, rng=rng)
         next_rank = generator.next
         rank_sum = 0
         start = time.perf_counter()
         for _ in range(n_draws):
             rank_sum += next_rank()
         wall = time.perf_counter() - start
-        return SuiteResult(name=f"zipf-{method}", unit="keys",
+        return SuiteResult(name="zipf-approx", unit="keys",
                            units_processed=n_draws, wall_seconds=wall,
                            ops={"draws": n_draws, "n_keys": n_keys,
                                 "rank_sum": rank_sum})
@@ -282,16 +280,6 @@ def _bench_zipf(method: str, scale: str) -> SuiteResult:
 
 # ----------------------------------------------------------------------
 # end-to-end system benchmarks
-
-
-def _build_e2e_cluster(system: str, spec):
-    if system == "layered":
-        from repro.bench.cluster import LayeredCluster
-
-        return LayeredCluster(spec)
-    from repro.bench.runner import build_cluster
-
-    return build_cluster(system, spec)
 
 
 def _bench_e2e(system: str, scale: str) -> SuiteResult:
@@ -310,7 +298,7 @@ def _bench_e2e(system: str, scale: str) -> SuiteResult:
     target_tps = 200.0 if scale == "quick" else 400.0
     spec = DeploymentSpec(topology=uniform_topology(3, 10.0),
                           n_partitions=3, seed=23, clients_per_dc=4)
-    cluster = _build_e2e_cluster(system, spec)
+    cluster = systems.build(system, spec)
     workload = RetwisWorkload(n_keys=10_000, seed=24)
     driver = WorkloadDriver(cluster, workload, target_tps=target_tps,
                             duration_ms=duration_ms, warmup_ms=500.0,
@@ -337,18 +325,13 @@ def _bench_e2e(system: str, scale: str) -> SuiteResult:
 
 #: Single-rep builders, in registry (report) order.
 _SUITE_BUILDERS: Dict[str, Callable[[str], SuiteResult]] = {
-    "kernel-churn-heap": lambda s: _bench_kernel_churn("heap", s),
-    "kernel-churn-calendar": lambda s: _bench_kernel_churn("calendar", s),
-    "timer-cancel-heap": lambda s: _bench_timer_cancel("heap", s),
-    "timer-cancel-calendar": lambda s: _bench_timer_cancel("calendar", s),
+    "kernel-churn-heap": _bench_kernel_churn,
+    "timer-cancel-heap": _bench_timer_cancel,
     "net-send": _bench_net_send,
     "net-send-traced": _bench_net_send_traced,
-    "zipf-approx": lambda s: _bench_zipf("approx", s),
-    "zipf-alias": lambda s: _bench_zipf("alias", s),
-    "e2e-carousel-basic": lambda s: _bench_e2e("carousel-basic", s),
-    "e2e-carousel-fast": lambda s: _bench_e2e("carousel-fast", s),
-    "e2e-layered": lambda s: _bench_e2e("layered", s),
-    "e2e-tapir": lambda s: _bench_e2e("tapir", s),
+    "zipf-approx": _bench_zipf,
+    **{f"e2e-{system}": (lambda s, _sys=system: _bench_e2e(_sys, s))
+       for system in systems.SYSTEMS},
 }
 
 #: Repetitions per suite: microbenchmarks run best-of-``_MICRO_REPS``,

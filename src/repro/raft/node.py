@@ -135,6 +135,9 @@ class RaftMember:
         self._last_contact = 0.0
         self._heartbeat_timer = None
         self._commit_callbacks: Dict[int, Callable[[LogEntry], None]] = {}
+        #: Keyed proposals awaiting commitment -> the term they were
+        #: proposed in (see :meth:`proposal_inflight`).
+        self._inflight: Dict[Any, int] = {}
         #: Index of this term's no-op entry; the leader serving barrier
         #: (``term_start_applied``) holds once it has applied locally.
         self._term_start_index = 0
@@ -294,6 +297,34 @@ class RaftMember:
         else:
             for peer in self.peers():
                 self._send_append(peer, only_new=True)
+        return entry
+
+    def proposal_inflight(self, key: Any) -> bool:
+        """Whether a :meth:`propose_keyed` under ``key`` made in *this*
+        term still awaits commitment, so a retransmitted request can be
+        ignored: the commit callback will answer it.
+
+        A marker from an older term is dead weight: commit callbacks are
+        dropped on step-down, so the entry's callback died with that
+        leadership and a retransmission must re-propose rather than be
+        deduplicated against a dead proposal.
+        """
+        return self._inflight.get(key) == self.current_term
+
+    def propose_keyed(self, key: Any, command: Any,
+                      on_committed: Callable[[LogEntry], None]
+                      ) -> Optional[LogEntry]:
+        """:meth:`propose`, marking ``key`` in flight until the entry
+        commits here (or at once, when this member is not the leader)."""
+        self._inflight[key] = self.current_term
+
+        def committed(entry: LogEntry) -> None:
+            self._inflight.pop(key, None)
+            on_committed(entry)
+
+        entry = self.propose(command, on_committed=committed)
+        if entry is None:
+            self._inflight.pop(key, None)
         return entry
 
     # ------------------------------------------------------------------

@@ -21,39 +21,12 @@ import asyncio
 import sys
 from typing import List, Optional
 
+from repro import systems
 from repro.runtime.conformance import (
-    SYSTEMS,
     ConformanceOptions,
     format_result,
     run_conformance,
 )
-
-
-def _parse_systems(value: str) -> List[str]:
-    if value == "all":
-        return list(SYSTEMS)
-    systems = [s.strip() for s in value.split(",") if s.strip()]
-    for system in systems:
-        if system not in SYSTEMS:
-            raise SystemExit(f"unknown system {system!r}; expected one "
-                             f"of {', '.join(SYSTEMS)} or 'all'")
-    return systems
-
-
-def _parse_seeds(value: str) -> List[int]:
-    seeds: List[int] = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise SystemExit("no seeds given")
-    return seeds
 
 
 def _options(args) -> ConformanceOptions:
@@ -70,13 +43,13 @@ def cmd_conform(args) -> int:
     graph = _message_graph()
     opts = _options(args)
     failures = 0
-    for system in _parse_systems(args.systems):
-        for seed in _parse_seeds(args.seeds):
+    for system in args.systems:
+        for seed in args.seeds:
             result = run_conformance(system, seed, opts, graph=graph)
             print(format_result(result))
             if not result.ok:
                 failures += 1
-    total = len(_parse_systems(args.systems)) * len(_parse_seeds(args.seeds))
+    total = len(args.systems) * len(args.seeds)
     print(f"\nconform: {total - failures}/{total} runs conformant")
     return 1 if failures else 0
 
@@ -109,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     conform = sub.add_parser(
         "conform", help="differential conformance (in-process TCP)")
     conform.add_argument("--systems", default="all",
+                         type=systems.parse_systems,
                          help="comma-separated systems, or 'all'")
     conform.add_argument("--seeds", default="0,1,2",
+                         type=systems.parse_seeds,
                          help="comma-separated seeds or lo..hi ranges")
     conform.add_argument("--rounds", type=int, default=None,
                          help="transactions per run (default 12)")
@@ -119,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser(
         "cluster", help="multi-process localhost cluster smoke")
     cluster.add_argument("--system", default="carousel-fast",
-                         choices=sorted(SYSTEMS))
+                         type=systems.canonical, choices=systems.SYSTEMS)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--rounds", type=int, default=None)
     cluster.add_argument("--no-differential", action="store_true",
@@ -129,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="one logical process of a deployment")
-    serve.add_argument("--system", required=True, choices=sorted(SYSTEMS))
+    serve.add_argument("--system", required=True,
+                       type=systems.canonical, choices=systems.SYSTEMS)
     serve.add_argument("--seed", type=int, required=True)
     serve.add_argument("--proc", required=True,
                        help="logical process name, e.g. dc-oregon")

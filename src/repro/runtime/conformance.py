@@ -35,16 +35,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import systems
 from repro.analysis.msggraph import build_graph_from_paths
-from repro.bench.cluster import (
-    CarouselCluster,
-    DeploymentSpec,
-    LayeredCluster,
-    TapirCluster,
-)
+from repro.bench.cluster import DeploymentSpec
 from repro.chaos.oracles import ResultRow, check_decisions, check_stores
 from repro.core.backoff import RetryPolicy
-from repro.core.config import BASIC, FAST, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.runtime.aio import AioRuntime
 from repro.runtime.harness import (
@@ -53,11 +48,7 @@ from repro.runtime.harness import (
     snapshot_cluster,
 )
 from repro.sim.topology import ec2_five_regions
-from repro.tapir.config import TapirConfig
 from repro.txn import TransactionSpec
-
-#: The four systems under differential test.
-SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
 
 #: Message types whose counts are driven by clocks, not by requests:
 #: Raft heartbeats and elections, and the client failure-detector
@@ -69,23 +60,18 @@ TIME_DRIVEN = frozenset({
     "ClientHeartbeat",
 })
 
-#: Which static-graph protocols each system's traffic may use.
-SYSTEM_PROTOCOLS = {
-    "carousel-basic": frozenset({"carousel", "raft"}),
-    "carousel-fast": frozenset({"carousel", "raft"}),
-    "layered": frozenset({"layered", "raft"}),
-    "tapir": frozenset({"tapir"}),
-}
-
 # Conformance timing profile: fast Raft heartbeats so followers apply
 # promptly on both clocks, and retry/timeout bases far above localhost
 # (and simulated WAN) round trips so no retransmission or slow-path
 # timer fires on either backend during a healthy sequential run.
-_CONFORM_RAFT = dict(election_timeout_min_ms=1500.0,
-                     election_timeout_max_ms=3000.0,
-                     heartbeat_interval_ms=100.0)
-_CONFORM_BACKOFF = dict(base_ms=3000.0, multiplier=2.0, max_ms=12_000.0,
-                        jitter_fraction=0.1)
+CONFORM_TIMING = systems.Timing(
+    raft=RaftConfig(election_timeout_min_ms=1500.0,
+                    election_timeout_max_ms=3000.0,
+                    heartbeat_interval_ms=100.0),
+    retry=RetryPolicy(base_ms=3000.0, multiplier=2.0, max_ms=12_000.0,
+                      jitter_fraction=0.1),
+    client_heartbeat_ms=500.0,
+    tapir_fast_path_timeout_ms=2000.0)
 
 
 @dataclass
@@ -140,37 +126,6 @@ class ConformanceResult:
         return not self.violations
 
 
-def build_system(system: str, seed: int, runtime=None, topology=None):
-    """One conformance-profile deployment of ``system`` on ``runtime``
-    (``None`` = the DES backend)."""
-    spec = DeploymentSpec(seed=seed, topology=topology)
-    if system in ("carousel-basic", "carousel-fast"):
-        mode = FAST if system == "carousel-fast" else BASIC
-        return CarouselCluster(spec, CarouselConfig(
-            mode=mode,
-            heartbeat_interval_ms=500.0,
-            heartbeat_misses=3,
-            client_retry_ms=_CONFORM_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CONFORM_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CONFORM_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CONFORM_BACKOFF["jitter_fraction"],
-            raft=RaftConfig(**_CONFORM_RAFT)), runtime=runtime)
-    if system == "layered":
-        return LayeredCluster(spec, raft_config=RaftConfig(**_CONFORM_RAFT),
-                              retry_policy=RetryPolicy(**_CONFORM_BACKOFF),
-                              runtime=runtime)
-    if system == "tapir":
-        return TapirCluster(spec, TapirConfig(
-            fast_path_timeout_ms=2000.0,
-            retry_ms=_CONFORM_BACKOFF["base_ms"],
-            retry_backoff_multiplier=_CONFORM_BACKOFF["multiplier"],
-            retry_backoff_max_ms=_CONFORM_BACKOFF["max_ms"],
-            retry_jitter_fraction=_CONFORM_BACKOFF["jitter_fraction"]),
-            runtime=runtime)
-    raise ValueError(f"unknown system {system!r}; expected one of "
-                     f"{', '.join(SYSTEMS)}")
-
-
 def build_conformance_plan(seed: int, opts: ConformanceOptions,
                            n_clients: int, keys: Sequence[str]
                            ) -> List[Tuple[int, Tuple[str, ...]]]:
@@ -213,7 +168,8 @@ def run_des_side(system: str, seed: int, opts: ConformanceOptions,
     the network's trace hook (whose jitter draws are bit-identical to
     the fast path, so counting does not perturb the simulation).
     """
-    cluster = build_system(system, seed)
+    cluster = systems.build(system, DeploymentSpec(seed=seed),
+                            CONFORM_TIMING)
     counts: Dict[str, int] = {}
 
     def _count(msg, delay_ms: float) -> None:
@@ -305,8 +261,8 @@ async def run_aio_side(system: str, seed: int, opts: ConformanceOptions,
             table[proc] = ("127.0.0.1", port)
         for rt in runtimes.values():
             rt.network.set_addresses(table)
-        clusters = {proc: build_system(system, seed, runtime=rt,
-                                       topology=topology)
+        spec = DeploymentSpec(seed=seed, topology=topology)
+        clusters = {proc: systems.build(system, spec, CONFORM_TIMING, rt)
                     for proc, rt in runtimes.items()}
         driver = clusters["driver"]
         await asyncio.sleep(opts.settle_s)
@@ -343,7 +299,7 @@ def reconcile_counts(system: str, counts_des: Dict[str, int],
     """
     if graph is None:
         graph = _message_graph()
-    allowed = SYSTEM_PROTOCOLS[system]
+    allowed = systems.get(system).protocols
     violations: List[str] = []
     for backend, counts in (("des", counts_des), ("aio", counts_aio)):
         for name in sorted(counts):
@@ -441,9 +397,7 @@ def run_conformance(system: str, seed: int,
                     graph=None) -> ConformanceResult:
     """One full differential run of ``system`` at ``seed``."""
     opts = opts or ConformanceOptions()
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of "
-                         f"{', '.join(SYSTEMS)}")
+    system = systems.canonical(system)
     keys = [f"wk{i}" for i in range(opts.n_keys)]
     n_clients = len(ec2_five_regions().datacenters)
     plan = build_conformance_plan(seed, opts, n_clients, keys)

@@ -26,11 +26,10 @@ class DesRuntime(Runtime):
 
     def __init__(self, seed: int, topology: Topology,
                  jitter_fraction: float = 0.02,
-                 scheduler: str = "heap",
                  kernel: Optional[Kernel] = None,
                  network: Optional[Network] = None):
         if kernel is None:
-            kernel = Kernel(seed=seed, scheduler=scheduler)
+            kernel = Kernel(seed=seed)
         if network is None:
             network = Network(kernel, topology,
                               jitter_fraction=jitter_fraction)

@@ -27,6 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import systems
+from repro.chaos.oracles import OracleAdapter
 from repro.runtime.wire import (
     WireError,
     decode_value,
@@ -119,22 +121,16 @@ def snapshot_cluster(system: str, cluster: Any) -> dict:
          "resolved": {node_id: {pid: {TID: "commit"|"abort"}}},
          "sent_by_type": {message_type: count}}
     """
-    stores: Dict[str, dict] = {}
-    resolved: Dict[str, dict] = {}
-    if system == "tapir":
-        for node_id, replica in sorted(cluster.replicas.items()):
-            pid = replica.partition_id
-            stores[node_id] = {pid: _store_contents(replica.store)}
-            resolved[node_id] = {pid: {
-                tid: ("commit" if ok else "abort")
-                for tid, ok in replica.resolved.items()}}
-    else:
-        for node_id, server in sorted(cluster.servers.items()):
-            stores[node_id] = {}
-            resolved[node_id] = {}
-            for pid, part in sorted(server.partitions.items()):
-                stores[node_id][pid] = _store_contents(part.store)
-                resolved[node_id][pid] = dict(part.resolved)
+    entry = systems.get(system)
+    nodes = entry.nodes(cluster)
+    stores: Dict[str, dict] = {node_id: {} for node_id in sorted(nodes)}
+    resolved: Dict[str, dict] = {node_id: {} for node_id in stores}
+    for pid in sorted(cluster.directory.partitions()):
+        for node_id in cluster.directory.lookup(pid).replicas:
+            if node_id in nodes:  # else hosted by another process
+                store, decided = entry.replica_state(nodes[node_id], pid)
+                stores[node_id][pid] = _store_contents(store)
+                resolved[node_id][pid] = decided
     network = cluster.network
     return {
         "stores": stores,
@@ -178,7 +174,7 @@ class _SnapshotStore:
         return _SnapshotRecord(value, version)
 
 
-class SnapshotAdapter:
+class SnapshotAdapter(OracleAdapter):
     """The oracle-facing adapter interface of
     :class:`repro.chaos.runner.ClusterAdapter`, backed by a merged
     snapshot instead of live cluster objects.
@@ -202,22 +198,6 @@ class SnapshotAdapter:
         """All workload clients, construction order."""
         return list(self._clients)
 
-    def client_pending(self, client: Any) -> int:
-        """Transactions this client still has in flight (or queued)."""
-        pending = len(client._active)
-        pending += len(getattr(client, "_queued", ()))
-        return pending
-
-    def client_quiesced(self, client: Any) -> bool:
-        """No active/queued work and no unacknowledged commit rounds."""
-        if self.client_pending(client):
-            return False
-        return not getattr(client, "_commit_acks_pending", None)
-
-    def partitions_for(self, keys: Sequence[str]) -> List[str]:
-        """Sorted partition ids holding ``keys``."""
-        return sorted({self.ring.partition_for(k) for k in keys})
-
     def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
         """``(node_id, store)`` for every replica of ``key``."""
         pid = self.ring.partition_for(key)
@@ -233,11 +213,4 @@ class SnapshotAdapter:
         for node_id in self.directory.lookup(pid).replicas:
             resolved = self.merged["resolved"].get(node_id, {}).get(pid, {})
             out.append((f"{node_id}/{pid}", resolved))
-        return out
-
-    def resolved_maps(self) -> List[Tuple[str, Dict]]:
-        """Resolved-outcome maps for every replica of every partition."""
-        out = []
-        for pid in self.partition_ids:
-            out.extend(self.resolved_for_pid(pid))
         return out

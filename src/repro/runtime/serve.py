@@ -27,12 +27,14 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
 from repro.runtime.aio import AioRuntime
 from repro.runtime.conformance import (
+    CONFORM_TIMING,
     ConformanceOptions,
     ConformanceResult,
     build_conformance_plan,
-    build_system,
     drive_plan_async,
     evaluate,
     run_des_side,
@@ -75,8 +77,9 @@ async def serve_async(system: str, seed: int, proc: str,
 
     runtime.network.control_handler = _on_control
     bound = await runtime.start()
-    holder["cluster"] = build_system(system, seed, runtime=runtime,
-                                     topology=topology)
+    holder["cluster"] = systems.build(
+        system, DeploymentSpec(seed=seed, topology=topology),
+        CONFORM_TIMING, runtime)
     print(f"READY {proc} {bound}", flush=True)
     await shutdown.wait()
     await runtime.close()
@@ -146,8 +149,9 @@ async def cluster_async(system: str, seed: int,
         for proc in procs:
             runtime.network.send_control(proc, CtlPeers(addresses=table))
 
-        driver = build_system(system, seed, runtime=runtime,
-                              topology=topology)
+        driver = systems.build(
+            system, DeploymentSpec(seed=seed, topology=topology),
+            CONFORM_TIMING, runtime)
         await asyncio.sleep(opts.settle_s)
         results, violations = await drive_plan_async(driver, plan, opts)
         await asyncio.sleep(opts.drain_s)

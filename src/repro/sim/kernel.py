@@ -11,17 +11,12 @@ orders.  Ties in event time are broken by insertion order (a monotonically
 increasing sequence number), and all randomness must be drawn from
 ``kernel.random``, the single seeded :class:`random.Random` instance.
 
-Schedulers
-----------
-The event queue is pluggable (``Kernel(scheduler=...)``): the default
-``"heap"`` is a binary heap with lazy compaction of cancelled entries;
-``"calendar"`` is a :class:`~repro.sim.calqueue.CalendarQueue` with O(1)
-amortized operations and *eager* removal of cancelled events, which wins
-on cancellation-heavy workloads (see ``python -m repro perf``).  Both
-hold ``(time, seq, event)`` entries — ``seq`` is unique, so every
-ordering comparison is a C-level tuple compare that never reaches the
-event — and pop them in exactly the same ``(time, seq)`` order, so the
-choice never changes simulation results — only wall-clock speed.
+Scheduler
+---------
+The event queue is a binary heap with lazy compaction of cancelled
+entries.  It holds ``(time, seq, event)`` entries — ``seq`` is unique,
+so every ordering comparison is a C-level tuple compare that never
+reaches the event.
 
 Operation counters
 ------------------
@@ -38,23 +33,18 @@ import random
 from functools import partial
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.calqueue import CalendarQueue
 from repro.trace.tracer import NULL_TRACER
-
-#: Accepted values for ``Kernel(scheduler=...)``.
-SCHEDULERS = ("heap", "calendar")
 
 
 class Event:
     """A scheduled callback.
 
     Events fire in ``(time, seq)`` order, so simultaneous events fire in
-    the order they were scheduled; the schedulers keep that key beside the
+    the order they were scheduled; the scheduler keeps that key beside the
     event (``(time, seq, event)`` entries), so events themselves are never
-    compared.  Cancelling an event hands it back to the
-    kernel's scheduler: the heap marks it dead and skips it on pop (with
-    lazy compaction), the calendar queue removes it from its bucket
-    immediately.
+    compared.  Cancelling an event hands it back to the kernel's
+    scheduler, which marks it dead and skips it on pop (with lazy
+    compaction).
 
     ``ctx`` is the event's causal trace context (``None`` when tracing is
     off); ``_owner`` back-references the kernel while the event is queued so
@@ -140,15 +130,6 @@ class HeapScheduler:
         return len(self._heap) - self._cancelled
 
 
-def _make_scheduler(name: str):
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
-        return CalendarQueue()
-    raise ValueError(f"unknown scheduler {name!r}; expected one of "
-                     f"{SCHEDULERS}")
-
-
 class Kernel:
     """Event loop with a virtual clock.
 
@@ -159,18 +140,14 @@ class Kernel:
         of randomness in a simulation (jitter, workload key choice, client
         think times, randomized election timeouts) must use ``kernel.random``
         or an RNG derived from it, so that runs are reproducible.
-    scheduler:
-        ``"heap"`` (default) or ``"calendar"`` — see the module docstring.
-        Both produce identical event orders.
     """
 
-    def __init__(self, seed: int = 0, scheduler: str = "heap"):
+    def __init__(self, seed: int = 0):
         self._now: float = 0.0
         self._seq: int = 0
-        self._sched = _make_scheduler(scheduler)
+        self._sched = HeapScheduler()
         self._push = self._sched.push
         self._stopped = False
-        self.scheduler = scheduler
         self.random = random.Random(seed)
         self.seed = seed
         #: Deterministic operation counters (host-independent).
@@ -193,8 +170,7 @@ class Kernel:
 
     @property
     def heap_compactions(self) -> int:
-        """Lazy compaction passes performed (0 for the calendar queue,
-        which removes cancelled events eagerly)."""
+        """Lazy compaction passes performed."""
         return self._sched.compactions
 
     @property

@@ -19,14 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.bench.cluster import (CarouselCluster, DeploymentSpec,
-                                 LayeredCluster, TapirCluster)
-from repro.core.config import BASIC, FAST, CarouselConfig
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
 from repro.trace.tracer import Tracer, TxnTrace
 from repro.txn import TransactionSpec
-
-#: CLI systems → cluster/config recipe names.
-SYSTEMS = ("basic", "fast", "tapir", "layered")
 
 
 @dataclass
@@ -100,20 +96,6 @@ def _pick_remote_keys(cluster, client_dc: str, want_local_replica: bool,
     raise RuntimeError("could not find suitable trace keys")
 
 
-def _build_cluster(system: str, seed: int):
-    spec = DeploymentSpec(seed=seed, jitter_fraction=0.0)
-    if system == "basic":
-        return CarouselCluster(spec, CarouselConfig(mode=BASIC))
-    if system == "fast":
-        return CarouselCluster(spec, CarouselConfig(mode=FAST))
-    if system == "tapir":
-        return TapirCluster(spec)
-    if system == "layered":
-        return LayeredCluster(spec)
-    raise ValueError(f"unknown system {system!r}; "
-                     f"choose from {', '.join(SYSTEMS)}")
-
-
 def _force_tapir_mismatch(cluster, keys: tuple, client_dc: str) -> None:
     """Make one *non-closest* replica of ``keys[0]``'s partition disagree
     on the key's version, so 3 matching fast votes are impossible and the
@@ -124,9 +106,9 @@ def _force_tapir_mismatch(cluster, keys: tuple, client_dc: str) -> None:
     closest = min(range(len(info.replicas)),
                   key=lambda i: topo.rtt(client_dc, info.datacenters[i]))
     victim = next(i for i in range(len(info.replicas)) if i != closest)
-    replica = cluster.replicas[info.replicas[victim]]
-    record = replica.store.read(keys[0])
-    replica.store.write(keys[0], record.value, record.version + 1)
+    store = cluster.stores_of(pid)[victim]
+    record = store.read(keys[0])
+    store.write(keys[0], record.value, record.version + 1)
 
 
 def run_traced(system: str, *, seed: int = 42, client_dc: str = "us-west",
@@ -143,18 +125,20 @@ def run_traced(system: str, *, seed: int = 42, client_dc: str = "us-west",
     digest covers bootstrap as well — the divergence bisector compares
     whole runs, noise included.
     """
-    cluster = _build_cluster(system, seed)
+    entry = systems.get(system)
+    cluster = systems.build(
+        system, DeploymentSpec(seed=seed, jitter_fraction=0.0))
     if digest_sink is not None:
         cluster.kernel.digest = digest_sink
     cluster.run(500)  # settle elections/bootstrap before tracing
 
-    if system == "tapir":
+    if entry.leaderless:
         # Fast path needs every replica to agree → partitions with a
         # client-local replica keep reads local AND consistent.  The slow
         # path instead uses remote partitions plus a version perturbation.
         keys = _pick_remote_keys(cluster, client_dc,
                                  want_local_replica=not force_slow_path)
-    elif system == "fast" and not read_only:
+    elif entry.fast_path and not read_only:
         # Remote-led partitions with a client-local replica: reads stay
         # local (§4.4.1) and each partition's fast quorum completes in one
         # WAN round trip, ahead of its leader's Raft slow path (§4.2).
@@ -166,11 +150,11 @@ def run_traced(system: str, *, seed: int = 42, client_dc: str = "us-west",
 
     cluster.populate({k: "v0" for k in keys})
     tracer = Tracer(cluster.kernel)
-    run = TraceRun(system=system, tracer=tracer, cluster=cluster)
+    run = TraceRun(system=entry.name, tracer=tracer, cluster=cluster)
     client = cluster.client(client_dc)
 
     for i in range(n_txns):
-        if system == "tapir" and force_slow_path:
+        if entry.leaderless and force_slow_path:
             _force_tapir_mismatch(cluster, keys, client_dc)
         if read_only:
             spec = TransactionSpec(read_keys=keys, write_keys=(),

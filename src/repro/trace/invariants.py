@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.trace.tracer import (SPAN_CPC_FAST, SPAN_CPC_SLOW, SPAN_READ,
-                                SPAN_READ_ONLY, TxnTrace)
+from repro.trace.tracer import SPAN_READ, TxnTrace
 
 
 class InvariantViolation(AssertionError):
@@ -67,27 +66,19 @@ def classify(txn: TxnTrace) -> Tuple[str, float, float]:
     recorded (e.g. a Carousel fast-mode transaction that fell back to the
     slow path carries a ``cpc-slow`` span).
     """
-    inf = math.inf
-    system = txn.system
-    if system.startswith("carousel"):
-        if txn.span(SPAN_READ_ONLY) is not None:
-            return ("carousel-read-only", 1.0, 1.0)
-        if system == "carousel-fast":
-            if txn.spans_of(SPAN_CPC_SLOW):
-                # CPC's slow path costs at least one more round.
-                return ("carousel-fast-slow-path", 1.0, inf)
-            # Fast path: exactly 1 WANRT beyond whatever the read cost.
-            commit = _read_phase_wanrt(txn) + 1.0
-            return ("carousel-fast", commit, commit)
-        return ("carousel-basic", 2.0, 2.0)
-    if system == "layered":
-        return ("layered", 3.0, inf)
-    if system == "tapir":
-        if txn.spans_of("tapir-finalize"):
-            return ("tapir-slow", 2.0, inf)
-        commit = _read_phase_wanrt(txn) + 1.0
-        return ("tapir-fast", commit, commit)
-    return (system or "unknown", 0.0, inf)
+    # Imported here: the table imports the clusters, which import the
+    # kernel, which imports this package (see ``repro/trace/__init__``).
+    from repro import systems
+
+    entry = systems.TABLE.get(txn.system)
+    if entry is None:
+        return (txn.system or "unknown", 0.0, math.inf)
+    claim = next(c for c in entry.wanrt
+                 if c.when_span is None or txn.spans_of(c.when_span))
+    # "Beyond the read round": exactly that many WANRT on top of
+    # whatever the read cost (0 when a local replica served it).
+    base = _read_phase_wanrt(txn) if claim.beyond_read else 0.0
+    return (claim.variant, claim.lo + base, claim.hi + base)
 
 
 def check_transaction(txn: TxnTrace) -> InvariantReport:

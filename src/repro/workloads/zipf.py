@@ -8,27 +8,14 @@ probability proportional to ``1 / rank^theta``.  The paper configures
 The zeta constant is computed once per ``(n, theta)`` and cached, since the
 computation is O(n).
 
-Two sampling methods are available (``ZipfianGenerator(method=...)``):
-
-``"approx"`` (default)
-    YCSB's closed-form approximation: one uniform draw plus a float
-    ``**`` per sample.  Matches YCSB/TAPIR/Carousel benchmark behaviour
-    and the historical draw stream of this repository.
-``"alias"``
-    Walker/Vose alias table over the *exact* Zipf pmf: O(n) setup
-    (amortized against the zeta pass the approximation needs anyway,
-    backed by compact ``array`` storage), then two uniform draws and two
-    array reads per sample — no ``**`` on the hot path, so it samples
-    the exact distribution at comparable per-draw cost to the biased
-    closed form (``python -m repro perf`` prices both).  Draw streams
-    differ from ``"approx"``, so the default stays ``"approx"``.
+Sampling is YCSB's closed-form approximation: one uniform draw plus a
+float ``**`` per sample, matching YCSB/TAPIR/Carousel benchmark behaviour.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 _ZETA_CACHE: Dict[Tuple[int, float], float] = {}
@@ -42,90 +29,21 @@ def zeta(n: int, theta: float) -> float:
     return _ZETA_CACHE[key]
 
 
-class AliasTable:
-    """Walker/Vose alias method: O(1) draws from any finite discrete
-    distribution after O(n) setup.
-
-    Stores the probability and alias columns in ``array`` objects (one
-    float and one int per outcome) rather than Python lists, so a
-    10M-outcome table costs ~120 MB less than the list equivalent.
-    """
-
-    __slots__ = ("n", "_prob", "_alias")
-
-    def __init__(self, weights) -> None:
-        weights = list(weights)
-        n = len(weights)
-        if n < 1:
-            raise ValueError("need at least one weight")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        self.n = n
-        # Scale to mean 1 so each bucket splits into at most two outcomes.
-        scaled = array("d", (w * n / total for w in weights))
-        self._prob = array("d", bytes(8 * n))
-        self._alias = array("l", bytes(self._alias_itemsize() * n))
-        small = [i for i, w in enumerate(scaled) if w < 1.0]
-        large = [i for i, w in enumerate(scaled) if w >= 1.0]
-        prob, alias = self._prob, self._alias
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
-        # Leftovers are 1.0 up to rounding.
-        for i in large:
-            prob[i] = 1.0
-        for i in small:
-            prob[i] = 1.0
-
-    @staticmethod
-    def _alias_itemsize() -> int:
-        return array("l").itemsize
-
-    def draw(self, rng: random.Random) -> int:
-        """One outcome index, using two uniform draws from ``rng``."""
-        i = int(rng.random() * self.n)
-        if rng.random() < self._prob[i]:
-            return i
-        return self._alias[i]
-
-
 class ZipfianGenerator:
     """Draws integers in ``[0, n)`` with Zipfian popularity.
 
     Rank 0 is the most popular item.  Deterministic given the ``rng``.
-    ``method`` selects the sampler — see the module docstring; the alias
-    table is exact and faster per draw but consumes a different RNG
-    stream, so it is opt-in.
     """
 
-    METHODS = ("approx", "alias")
-
     def __init__(self, n: int, theta: float = 0.75,
-                 rng: random.Random = None, method: str = "approx"):
+                 rng: random.Random = None):
         if n < 1:
             raise ValueError("n must be positive")
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must be in (0, 1)")
-        if method not in self.METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one "
-                             f"of {self.METHODS}")
         self.n = n
         self.theta = theta
-        self.method = method
         self.rng = rng or random.Random(0)
-        self._alias: Optional[AliasTable] = None
-        if method == "alias":
-            # Exact pmf p(i) ∝ 1/(i+1)^theta; the same O(n) pass the
-            # zeta computation performs (and seeds its cache, so a later
-            # approx generator over the same (n, theta) sets up free).
-            weights = [1.0 / ((i + 1) ** theta) for i in range(n)]
-            _ZETA_CACHE.setdefault((n, theta), sum(weights))
-            self._alias = AliasTable(weights)
         self._zeta_n = zeta(n, theta)
         self._zeta_2 = zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
@@ -137,14 +55,6 @@ class ZipfianGenerator:
 
     def next(self) -> int:
         """Draw one Zipfian rank in [0, n)."""
-        table = self._alias
-        if table is not None:
-            # draw() inlined: this is the workload hot path.
-            rand = self.rng.random
-            i = int(rand() * table.n)
-            if rand() < table._prob[i]:
-                return i
-            return table._alias[i]
         u = self.rng.random()
         uz = u * self._zeta_n
         if uz < 1.0:

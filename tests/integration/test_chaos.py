@@ -9,12 +9,12 @@ harness's whole acceptance story, in miniature.
 import pytest
 
 from repro.chaos import (
-    SYSTEMS,
     ChaosOptions,
     minimize_schedule,
     planted_writeback_bug,
     run_chaos,
 )
+from repro.systems import SYSTEMS
 
 #: Trimmed-down options so each integration run stays fast while still
 #: crossing the full fault window and quiescence machinery.
@@ -32,6 +32,17 @@ def test_fixed_seed_green_on_every_system(system):
     # The nemesis actually ran.
     assert len(result.schedule) == QUICK.n_events
     assert result.nemesis_log
+
+
+def test_layered_coordinator_deposed_mid_decision_terminates():
+    # `chaos --system layered --seeds 6 --restart-weight 4`, the CLI's
+    # spelling: 24 of 25 transactions terminated before the layered
+    # coordinator re-proposed a decision whose callback a lost
+    # leadership had dropped.
+    opts = ChaosOptions(restart_weight=4, final_restart=True)
+    result = run_chaos("layered", seed=6, opts=opts)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.committed + result.aborted == result.submitted == 25
 
 
 def test_chaos_run_is_deterministic():

@@ -109,6 +109,44 @@ class TestLayeredCorrectness:
         assert (final.reads["ctr"] or 0) == committed
 
 
+class TestCoordinatorDeposedMidDecision:
+    """PR 12's open chaos finding (layered, seed 6, restart weight 4)."""
+
+    def test_retry_reaches_a_terminal_reply_after_reelection(self):
+        # The coordinator proposes its 2PC decision, loses leadership
+        # before the entry commits (Raft drops the commit callback), and
+        # wins the next election.  Its state then says "decided, not
+        # replied"; the client's retry must get the decision proposed
+        # again, not be ignored forever.
+        cluster = make_cluster()
+        cluster.populate({"alice": 100, "bob": 0})
+        client = cluster.client("us-west")
+        results = []
+        tid = client.submit(transfer_spec(), results.append)
+        coordinator = state = None
+        deadline = cluster.kernel.now + 2000
+        while state is None and cluster.kernel.now < deadline:
+            cluster.run(1)
+            for server in cluster.servers.values():
+                candidate = server.coord_states.get(tid)
+                if candidate is not None and candidate.decision:
+                    coordinator, state = server, candidate
+        assert state is not None and not state.replied
+        member = coordinator.members[state.group_id]
+        term = member.current_term
+
+        coordinator.crash()      # deposed: leadership and callback gone
+        coordinator.recover()
+        member._start_election()  # ... and re-elected, in a later term
+        cluster.run(1000)
+        assert member.is_leader and member.current_term > term
+        assert not results and not state.replied
+
+        cluster.run(15_000)      # past the client's 10 s retry
+        assert len(results) == 1 and results[0].committed
+        assert client.committed == 1
+
+
 class TestLayeredIsSlower:
     """The paper's motivating claim: layering 2PC on consensus costs more
     sequential WANRTs than Carousel's overlapped design (§1, §2.2)."""

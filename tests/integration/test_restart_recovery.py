@@ -11,13 +11,13 @@ must be caught by the durability oracle — and only when planted.
 import pytest
 
 from repro.chaos import (
-    SYSTEMS,
     ChaosOptions,
     planted_lost_commit_bug,
     run_chaos,
 )
 from repro.raft.node import RaftMember
 from repro.sim.failure import FailureInjector
+from repro.systems import SYSTEMS
 from tests.support import RaftCluster, WalRaftHost
 
 #: Restart-weighted quick options: short runs that still power-cycle.

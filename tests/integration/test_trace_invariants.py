@@ -11,9 +11,11 @@ import time
 
 import pytest
 
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
 from repro.sim.kernel import Kernel
 from repro.trace.export import chrome_trace_json
-from repro.trace.harness import _build_cluster, _pick_keys, run_traced
+from repro.trace.harness import _pick_keys, run_traced
 from repro.trace.invariants import check_transaction
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.txn import TransactionSpec
@@ -83,7 +85,8 @@ def test_tracing_does_not_perturb_virtual_time():
     traced = run_traced("basic", seed=7)
     assert len(traced.results) == 1
 
-    cluster = _build_cluster("basic", 7)
+    cluster = systems.build(
+        "basic", DeploymentSpec(seed=7, jitter_fraction=0.0))
     cluster.run(500)
     keys = _pick_keys(cluster, "us-west")
     cluster.populate({k: "v0" for k in keys})

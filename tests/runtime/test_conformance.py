@@ -12,8 +12,6 @@ times) are real-time tests and sit behind the ``cluster`` marker:
 import pytest
 
 from repro.runtime.conformance import (
-    SYSTEM_PROTOCOLS,
-    SYSTEMS,
     TIME_DRIVEN,
     ConformanceOptions,
     ConformanceResult,
@@ -23,6 +21,7 @@ from repro.runtime.conformance import (
     run_des_side,
 )
 from repro.runtime.harness import merge_snapshots
+from repro.systems import SYSTEMS
 
 _FAST = ConformanceOptions(rounds=8)
 
@@ -78,7 +77,6 @@ class TestReconcileCounts:
         assert "AppendEntries" in TIME_DRIVEN
         assert "ClientHeartbeat" in TIME_DRIVEN
         assert "CommitRequest" not in TIME_DRIVEN
-        assert set(SYSTEM_PROTOCOLS) == set(SYSTEMS)
 
 
 class TestMergeSnapshots:

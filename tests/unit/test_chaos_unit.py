@@ -13,7 +13,6 @@ from repro.bench.cluster import (
     LayeredCluster,
 )
 from repro.analysis.digest import DigestRecorder
-from repro.chaos.cli import parse_seeds
 from repro.chaos.minimize import minimize_schedule
 from repro.chaos.nemesis import (
     KIND_CRASH,
@@ -246,20 +245,6 @@ class TestMinimize:
         assert minimize_schedule(events, still_fails) == events
 
 
-class TestParseSeeds:
-    def test_forms(self):
-        assert parse_seeds("0..3") == [0, 1, 2, 3]
-        assert parse_seeds("7") == [7]
-        assert parse_seeds("1,4,7") == [1, 4, 7]
-        assert parse_seeds("0..1,5") == [0, 1, 5]
-
-    def test_rejects_empty_and_backward(self):
-        with pytest.raises(ValueError):
-            parse_seeds("")
-        with pytest.raises(ValueError):
-            parse_seeds("5..2")
-
-
 class TestDuplicateDeliveryIdempotence:
     """The nemesis duplicates messages; every handler must tolerate it."""
 
@@ -306,14 +291,14 @@ class TestDuplicateDeliveryIdempotence:
         component = cluster.leader_of("p1").partitions["p1"]
         member = component.member
         tid = TID("client-injected", 3)
-        component._writeback_inflight[tid] = member.current_term - 1
+        member._inflight[("writeback", tid)] = member.current_term - 1
         msg = Writeback(tid=tid, partition_id="p1", decision="commit",
                         writes={"k": "v"})
         msg.src = cluster.leader_of("p0").node_id
         log_before = member.log.last_index
         component.on_writeback(msg)
         assert member.log.last_index == log_before + 1  # re-proposed
-        assert component._writeback_inflight[tid] == member.current_term
+        assert member.proposal_inflight(("writeback", tid))
 
     def test_layered_stale_term_inflight_marker_reproposes(self):
         spec = DeploymentSpec(topology=uniform_topology(3, 2.0),
@@ -323,14 +308,14 @@ class TestDuplicateDeliveryIdempotence:
         partition = cluster.leader_of("p1").partitions["p1"]
         member = partition.member
         tid = TID("client-injected", 4)
-        partition._inflight[tid] = member.current_term - 1
+        member._inflight[tid] = member.current_term - 1
         msg = LayeredWriteback(tid=tid, partition_id="p1",
                                decision="commit", writes={"k": "v"})
         msg.src = cluster.leader_of("p0").node_id
         log_before = member.log.last_index
         partition.on_writeback(msg)
         assert member.log.last_index == log_before + 1
-        assert partition._inflight[tid] == member.current_term
+        assert member.proposal_inflight(tid)
         cluster.run(100)
         assert partition.resolved[tid] == "commit"
 

@@ -2,12 +2,9 @@
 
 import pytest
 
+from repro import systems
 from repro.bench import experiments
-from repro.bench.runner import (
-    SYSTEMS,
-    build_cluster,
-    build_workload,
-)
+from repro.bench.runner import build_workload
 from repro.bench.cluster import DeploymentSpec
 from repro.sim.topology import uniform_topology
 
@@ -43,7 +40,7 @@ class TestScales:
             assert targets == sorted(targets)
 
     def test_service_times_cover_all_systems(self):
-        assert set(experiments.SERVICE_TIME_MS) == set(SYSTEMS)
+        assert set(experiments.SERVICE_TIME_MS) == set(systems.EVALUATED)
         # TAPIR's modeled per-request cost is higher (its measured peak is
         # the lowest, §6.4.1).
         assert experiments.SERVICE_TIME_MS["tapir"] > \
@@ -54,15 +51,15 @@ class TestRunnerBuilders:
     def test_build_cluster_each_system(self):
         spec = DeploymentSpec(topology=uniform_topology(3, 2.0),
                               n_partitions=3, seed=1)
-        for system in SYSTEMS:
-            cluster = build_cluster(system, spec)
+        for system in systems.SYSTEMS:
+            cluster = systems.build(system, spec)
             assert cluster.clients
 
     def test_build_cluster_unknown_system(self):
         spec = DeploymentSpec(topology=uniform_topology(3, 2.0),
                               n_partitions=3, seed=1)
         with pytest.raises(ValueError, match="unknown system"):
-            build_cluster("spanner", spec)
+            systems.build("spanner", spec)
 
     def test_build_workload(self):
         retwis = build_workload("retwis", n_keys=1000, seed=1)
@@ -75,6 +72,6 @@ class TestRunnerBuilders:
     def test_tapir_timeout_override(self):
         spec = DeploymentSpec(topology=uniform_topology(3, 2.0),
                               n_partitions=3, seed=1)
-        cluster = build_cluster("tapir", spec,
-                                tapir_fast_path_timeout_ms=77.0)
+        cluster = systems.build("tapir", spec, systems.Timing(
+            tapir_fast_path_timeout_ms=77.0))
         assert cluster.config.fast_path_timeout_ms == 77.0

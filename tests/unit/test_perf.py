@@ -8,12 +8,12 @@ import pytest
 from repro.perf.compare import compare_benches
 from repro.perf.schema import SCHEMA_VERSION, validate_bench
 from repro.perf.suites import (
-    E2E_SYSTEMS,
     SUITES,
     SuiteResult,
     bench_document,
     run_suites,
 )
+from repro.systems import SYSTEMS
 
 
 def _doc(**suites):
@@ -192,7 +192,7 @@ class TestCompare:
 class TestSuites:
     def test_registry_covers_all_four_systems(self):
         assert len(SUITES) >= 6
-        for system in E2E_SYSTEMS:
+        for system in SYSTEMS:
             assert f"e2e-{system}" in SUITES
 
     def test_unknown_suite_rejected(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.runner import SYSTEM_LABELS, SYSTEMS, ExperimentResult
+from repro.bench.runner import ExperimentResult
 from repro.sim.stats import LatencyRecorder, SeriesRecorder
 from repro.workloads.driver import ABORTED, COMMITTED, WorkloadStats
 
@@ -34,9 +34,6 @@ class TestWorkloadStats:
 
 
 class TestExperimentResult:
-    def test_labels_cover_all_systems(self):
-        assert set(SYSTEM_LABELS) == set(SYSTEMS)
-
     def test_label_property(self):
         result = ExperimentResult(system="carousel-fast", target_tps=100.0,
                                   stats=make_stats(), cluster=None,

@@ -1,0 +1,228 @@
+"""Contract tests for the :mod:`repro.systems` table.
+
+Every row's facts are checked against a live deployment built on the DES
+runtime and against protolint's static message graph, the three timing
+profiles are pinned to the numbers the per-harness builders used to set,
+and the litmus from DESIGN.md §2 is exercised: a fifth row (a renamed
+copy of TAPIR's) works in every harness with no other edit.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro import systems
+from repro.bench.cluster import DeploymentSpec
+from repro.chaos.runner import (CHAOS_TIMING, ChaosOptions, ClusterAdapter,
+                                run_chaos)
+from repro.core.backoff import RetryPolicy
+from repro.core.config import CarouselConfig
+from repro.raft.node import RaftConfig
+from repro.runtime.conformance import CONFORM_TIMING, _message_graph
+from repro.runtime.des import DesRuntime
+from repro.runtime.harness import snapshot_cluster
+from repro.sim.topology import uniform_topology
+from repro.tapir.config import TapirConfig
+from repro.trace.harness import run_traced
+from repro.trace.invariants import check_transaction
+from repro.txn import TransactionSpec
+
+KEY = "contract-key"
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return _message_graph()
+
+
+def _deploy(system, timing=None):
+    topology = uniform_topology(3, 10.0)
+    spec = DeploymentSpec(topology=topology, n_partitions=3, seed=5)
+    runtime = DesRuntime(seed=5, topology=topology)
+    return systems.build(system, spec, timing, runtime)
+
+
+def _commit_one(cluster):
+    """Commit one read-modify-write of :data:`KEY`; returns its result
+    and the per-type send counts of the whole run."""
+    sent = {}
+
+    def count(msg, delay_ms):
+        sent[msg.type_name] = sent.get(msg.type_name, 0) + 1
+
+    cluster.network.trace_hook = count
+    cluster.run(600)
+    cluster.populate({KEY: 0})
+    done = []
+    cluster.clients[0].submit(TransactionSpec(
+        read_keys=(KEY,), write_keys=(KEY,),
+        compute_writes=lambda reads: {KEY: reads[KEY] + 1}), done.append)
+    cluster.run(5_000)
+    assert done and done[0].committed
+    return done[0], sent
+
+
+@pytest.mark.parametrize("system", systems.SYSTEMS)
+class TestRowAgreesWithLiveCluster:
+    def test_server_pool(self, system):
+        entry = systems.get(system)
+        cluster = _deploy(system)
+        nodes = entry.nodes(cluster)
+        placed = {node_id for pid in cluster.directory.partitions()
+                  for node_id in cluster.directory.lookup(pid).replicas}
+        assert set(nodes) == placed
+        for node_id, node in nodes.items():
+            assert cluster.network.node(node_id) is node
+        assert not placed & {c.node_id for c in cluster.clients}
+
+    def test_replica_state(self, system):
+        entry = systems.get(system)
+        cluster = _deploy(system)
+        result, _ = _commit_one(cluster)
+        pid = cluster.ring.partition_for(KEY)
+        replicas = cluster.replicas_of(pid)
+        assert len(replicas) == 3
+        for node, live_store in zip(replicas, cluster.stores_of(pid)):
+            store, resolved = entry.replica_state(node, pid)
+            assert store is live_store
+            record = store.read(KEY)
+            assert (record.value, record.version) == (1, 2)
+            assert resolved[result.tid] == "commit"
+
+    def test_protocol_set(self, system, graph):
+        entry = systems.get(system)
+        _, sent = _commit_one(_deploy(system))
+        used = {graph.messages[name].protocol for name in sent}
+        assert used == entry.protocols
+        assert entry.leaderless == ("AppendEntries" not in sent)
+
+    def test_wanrt_rows_end_in_a_default(self, system):
+        rows = systems.get(system).wanrt
+        assert rows[-1].when_span is None
+        assert all(row.lo <= row.hi for row in rows)
+
+
+# ----------------------------------------------------------------------
+# Timing profiles: the values the deleted per-harness builders produced.
+
+_PAPER = dict(raft=RaftConfig(1500.0, 3000.0, 300.0),
+              retry=RetryPolicy(10_000.0, 1.0, None, 0.0),
+              heartbeat_ms=1000.0, tapir_timeout_ms=250.0)
+_CHAOS = dict(raft=RaftConfig(400.0, 800.0, 100.0),
+              retry=RetryPolicy(800.0, 2.0, 6400.0, 0.1),
+              heartbeat_ms=500.0, tapir_timeout_ms=250.0)
+_CONFORM = dict(raft=RaftConfig(1500.0, 3000.0, 100.0),
+                retry=RetryPolicy(3000.0, 2.0, 12_000.0, 0.1),
+                heartbeat_ms=500.0, tapir_timeout_ms=2000.0)
+
+
+@pytest.mark.parametrize("timing, want", [
+    (None, _PAPER), (CHAOS_TIMING, _CHAOS), (CONFORM_TIMING, _CONFORM),
+], ids=["paper", "chaos", "conform"])
+class TestTimingProfiles:
+    @pytest.mark.parametrize("mode", ["basic", "fast"])
+    def test_carousel(self, timing, want, mode):
+        cluster = _deploy(f"carousel-{mode}", timing)
+        retry = want["retry"]
+        assert cluster.config == CarouselConfig(
+            mode=mode, heartbeat_interval_ms=want["heartbeat_ms"],
+            heartbeat_misses=3, client_retry_ms=retry.base_ms,
+            retry_backoff_multiplier=retry.multiplier,
+            retry_backoff_max_ms=retry.max_ms,
+            retry_jitter_fraction=retry.jitter_fraction,
+            raft=want["raft"])
+        assert cluster.config.retry_policy == retry
+        if timing is None:
+            assert cluster.config == CarouselConfig(mode=mode)
+
+    def test_layered(self, timing, want):
+        cluster = _deploy("layered", timing)
+        for server in cluster.servers.values():
+            assert server.retry_policy == want["retry"]
+            for member in server.members.values():
+                assert member.config == want["raft"]
+        for client in cluster.clients:
+            assert client.retry_policy == want["retry"]
+
+    def test_tapir(self, timing, want):
+        cluster = _deploy("tapir", timing)
+        retry = want["retry"]
+        assert cluster.config == TapirConfig(
+            fast_path_timeout_ms=want["tapir_timeout_ms"],
+            retry_ms=retry.base_ms,
+            retry_backoff_multiplier=retry.multiplier,
+            retry_backoff_max_ms=retry.max_ms,
+            retry_jitter_fraction=retry.jitter_fraction)
+        assert cluster.config.retry_policy == retry
+        if timing is None:
+            assert cluster.config == TapirConfig()
+
+
+# ----------------------------------------------------------------------
+# Litmus: a fifth system costs one table row.
+
+@pytest.fixture
+def fifth_system(monkeypatch):
+    row = replace(systems.TABLE["tapir"], name="tapir-2", label="TAPIR 2")
+    monkeypatch.setitem(systems.TABLE, row.name, row)
+    return row.name
+
+
+def test_fifth_row_works_in_every_harness(fifth_system):
+    cluster = _deploy(fifth_system)                       # buildable
+    result, _ = _commit_one(cluster)
+    adapter = ClusterAdapter(fifth_system, cluster)       # chaos-adaptable
+    assert adapter.server_ids() == sorted(cluster.replicas)
+    assert all(store.read(KEY).version == 2
+               for _, store in adapter.stores_for_key(KEY))
+    snapshot = snapshot_cluster(fifth_system, cluster)    # snapshot-able
+    pid = cluster.ring.partition_for(KEY)
+    for node in cluster.replicas_of(pid):
+        assert snapshot["stores"][node.node_id][pid][KEY] == (1, 2)
+        assert snapshot["resolved"][node.node_id][pid][result.tid] \
+            == "commit"
+    quick = ChaosOptions(rounds=8, window_ms=6000.0, n_events=3,
+                         drain_ms=7000.0)
+    chaos = run_chaos(fifth_system, seed=1, opts=quick)
+    assert chaos.ok, [str(v) for v in chaos.violations]
+    traced = run_traced(fifth_system)                     # traceable
+    assert check_transaction(traced.txn_traces[0]).variant == "tapir-fast"
+
+
+# ----------------------------------------------------------------------
+# Names, aliases and the shared CLI option parsers.
+
+class TestNames:
+    def test_one_row_per_name_in_report_order(self):
+        assert systems.SYSTEMS == ("carousel-basic", "carousel-fast",
+                                   "layered", "tapir")
+        assert set(systems.EVALUATED) < set(systems.SYSTEMS)
+        assert all(systems.TABLE[name].name == name
+                   for name in systems.SYSTEMS)
+
+    def test_aliases_resolve_to_canonical_names(self):
+        assert systems.canonical("basic") == "carousel-basic"
+        assert systems.canonical("fast") == "carousel-fast"
+        assert systems.canonical("tapir") == "tapir"
+        assert set(systems.ALIASES.values()) <= set(systems.SYSTEMS)
+        with pytest.raises(ValueError, match="unknown system 'spanner'"):
+            systems.get("spanner")
+
+    def test_parse_systems(self):
+        assert systems.parse_systems("all") == list(systems.SYSTEMS)
+        assert systems.parse_systems("fast, tapir") == ["carousel-fast",
+                                                        "tapir"]
+        with pytest.raises(ValueError):
+            systems.parse_systems("")
+        with pytest.raises(ValueError):
+            systems.parse_systems("tapir,spanner")
+
+    def test_parse_seeds(self):
+        assert systems.parse_seeds("0..3") == [0, 1, 2, 3]
+        assert systems.parse_seeds("7") == [7]
+        assert systems.parse_seeds("1,4,7") == [1, 4, 7]
+        assert systems.parse_seeds("0..1,5") == [0, 1, 5]
+        with pytest.raises(ValueError):
+            systems.parse_seeds("")
+        with pytest.raises(ValueError):
+            systems.parse_seeds("5..2")
