@@ -9,6 +9,7 @@ updates, and elect a leader that serves the partition afterwards.
 
 from repro.bench.cluster import CarouselCluster, DeploymentSpec
 from repro.bench.report import format_table
+from repro.core.backoff import RetryPolicy
 from repro.core.config import FAST, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
@@ -17,7 +18,7 @@ from repro.txn import TransactionSpec
 
 def run_crash_experiment():
     config = CarouselConfig(
-        mode=FAST, client_retry_ms=1_000.0,
+        mode=FAST, retry_policy=RetryPolicy(base_ms=1_000.0),
         raft=RaftConfig(election_timeout_min_ms=400.0,
                         election_timeout_max_ms=800.0,
                         heartbeat_interval_ms=100.0))

@@ -11,6 +11,7 @@ counter equals the number of commits.  Run with::
 """
 
 from repro.bench.cluster import CarouselCluster, DeploymentSpec
+from repro.core.backoff import RetryPolicy
 from repro.core.config import FAST, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
@@ -20,7 +21,7 @@ from repro.txn import TransactionSpec
 def main() -> None:
     config = CarouselConfig(
         mode=FAST,
-        client_retry_ms=1_000.0,
+        retry_policy=RetryPolicy(base_ms=1_000.0),
         raft=RaftConfig(election_timeout_min_ms=400.0,
                         election_timeout_max_ms=800.0,
                         heartbeat_interval_ms=100.0))

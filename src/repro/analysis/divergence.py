@@ -168,7 +168,7 @@ def _plant_set_iteration_bug() -> None:
                 decision=state.decision, writes=writes))
         self._cancel_timer(state, "writeback_timer")
         state.writeback_timer = self.server.set_timer(
-            self.config.client_retry_ms, self._retry_writebacks, state)
+            self.config.retry_policy.base_ms, self._retry_writebacks, state)
 
     coord_mod._ORIGINAL_SEND_WRITEBACKS = \
         CoordinatorComponent._send_writebacks

@@ -1,9 +1,9 @@
 """Declared protocol state machines and FSM conformance checking.
 
-Each :class:`FSMSpec` names a string-valued state attribute in one file,
-the complete set of legal states, the legal initial states, and the legal
-transitions.  :func:`check_fsm` compares the spec against what msggraph
-extracted from the source:
+Each :class:`FSMSpec` names a string-valued state attribute in the
+file(s) that own it, the complete set of legal states, the legal initial
+states, and the legal transitions.  :func:`check_fsm` compares the spec
+against what msggraph extracted from the source:
 
 * every *assigned* state value must be a declared state;
 * every state value *compared against* must be a declared state (catches
@@ -35,11 +35,13 @@ from .msggraph import MessageGraph
 
 @dataclass(frozen=True)
 class FSMSpec:
-    """One declared state machine over a string attribute in one file."""
+    """One declared state machine over a string attribute."""
 
     name: str
-    #: Path fragment selecting the owning file (posix, e.g. "raft/node.py").
-    path_fragment: str
+    #: Path fragments selecting the owning files (posix, e.g.
+    #: "raft/node.py").  A client machine lives in two: its protocol file
+    #: and the shell every client inherits DONE and the READ default from.
+    path_fragments: Tuple[str, ...]
     #: The attribute that stores the state (e.g. ``state``, ``phase``).
     attr: str
     states: Tuple[str, ...]
@@ -48,15 +50,20 @@ class FSMSpec:
     transitions: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     def matches(self, path: str) -> bool:
-        """Whether ``path`` is the file this machine lives in."""
-        return self.path_fragment in Path(path).as_posix()
+        """Whether ``path`` is a file this machine lives in."""
+        posix = Path(path).as_posix()
+        return any(fragment in posix for fragment in self.path_fragments)
 
+
+#: The client shell (:mod:`repro.client`): not "client.py" alone, which
+#: would also match every protocol's own client file.
+_CLIENT_SHELL = "repro/client.py"
 
 #: The state machines protolint enforces (PL008).
 FSM_SPECS: Tuple[FSMSpec, ...] = (
     FSMSpec(
         name="raft-member",
-        path_fragment="raft/node.py",
+        path_fragments=("raft/node.py",),
         attr="state",
         states=("follower", "candidate", "leader"),
         initial=("follower",),
@@ -68,7 +75,7 @@ FSM_SPECS: Tuple[FSMSpec, ...] = (
     ),
     FSMSpec(
         name="coordinator-wal",
-        path_fragment="core/coordinator.py",
+        path_fragments=("core/coordinator.py",),
         attr="wal_state",
         states=("active", "recovery"),
         initial=("active",),
@@ -79,7 +86,7 @@ FSM_SPECS: Tuple[FSMSpec, ...] = (
     ),
     FSMSpec(
         name="carousel-client-txn",
-        path_fragment="core/client.py",
+        path_fragments=("core/client.py", _CLIENT_SHELL),
         attr="phase",
         states=("read", "commit", "read_only", "done"),
         initial=("read",),
@@ -91,7 +98,7 @@ FSM_SPECS: Tuple[FSMSpec, ...] = (
     ),
     FSMSpec(
         name="layered-client-txn",
-        path_fragment="layered/client.py",
+        path_fragments=("layered/client.py", _CLIENT_SHELL),
         attr="phase",
         states=("read", "commit", "done"),
         initial=("read",),
@@ -102,7 +109,7 @@ FSM_SPECS: Tuple[FSMSpec, ...] = (
     ),
     FSMSpec(
         name="tapir-client-txn",
-        path_fragment="tapir/client.py",
+        path_fragments=("tapir/client.py", _CLIENT_SHELL),
         attr="phase",
         states=("read", "prepare", "done"),
         initial=("read",),

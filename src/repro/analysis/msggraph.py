@@ -163,9 +163,12 @@ class ClassInfo:
     path: str
     line: int
     protocol: str
-    #: The class contains ``set_timer`` calls or references a retry
-    #: policy — i.e. it can drive retransmission.
+    #: The class — or, once :func:`build_graph` has propagated it, a
+    #: scanned base class — contains ``set_timer`` calls or references a
+    #: retry policy, i.e. it can drive retransmission.
     has_retry_machinery: bool = False
+    #: Base classes named in the ``class`` statement.
+    bases: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -343,9 +346,16 @@ class _ModuleConstants:
     def __init__(self) -> None:
         self.strings: Dict[str, str] = {}
         self.tuples: Dict[str, Tuple[str, ...]] = {}
+        #: ``from <module> import <name> [as <local>]``:
+        #: local -> (module, name).
+        self.imports: Dict[str, Tuple[str, str]] = {}
 
     def collect(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    self.imports[alias.asname or alias.name] = \
+                        (node.module, alias.name)
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]
@@ -447,7 +457,9 @@ class _Extractor(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.graph.classes.setdefault(node.name, ClassInfo(
             name=node.name, path=self.path, line=node.lineno,
-            protocol=self.protocol))
+            protocol=self.protocol,
+            bases=tuple(b.id for b in node.bases
+                        if isinstance(b, ast.Name))))
         # Class-level string defaults feed the FSM initial-state check.
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and \
@@ -705,10 +717,31 @@ def build_graph(sources: Dict[str, str]) -> MessageGraph:
             if definition.is_message:
                 graph.messages[node.name] = definition
 
+    # A state constant imported from another scanned module (the client
+    # shell's PHASE_READ) resolves like a local one.
+    by_module = {"/" + Path(path).with_suffix("").as_posix(): module_consts
+                 for path, module_consts in consts.items()}
+    for module_consts in consts.values():
+        for local, (module, name) in module_consts.imports.items():
+            suffix = "/" + module.replace(".", "/")
+            for module_path, origin in by_module.items():
+                if module_path.endswith(suffix) and name in origin.strings:
+                    module_consts.strings.setdefault(
+                        local, origin.strings[name])
+
     # Pass 2: sends, constructs, branches, functions, classes, FSM raw
     # material.
     for path in sorted(sources):
         _Extractor(path, graph, consts[path]).visit(trees[path])
+
+    # A subclass drives retransmission with its base class's machinery.
+    def inherits_retry(info: ClassInfo) -> bool:
+        return info.has_retry_machinery or any(
+            inherits_retry(graph.classes[base]) for base in info.bases
+            if base in graph.classes and base != info.name)
+
+    for info in graph.classes.values():
+        info.has_retry_machinery = inherits_retry(info)
     return graph
 
 

@@ -170,17 +170,19 @@ PROTOCOLS: Dict[str, Dict[str, MessageContract]] = {
     },
 }
 
-#: Default scan scope: the four protocol packages.
+#: Default scan scope: the four protocol packages, plus the client shell
+#: their client FSMs and retry machinery live in.
 DEFAULT_SCAN_DIRS = (
     "src/repro/core",
     "src/repro/layered",
     "src/repro/tapir",
     "src/repro/raft",
+    "src/repro/client.py",
 )
 
 
 def default_paths() -> List[str]:
-    paths = [p for p in DEFAULT_SCAN_DIRS if Path(p).is_dir()]
+    paths = [p for p in DEFAULT_SCAN_DIRS if Path(p).exists()]
     if not paths:
         raise FileNotFoundError(
             "none of the default protolint scan directories exist "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.core.backoff import DEFAULT_RETRY
 from repro.core.client import CarouselClient
 from repro.core.config import CarouselConfig
 from repro.core.server import CarouselServer
@@ -211,8 +212,8 @@ class LayeredCluster(_BaseCluster):
     :mod:`repro.layered`)."""
 
     def __init__(self, spec: Optional[DeploymentSpec] = None,
-                 raft_config=None, retry_policy=None, result_hook=None,
-                 runtime=None):
+                 raft_config=None, retry_policy=DEFAULT_RETRY,
+                 result_hook=None, runtime=None):
         from repro.layered.client import LayeredClient
         from repro.layered.server import LayeredServer
 
@@ -247,7 +248,7 @@ class LayeredCluster(_BaseCluster):
                         bootstrap_leader=replica_ids[pid][0])
         self._build_clients(lambda client_id, dc: LayeredClient(
             client_id, dc, self.kernel, self.network, self.directory,
-            self.ring, retry_policy=retry_policy, result_hook=result_hook))
+            self.ring, retry_policy, result_hook=result_hook))
         self._start_raft()
 
 

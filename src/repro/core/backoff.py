@@ -1,7 +1,7 @@
 """Capped exponential backoff with deterministic jitter.
 
 Retransmission timers across the codebase historically re-armed at a fixed
-interval (``client_retry_ms``).  Under an adversarial network (the chaos
+interval.  Under an adversarial network (the chaos
 harness's drop/duplicate/delay fault models) fixed-interval retries are
 both slow to react — the first retry waits the full generous interval —
 and synchronization-prone: every stalled transaction retries in lockstep,
@@ -74,3 +74,8 @@ class RetryPolicy:
             delay *= 1.0 + rng.uniform(-self.jitter_fraction,
                                        self.jitter_fraction)
         return delay
+
+
+#: The degenerate policy every config defaults to: a fixed 10 s interval,
+#: generous so it never fires in failure-free runs.
+DEFAULT_RETRY = RetryPolicy(base_ms=10_000.0)

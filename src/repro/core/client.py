@@ -17,8 +17,10 @@ datacenter when the partition leader is remote (§4.4.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro.client import (PHASE_READ, ClientTxn, CompletionCallback,
+                          KeyGroup, TxnClient)
 from repro.core.config import CarouselConfig
 from repro.core.messages import (
     ClientHeartbeat,
@@ -32,131 +34,64 @@ from repro.core.messages import (
     TxnReply,
 )
 from repro.sim.message import Message
-from repro.sim.node import Node
 from repro.trace.tracer import SPAN_COMMIT, SPAN_READ, SPAN_READ_ONLY
 from repro.store.directory import DirectoryCache, DirectoryService
 from repro.store.partitioning import Partitioner
-from repro.txn import (
-    REASON_COMMITTED,
-    REASON_CONFLICT,
-    TID,
-    TransactionSpec,
-    TxnResult,
-)
+from repro.txn import REASON_COMMITTED, REASON_CONFLICT
 
-PHASE_READ = "read"
 PHASE_COMMIT = "commit"
 PHASE_READ_ONLY = "read_only"
-PHASE_DONE = "done"
-
-CompletionCallback = Callable[[TxnResult], None]
 
 
 @dataclass
-class _ClientTxn:
-    """Client-side state of one in-flight transaction."""
+class _ClientTxn(ClientTxn):
+    """Carousel's additions to the client-side transaction state."""
 
-    tid: TID
-    spec: TransactionSpec
-    on_complete: Optional[CompletionCallback]
-    started_ms: float
-    phase: str = PHASE_READ
+    TIMERS = ("heartbeat_timer", "retry_timer")
+
     participants: Dict[str, PartitionSets] = field(default_factory=dict)
     coordinator_id: str = ""
     coord_group_id: str = ""
-    #: Partitions we still need a read reply from.
-    awaiting_reads: Set[str] = field(default_factory=set)
-    values: Dict[str, Any] = field(default_factory=dict)
-    versions: Dict[str, int] = field(default_factory=dict)
-    #: Read-only path: partitions that have answered OK.
-    readonly_ok: Set[str] = field(default_factory=set)
-    writes: Dict[str, Any] = field(default_factory=dict)
     abort_requested: bool = False
     heartbeat_timer: Any = None
-    retry_timer: Any = None
-    retries: int = 0
-    #: Tracing: the currently-open client phase span (read/commit).
-    phase_span: Any = None
 
 
-class CarouselClient(Node):
+class CarouselClient(TxnClient):
     """An application server running Carousel's client library (§3.3)."""
+
+    txn_class = _ClientTxn
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, partitioner: Partitioner,
                  config: CarouselConfig,
                  result_hook: Optional[CompletionCallback] = None):
-        super().__init__(node_id, dc, kernel, network)
         if config.directory_cache_ttl_ms is not None:
             directory = DirectoryCache(
                 directory, clock=lambda: kernel.now,
                 ttl_ms=config.directory_cache_ttl_ms)
-        self.directory = directory
-        self.partitioner = partitioner
+        super().__init__(node_id, dc, kernel, network, directory,
+                         partitioner, config.retry_policy, result_hook)
         self.config = config
-        self.result_hook = result_hook
-        self._counter = 0
-        self._active: Dict[TID, _ClientTxn] = {}
+        self.system = "carousel-" + config.mode
         self._coord_rr = 0
-        self.submitted = 0
-        self.committed = 0
-        self.aborted = 0
 
     # ------------------------------------------------------------------
-    # Public API (Figure 1)
+    # First phase
     # ------------------------------------------------------------------
-    def begin(self) -> TID:
-        """Allocate a transaction id (client id + local counter)."""
-        self._counter += 1
-        return TID(self.node_id, self._counter)
-
-    def submit(self, spec: TransactionSpec,
-               on_complete: Optional[CompletionCallback] = None) -> TID:
-        """Run one 2FI transaction; completion is reported via callback."""
-        tid = self.begin()
-        txn = _ClientTxn(tid=tid, spec=spec, on_complete=on_complete,
-                         started_ms=self.kernel.now)
-        self._active[tid] = txn
-        self.submitted += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.txn_begin(tid, system="carousel-" + self.config.mode,
-                             client=self.node_id, dc=self.dc)
-        self._build_participants(txn)
-        if not txn.participants:
-            self._complete(txn, True, REASON_COMMITTED)
-            return tid
-        if spec.is_read_only and self.config.read_only_optimization:
+    def _start(self, txn: _ClientTxn, groups: List[KeyGroup]) -> None:
+        for pid, read_keys, write_keys in groups:
+            txn.participants[pid] = PartitionSets(read_keys, write_keys)
+        if txn.spec.is_read_only and self.config.read_only_optimization:
             txn.phase = PHASE_READ_ONLY
-            if tracer.enabled:
-                txn.phase_span = tracer.span_begin(
-                    tid, SPAN_READ_ONLY, self.node_id, self.dc)
+            self._enter_span(txn, SPAN_READ_ONLY)
             self._send_read_only(txn)
         else:
             self._choose_coordinator(txn)
-            if tracer.enabled:
-                txn.phase_span = tracer.span_begin(
-                    tid, SPAN_READ, self.node_id, self.dc)
+            self._enter_span(txn, SPAN_READ)
             self._send_read_prepare(txn)
             self._arm_heartbeat(txn)
             if not txn.awaiting_reads:
                 self._enter_commit_phase(txn)
-        self._arm_retry(txn)
-        return tid
-
-    # ------------------------------------------------------------------
-    # Setup helpers
-    # ------------------------------------------------------------------
-    def _build_participants(self, txn: _ClientTxn) -> None:
-        spec = txn.spec
-        read_groups = self.partitioner.group_by_partition(spec.read_keys)
-        write_groups = self.partitioner.group_by_partition(spec.write_keys)
-        for pid in sorted(set(read_groups) | set(write_groups)):
-            txn.participants[pid] = PartitionSets(
-                read_keys=tuple(read_groups.get(pid, ())),
-                write_keys=tuple(write_groups.get(pid, ())))
-        txn.awaiting_reads = {pid for pid, sets in txn.participants.items()
-                              if sets.read_keys}
 
     def _choose_coordinator(self, txn: _ClientTxn) -> None:
         """Prefer a local participant leader; else any local leader; else
@@ -196,8 +131,8 @@ class CarouselClient(Node):
         fast = self.config.fast_path_enabled
         local_reads = self.config.local_reads_enabled
         nearest_reads = fast and self.config.read_nearest_replica
-        # Ordered: participants is built over sorted(pids) in
-        # _build_participants, so insertion order is the sorted order.
+        # Ordered: participants is built over the shell's sorted key
+        # groups in _start, so insertion order is the sorted order.
         # detlint: ignore[values-fanout]
         for pid, sets in txn.participants.items():
             info = self.directory.lookup(pid)
@@ -230,10 +165,11 @@ class CarouselClient(Node):
 
     def _send_read_only(self, txn: _ClientTxn) -> None:
         # Ordered: participants insertion order is sorted(pids); see
-        # _build_participants.
+        # _start.  Every partition of a read-only transaction has read
+        # keys, so awaiting_reads is exactly the set yet to answer OK.
         # detlint: ignore[values-fanout]
         for pid, sets in txn.participants.items():
-            if pid in txn.readonly_ok:
+            if pid not in txn.awaiting_reads:
                 continue
             leader = self.directory.lookup(pid).leader
             self.send(leader, ReadOnlyRequest(
@@ -260,32 +196,16 @@ class CarouselClient(Node):
             raise TypeError(f"unexpected client message {msg!r}")
 
     def _on_read_reply(self, msg: ReadReply) -> None:
-        txn = self._active.get(msg.tid)
-        if txn is None or txn.phase != PHASE_READ:
-            return
-        if msg.partition_id not in txn.awaiting_reads:
-            return  # a slower replica lost the race (§4.4.1: first wins)
-        txn.awaiting_reads.discard(msg.partition_id)
-        for key, (value, version) in msg.values.items():
-            txn.values[key] = value
-            txn.versions[key] = version
-        if not txn.awaiting_reads:
+        txn = self._absorb_read(msg)
+        if txn is not None:
             self._enter_commit_phase(txn)
 
     def _enter_commit_phase(self, txn: _ClientTxn) -> None:
         txn.phase = PHASE_COMMIT
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span_end(txn.phase_span)
-            txn.phase_span = tracer.span_begin(
-                txn.tid, SPAN_COMMIT, self.node_id, self.dc)
-        reads = {k: txn.values.get(k) for k in txn.spec.read_keys}
-        writes = txn.spec.run_write_function(reads)
-        if writes is None:
-            txn.abort_requested = True  # the application chose to abort
-        else:
-            txn.writes = writes
-        self._cancel(txn, "heartbeat_timer")
+        self._enter_span(txn, SPAN_COMMIT)
+        # On an application abort the coordinator is still told (§4.1.2).
+        txn.abort_requested = not self._compute_writes(txn)
+        self._cancel_timer(txn, "heartbeat_timer")
         self._send_commit(txn)
 
     def _on_txn_reply(self, msg: TxnReply) -> None:
@@ -300,45 +220,8 @@ class CarouselClient(Node):
             return
         if not msg.ok:
             self._complete(txn, False, REASON_CONFLICT)
-            return
-        if msg.partition_id in txn.readonly_ok:
-            return
-        txn.readonly_ok.add(msg.partition_id)
-        for key, (value, version) in msg.values.items():
-            txn.values[key] = value
-            txn.versions[key] = version
-        if txn.readonly_ok >= set(txn.participants):
+        elif self._absorb_read(msg, PHASE_READ_ONLY) is not None:
             self._complete(txn, True, REASON_COMMITTED)
-
-    # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-    def _complete(self, txn: _ClientTxn, committed: bool,
-                  reason: str) -> None:
-        if txn.phase == PHASE_DONE:
-            return
-        txn.phase = PHASE_DONE
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span_end(txn.phase_span)
-            txn.phase_span = None
-            tracer.txn_end(txn.tid, committed, reason)
-        self._cancel(txn, "heartbeat_timer")
-        self._cancel(txn, "retry_timer")
-        self._active.pop(txn.tid, None)
-        if committed:
-            self.committed += 1
-        else:
-            self.aborted += 1
-        result = TxnResult(
-            tid=txn.tid, committed=committed,
-            latency_ms=self.kernel.now - txn.started_ms,
-            reason=reason, txn_type=txn.spec.txn_type,
-            reads=dict(txn.values))
-        if txn.on_complete is not None:
-            txn.on_complete(result)
-        if self.result_hook is not None:
-            self.result_hook(result)
 
     # ------------------------------------------------------------------
     # Timers
@@ -353,18 +236,8 @@ class CarouselClient(Node):
         self.send(txn.coordinator_id, ClientHeartbeat(tid=txn.tid))
         self._arm_heartbeat(txn)
 
-    def _arm_retry(self, txn: _ClientTxn) -> None:
-        # Capped exponential backoff keyed by this transaction's retry
-        # count; the degenerate policy is the historical fixed interval.
-        delay = self.config.retry_policy.delay_ms(txn.retries,
-                                                  self.kernel.random)
-        txn.retry_timer = self.set_timer(delay, self._retry, txn)
-
-    def _retry(self, txn: _ClientTxn) -> None:
+    def _resend(self, txn: _ClientTxn) -> None:
         """Retransmit the current phase against (possibly new) leaders."""
-        if txn.phase == PHASE_DONE:
-            return
-        txn.retries += 1
         if isinstance(self.directory, DirectoryCache):
             # A stall usually means a leader moved: refresh our view of
             # this transaction's partitions before retransmitting.
@@ -390,16 +263,9 @@ class CarouselClient(Node):
                 group_id=txn.coord_group_id,
                 participants=dict(txn.participants)))
             self._send_commit(txn)
-        self._arm_retry(txn)
 
     def _refresh_coordinator(self, txn: _ClientTxn) -> None:
         """The coordinating *group* is fixed for the transaction's life;
         only its leader may have moved."""
         info = self.directory.lookup(txn.coord_group_id)
         txn.coordinator_id = info.leader
-
-    def _cancel(self, txn: _ClientTxn, name: str) -> None:
-        timer = getattr(txn, name)
-        if timer is not None:
-            timer.cancel()
-            setattr(txn, name, None)

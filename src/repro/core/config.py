@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.backoff import RetryPolicy
+from repro.core.backoff import DEFAULT_RETRY, RetryPolicy
 from repro.raft.node import RaftConfig
 
 #: Protocol modes evaluated in the paper (§5).
@@ -36,21 +36,15 @@ class CarouselConfig:
         client's datacenter, also request read data from the *closest*
         replica (not just the leader).  Only meaningful in ``FAST`` mode,
         where stale reads are detected at commit time.
-    client_retry_ms:
-        Client-side retransmission timeout for in-flight requests.  Covers
-        messages lost to server crashes; generous by default so it never
-        fires in failure-free runs.
-    retry_backoff_multiplier / retry_backoff_max_ms / retry_jitter_fraction:
-        Capped exponential backoff for every retransmission timer
-        (client retry, coordinator prepare re-query, writeback retry):
-        the ``n``-th retry waits ``client_retry_ms * multiplier^n``,
-        capped at ``retry_backoff_max_ms``, scaled by a deterministic
-        jitter factor in ``[1 - jitter, 1 + jitter]`` drawn from the
-        kernel RNG.  The defaults (multiplier 1, no jitter) are the
-        degenerate policy: a fixed interval that draws nothing from the
-        RNG — the exact pre-backoff behaviour.  Chaos runs use an
-        aggressive base with multiplier 2 so lost messages are retried
-        quickly without synchronized retry storms.
+    retry_policy:
+        The capped-exponential-backoff schedule every retransmission
+        timer shares (client retry, coordinator prepare re-query,
+        writeback retry); see :class:`repro.core.backoff.RetryPolicy`.
+        The default is the degenerate policy: a fixed interval, generous
+        so it never fires in failure-free runs, that draws nothing from
+        the RNG.  Chaos runs use an aggressive base with multiplier 2 so
+        lost messages are retried quickly without synchronized retry
+        storms.
     directory_cache_ttl_ms:
         When set, clients cache directory lookups for this long instead of
         consulting the directory service on every transaction (§3.3);
@@ -66,10 +60,7 @@ class CarouselConfig:
     directory_cache_ttl_ms: Optional[float] = None
     heartbeat_interval_ms: float = 1000.0
     heartbeat_misses: int = 3
-    client_retry_ms: float = 10_000.0
-    retry_backoff_multiplier: float = 1.0
-    retry_backoff_max_ms: Optional[float] = None
-    retry_jitter_fraction: float = 0.0
+    retry_policy: RetryPolicy = DEFAULT_RETRY
     raft: RaftConfig = field(default_factory=RaftConfig)
 
     def __post_init__(self) -> None:
@@ -79,18 +70,6 @@ class CarouselConfig:
             raise ValueError("heartbeat interval must be positive")
         if self.heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be at least 1")
-        if self.client_retry_ms <= 0:
-            raise ValueError("client_retry_ms must be positive")
-        self.retry_policy  # validate the backoff fields eagerly
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The retransmission backoff schedule all retry timers share."""
-        return RetryPolicy(
-            base_ms=self.client_retry_ms,
-            multiplier=self.retry_backoff_multiplier,
-            max_ms=self.retry_backoff_max_ms,
-            jitter_fraction=self.retry_jitter_fraction)
 
     @property
     def fast_path_enabled(self) -> bool:

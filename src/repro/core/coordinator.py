@@ -33,12 +33,7 @@ from repro.core.messages import (
     WritebackAck,
 )
 from repro.core.occ import ABORT, PREPARED
-from repro.trace.tracer import (
-    SPAN_CPC_FAST,
-    SPAN_CPC_SLOW,
-    SPAN_RECOVERY,
-    SPAN_WRITEBACK,
-)
+from repro.trace.tracer import SPAN_CPC_FAST, SPAN_CPC_SLOW, SPAN_WRITEBACK
 from repro.core.records import (
     CoordDecisionRecord,
     CoordSetsRecord,
@@ -52,7 +47,8 @@ from repro.txn import (
     REASON_TIMEOUT,
     TID,
 )
-from repro.wal.records import CoordDecisionWal, CoordFinishWal
+from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
+                               fold_decisions)
 
 COMMIT = "commit"
 
@@ -492,7 +488,7 @@ class CoordinatorComponent:
             participants=tuple(sorted(state.participants.items())),
             writes=tuple(sorted(state.writes.items()))))
 
-    def restore_from_wal(self, records) -> None:
+    def restore_from_wal(self, records) -> str:
         """Rebuild decided-but-unfinished transactions after a power cycle.
 
         Runs in the RECOVERY state: each journaled decision without a
@@ -500,43 +496,26 @@ class CoordinatorComponent:
         outcome) and its writeback phase re-driven immediately — the
         client already saw the reply, so the writes are owed to the
         participant partitions no matter who leads the group now.
+        Returns a summary for the recovery trace point.
         """
         if self.wal_state == WAL_ACTIVE:
             self.wal_state = WAL_RECOVERY
-        decided: Dict[TID, CoordDecisionWal] = {}
-        done = set()
-        for record in records:
-            if isinstance(record, CoordDecisionWal):
-                decided[record.tid] = record
-            elif isinstance(record, CoordFinishWal):
-                done.add(record.tid)
-        redriven = 0
-        # Replay order is WAL append order (dict insertion order), itself
-        # deterministic under a fixed seed.  detlint: ignore[values-fanout]
-        for tid, record in decided.items():
-            if tid in done:
-                self.finished[tid] = record.decision
-                continue
+        finished, owed = fold_decisions(records)
+        self.finished.update(finished)
+        for record in owed:
             state = CoordTxnState(
-                tid=tid, client_id=record.client_id,
+                tid=record.tid, client_id=record.client_id,
                 group_id=record.group_id,
                 participants=dict(record.participants),
                 sets_replicated=True, commit_requested=True,
                 writes=dict(record.writes), write_data_replicated=True,
                 decision=record.decision, reason=record.reason,
                 replied=True, wal_recovered=True)
-            self.states[tid] = state
+            self.states[record.tid] = state
             self._send_writebacks(state)
-            redriven += 1
-        tracer = self.server.tracer
-        if tracer.enabled:
-            tracer.point(None, SPAN_RECOVERY, self.server.node_id,
-                         self.server.dc,
-                         detail=(f"coordinator wal-restore "
-                                 f"redriven={redriven} "
-                                 f"finished={len(done)}"))
         if self.wal_state == WAL_RECOVERY:
             self.wal_state = WAL_ACTIVE
+        return f"redriven={len(owed)} finished={len(finished)}"
 
     # ------------------------------------------------------------------
     # Client-failure handling (§4.3.1)

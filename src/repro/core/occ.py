@@ -21,6 +21,13 @@ from repro.txn import TID
 PREPARED = "prepared"
 ABORT = "abort"
 
+#: Modeled CPU per pending-list entry scanned during OCC validation, in ms.
+#: This is what makes "excessive queuing of pending transactions" (§6.4.1)
+#: self-reinforcing: entries held longer (slow paths, load) make
+#: validation slower, which queues more work.  Declared once so every
+#: system is billed the same.
+PENDING_SCAN_COST_MS = 0.001
+
 
 @dataclass(frozen=True)
 class PendingTxn:
@@ -56,7 +63,8 @@ class PendingList:
     Conflict checks are indexed by key (``key -> tids reading/writing it``)
     so that the simulator's own cost per check is O(transaction keys), not
     O(pending transactions); the *modeled* CPU cost of validation remains
-    proportional to the list length (see the servers' ``service_time_for``).
+    proportional to the list length (:meth:`scan_cost_ms`, billed by the
+    servers' ``service_time_for``).
     """
 
     def __init__(self) -> None:
@@ -73,6 +81,10 @@ class PendingList:
     def get(self, tid: TID) -> Optional[PendingTxn]:
         """The entry for ``tid``, or None."""
         return self._txns.get(tid)
+
+    def scan_cost_ms(self) -> float:
+        """Modeled CPU cost of validating one prepare against this list."""
+        return len(self._txns) * PENDING_SCAN_COST_MS
 
     def add(self, entry: PendingTxn) -> None:
         """Insert or replace an entry, maintaining the key indexes."""

@@ -96,14 +96,10 @@ class PartitionComponent:
         # optimization (§4.4.1).  Values may be stale at a follower; the
         # coordinator's version check catches that at commit time.
         if msg.want_read and msg.read_keys:
-            values = {}
-            for key in msg.read_keys:
-                record = self.store.read(key)
-                values[key] = (record.value, record.version)
             self._send(msg.src, ReadReply(
                 tid=msg.tid, partition_id=self.partition_id,
-                replica_id=self.server.node_id,
-                from_leader=self.is_leader, values=values))
+                replica_id=self.server.node_id, from_leader=self.is_leader,
+                values=self.store.read_versioned(msg.read_keys)))
         if self.is_leader:
             self._leader_prepare(msg)
         elif msg.fast_path:
@@ -121,13 +117,9 @@ class PartitionComponent:
             self._send(msg.src, ReadOnlyReply(
                 tid=msg.tid, partition_id=self.partition_id, ok=False))
             return
-        values = {}
-        for key in msg.keys:
-            record = self.store.read(key)
-            values[key] = (record.value, record.version)
         self._send(msg.src, ReadOnlyReply(
             tid=msg.tid, partition_id=self.partition_id, ok=True,
-            values=values))
+            values=self.store.read_versioned(msg.keys)))
 
     def on_writeback(self, msg: Writeback) -> None:
         """Replicate and apply a commit decision, then ack (§4.1.3)."""

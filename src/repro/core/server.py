@@ -34,8 +34,6 @@ from repro.raft.node import RaftHost, RaftMember
 from repro.sim.message import Message
 from repro.store.directory import DirectoryService
 from repro.store.kvstore import VersionedKVStore
-from repro.trace.tracer import SPAN_RECOVERY
-from repro.wal.log import WriteAheadLog
 
 #: Messages addressed to a partition replica.
 _PARTITION_MESSAGES = (ReadPrepareRequest, ReadOnlyRequest, Writeback,
@@ -51,10 +49,6 @@ _COORDINATOR_RECORDS = (CoordSetsRecord, CoordWriteDataRecord,
 class CarouselServer(RaftHost):
     """One Carousel data server."""
 
-    #: Extra CPU per pending-list entry scanned during OCC conflict checks,
-    #: in ms — same accounting as the TAPIR model, for a fair comparison.
-    PENDING_SCAN_COST_MS = 0.001
-
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, config: CarouselConfig,
                  service_time_ms: float = 0.0):
@@ -62,13 +56,12 @@ class CarouselServer(RaftHost):
                          service_time_ms=service_time_ms)
         self.directory = directory
         self.config = config
+        self.attach_wal()
+        self._reset_roles()
+
+    def _reset_roles(self) -> None:
         self.partitions: Dict[str, PartitionComponent] = {}
         self.coordinator = CoordinatorComponent(self)
-        self.wal = WriteAheadLog(node_id)
-        self.wal.attach_host(self)
-        #: Deployment shape, kept so a power cycle can re-create the
-        #: partition components and Raft members from scratch.
-        self._partition_specs: List = []
 
     def service_time_for(self, msg) -> float:
         """CPU cost: base plus the modeled pending-list scan (see DESIGN.md)."""
@@ -77,8 +70,7 @@ class CarouselServer(RaftHost):
             component = self.partitions.get(msg.partition_id)
             if component is not None:
                 return (self.service_time_ms
-                        + len(component.pending)
-                        * self.PENDING_SCAN_COST_MS)
+                        + component.pending.scan_cost_ms())
         return self.service_time_ms
 
     # ------------------------------------------------------------------
@@ -102,38 +94,19 @@ class CarouselServer(RaftHost):
         )
         component.attach_member(member)
         self.partitions[partition_id] = component
-        self._partition_specs.append((partition_id, tuple(member_ids)))
         return component
 
-    def on_restart(self) -> None:
-        """Power-cycle recovery: rebuild every component fresh, then
-        replay the WAL image.
-
-        Raft persistent state (terms, votes, logs) comes back first;
-        provisional OCC pending entries are re-added (their confirmation
-        or removal replays through the Raft apply path as the commit
-        index re-advances under a live leader); journaled coordinator
-        decisions re-drive their writeback phases.  Nothing bootstraps —
-        the restarted server rejoins every group as a follower.
-        """
-        records = self.wal.replay()
-        self.members = {}
-        self.partitions = {}
-        self.coordinator = CoordinatorComponent(self)
-        specs, self._partition_specs = list(self._partition_specs), []
-        for partition_id, member_ids in specs:
-            self.add_partition(partition_id, list(member_ids))
-        self.replay_raft_wal(records)
+    def _restore_roles(self, records) -> str:
+        """Provisional OCC pending entries are re-added (their
+        confirmation or removal replays through the Raft apply path as
+        the commit index re-advances under a live leader); journaled
+        coordinator decisions re-drive their writeback phases."""
         restored = 0
         for partition_id in sorted(self.partitions):
             restored += self.partitions[partition_id] \
                 .restore_pending_from_wal(records)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
-                         detail=(f"wal-restart records={len(records)} "
-                                 f"pending-restored={restored}"))
-        self.coordinator.restore_from_wal(records)
+        return (f"pending-restored={restored} "
+                + self.coordinator.restore_from_wal(records))
 
     # ------------------------------------------------------------------
     # Raft plumbing

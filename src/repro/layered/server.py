@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.backoff import RetryPolicy
+from repro.core.backoff import DEFAULT_RETRY, RetryPolicy
 from repro.core.messages import PartitionSets
 from repro.core.occ import ABORT, PREPARED, PendingList, PendingTxn, \
     freeze_versions
@@ -30,11 +30,11 @@ from repro.layered.messages import (
 )
 from repro.raft.node import RaftHost, RaftMember
 from repro.store.kvstore import VersionedKVStore
-from repro.trace.tracer import SPAN_PREPARE, SPAN_RECOVERY, SPAN_WRITEBACK
+from repro.trace.tracer import SPAN_PREPARE, SPAN_WRITEBACK
 from repro.txn import REASON_COMMITTED, REASON_CONFLICT, \
     REASON_STALE_READ, TID
-from repro.wal.log import WriteAheadLog
-from repro.wal.records import LayeredDecisionWal, LayeredFinishWal
+from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
+                               fold_decisions)
 
 COMMIT = "commit"
 
@@ -71,12 +71,9 @@ class _LayeredPartition:
     def on_read(self, msg: LayeredRead) -> None:
         if not self.serving:
             return
-        values = {}
-        for key in msg.keys:
-            record = self.store.read(key)
-            values[key] = (record.value, record.version)
         self.server.send(msg.src, LayeredReadReply(
-            tid=msg.tid, partition_id=self.partition_id, values=values))
+            tid=msg.tid, partition_id=self.partition_id,
+            values=self.store.read_versioned(msg.keys)))
 
     def on_prepare(self, msg: LayeredPrepare) -> None:
         if not self.serving:
@@ -199,21 +196,20 @@ class LayeredServer(RaftHost):
 
     def __init__(self, node_id: str, dc: str, kernel, network, directory,
                  service_time_ms: float = 0.0, raft_config=None,
-                 retry_policy: Optional[RetryPolicy] = None):
+                 retry_policy: RetryPolicy = DEFAULT_RETRY):
         super().__init__(node_id, dc, kernel, network,
                          service_time_ms=service_time_ms)
         self.directory = directory
         self.raft_config = raft_config
-        # Writeback retransmission schedule; the default matches the
-        # historical fixed client retry interval.
-        self.retry_policy = retry_policy or RetryPolicy(base_ms=10_000.0)
+        #: Writeback retransmission schedule.
+        self.retry_policy = retry_policy
+        self.attach_wal()
+        self._reset_roles()
+
+    def _reset_roles(self) -> None:
         self.partitions: Dict[str, _LayeredPartition] = {}
         self.coord_states: Dict[TID, _CoordState] = {}
         self.finished: Dict[TID, str] = {}
-        self.wal = WriteAheadLog(node_id)
-        self.wal.attach_host(self)
-        #: Deployment shape, for power-cycle re-creation.
-        self._partition_specs: List = []
 
     def add_partition(self, partition_id: str, member_ids: List[str],
                       bootstrap_leader: Optional[str] = None
@@ -229,7 +225,6 @@ class LayeredServer(RaftHost):
             bootstrap_leader=bootstrap_leader)
         partition.member = member
         self.partitions[partition_id] = partition
-        self._partition_specs.append((partition_id, tuple(member_ids)))
         return partition
 
     def on_recover(self) -> None:
@@ -244,50 +239,22 @@ class LayeredServer(RaftHost):
             if state.decision is not None and state.replied:
                 self._arm_writeback_retry(state)
 
-    def on_restart(self) -> None:
-        """Power-cycle recovery: rebuild partitions and Raft members
-        fresh, replay Raft persistent state from the WAL, and re-drive
-        the writeback phase of every journaled-but-unfinished decision.
-        Partition pending lists rebuild through the Raft apply path as
-        the commit index re-advances under a live leader."""
-        records = self.wal.replay()
-        self.members = {}
-        self.partitions = {}
-        self.coord_states = {}
-        self.finished = {}
-        specs, self._partition_specs = list(self._partition_specs), []
-        for partition_id, member_ids in specs:
-            self.add_partition(partition_id, list(member_ids))
-        self.replay_raft_wal(records)
-        decided: Dict[TID, LayeredDecisionWal] = {}
-        done = set()
-        for record in records:
-            if isinstance(record, LayeredDecisionWal):
-                decided[record.tid] = record
-            elif isinstance(record, LayeredFinishWal):
-                done.add(record.tid)
-        redriven = 0
-        # Replay order is WAL append order (dict insertion order).
-        # detlint: ignore[values-fanout]
-        for tid, record in decided.items():
-            if tid in done:
-                self.finished[tid] = record.decision
-                continue
+    def _restore_roles(self, records) -> str:
+        """Re-drive the writeback phase of every journaled-but-unfinished
+        decision.  Partition pending lists rebuild through the Raft apply
+        path as the commit index re-advances under a live leader."""
+        self.finished, owed = fold_decisions(records)
+        for record in owed:
             state = _CoordState(
-                tid=tid, client_id=record.client_id,
+                tid=record.tid, client_id=record.client_id,
                 group_id=record.group_id,
                 participants=dict(record.participants),
                 writes=dict(record.writes),
                 decision=record.decision, decision_replicated=True,
                 replied=True)
-            self.coord_states[tid] = state
+            self.coord_states[record.tid] = state
             self._send_writebacks(state)
-            redriven += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
-                         detail=(f"wal-restart records={len(records)} "
-                                 f"redriven={redriven}"))
+        return f"redriven={len(owed)}"
 
     def _apply(self, group_id: str, entry) -> None:
         command = entry.command
@@ -441,7 +408,7 @@ class LayeredServer(RaftHost):
         """Journal the 2PC outcome before the reply externalizes it."""
         if self.wal is None:
             return
-        self.wal.append(LayeredDecisionWal(
+        self.wal.append(CoordDecisionWal(
             tid=state.tid, group_id=state.group_id,
             client_id=state.client_id,
             decision=state.decision or ABORT,
@@ -494,6 +461,6 @@ class LayeredServer(RaftHost):
                 state.writeback_timer.cancel()
                 state.writeback_timer = None
             if self.wal is not None and state.decision is not None:
-                self.wal.append(LayeredFinishWal(tid=state.tid))
+                self.wal.append(CoordFinishWal(tid=state.tid))
             self.finished[state.tid] = state.decision or ABORT
             del self.coord_states[state.tid]

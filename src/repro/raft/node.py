@@ -25,7 +25,7 @@ Design notes
 * Persistent state (term, vote, log) survives crash/recovery in RAM, and —
   when the host carries a :class:`~repro.wal.log.WriteAheadLog` — is
   journaled so a power-cycled host can rebuild it from the WAL image
-  (:meth:`RaftHost.replay_raft_wal`); volatile leadership state never
+  (:meth:`RaftHost.on_restart`); volatile leadership state never
   survives.
 """
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.raft.log import LogEntry, RaftLog
-from repro.trace.tracer import SPAN_RAFT
+from repro.trace.tracer import SPAN_RAFT, SPAN_RECOVERY
 from repro.raft.messages import (
     AppendEntries,
     AppendEntriesReply,
@@ -674,10 +674,51 @@ class RaftHost(Node):
         for member in self.members.values():
             member.handle_host_recover()
 
+    # ------------------------------------------------------------------
+    # Power-cycle restart
+    # ------------------------------------------------------------------
+    def on_restart(self) -> None:
+        """Power-cycle recovery: the one skeleton every Raft-hosting
+        server restarts through.
+
+        Every hosted group is re-created fresh — in the order, and over
+        the ``member_ids``, its wiped member held; nothing bootstraps, so
+        the host rejoins each group as a follower.  Raft persistent state
+        (terms, votes, logs) then comes back from the WAL image, and the
+        server restores its own roles from the same image.
+        """
+        records = self.wal.replay()
+        groups = [(member.group_id, list(member.member_ids))
+                  for member in self.members.values()]
+        self.members = {}
+        self._reset_roles()
+        for group_id, member_ids in groups:
+            self.add_partition(group_id, member_ids)
+        self.replay_raft_wal(records)
+        restored = self._restore_roles(records)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
+                         detail=(f"wal-restart records={len(records)} "
+                                 f"{restored}").rstrip())
+
+    def _reset_roles(self) -> None:
+        """(Re-)create, empty, every piece of role state a power cycle
+        wipes.  Servers call this from ``__init__`` too."""
+
+    def add_partition(self, partition_id: str, member_ids: List[str]):
+        """Host a fresh member of consensus group ``partition_id``."""
+        raise NotImplementedError
+
+    def _restore_roles(self, records: List[Any]) -> str:
+        """Rebuild role state from a WAL image, after the groups are back;
+        returns a summary for the recovery trace point."""
+        return ""
+
     def replay_raft_wal(self, records: List[Any]) -> None:
         """Rebuild every member's persistent state from a WAL image.
 
-        Called during restart, after the members have been re-created
+        Called by :meth:`on_restart`, after the members have been re-created
         fresh (term 0, empty log, no bootstrap).  Records replay in
         append order: the last :class:`RaftTermRecord` per group wins for
         currentTerm/votedFor, and :class:`RaftAppendRecord` entries are

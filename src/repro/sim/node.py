@@ -22,6 +22,7 @@ from typing import Callable, Optional
 from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
 from repro.sim.network import Network
+from repro.wal.log import WriteAheadLog
 
 
 class Node:
@@ -49,9 +50,15 @@ class Node:
         self.restarts = 0
         #: Durable write-ahead log, or ``None`` for purely volatile nodes
         #: (clients, bare test hosts).  Subclasses that support restart
-        #: attach a :class:`repro.wal.log.WriteAheadLog` here.
-        self.wal = None
+        #: call :meth:`attach_wal`.
+        self.wal: Optional[WriteAheadLog] = None
         network.register(self)
+
+    def attach_wal(self) -> None:
+        """Give this node a durable log on its clock, with fsync latency
+        billed to its CPU queue."""
+        self.wal = WriteAheadLog(self.node_id)
+        self.wal.attach_host(self)
 
     # ------------------------------------------------------------------
     # Messaging

@@ -9,7 +9,7 @@ did not exist when a transaction read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,16 @@ class VersionedKVStore:
         if record is None:
             return Record(None, self.MISSING_VERSION)
         return record
+
+    def read_versioned(self, keys: Iterable[str]
+                       ) -> Dict[str, Tuple[Any, int]]:
+        """``{key: (value, version)}`` for ``keys``: the payload every
+        system's read reply carries."""
+        values = {}
+        for key in keys:
+            record = self.read(key)
+            values[key] = (record.value, record.version)
+        return values
 
     def version(self, key: str) -> int:
         """Current version of ``key`` (0 when absent)."""

@@ -104,11 +104,7 @@ def _carousel(mode: str):
         return CarouselCluster(spec, CarouselConfig(
             mode=mode,
             heartbeat_interval_ms=timing.client_heartbeat_ms,
-            client_retry_ms=timing.retry.base_ms,
-            retry_backoff_multiplier=timing.retry.multiplier,
-            retry_backoff_max_ms=timing.retry.max_ms,
-            retry_jitter_fraction=timing.retry.jitter_fraction,
-            raft=timing.raft), runtime=runtime)
+            retry_policy=timing.retry, raft=timing.raft), runtime=runtime)
     return cluster
 
 
@@ -120,11 +116,7 @@ def _layered(spec, timing, runtime):
 def _tapir(spec, timing, runtime):
     return TapirCluster(spec, TapirConfig(
         fast_path_timeout_ms=timing.tapir_fast_path_timeout_ms,
-        retry_ms=timing.retry.base_ms,
-        retry_backoff_multiplier=timing.retry.multiplier,
-        retry_backoff_max_ms=timing.retry.max_ms,
-        retry_jitter_fraction=timing.retry.jitter_fraction),
-        runtime=runtime)
+        retry_policy=timing.retry), runtime=runtime)
 
 
 def _partition_state(server, pid):

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.client import (PHASE_READ, ClientTxn, CompletionCallback,
+                          KeyGroup, TxnClient)
 from repro.sim.message import Message
-from repro.sim.node import Node
 from repro.trace.tracer import SPAN_PREPARE, SPAN_READ
 from repro.store.directory import DirectoryService
 from repro.store.partitioning import Partitioner
@@ -43,14 +44,9 @@ from repro.txn import (
     REASON_STALE_READ,
     TID,
     TransactionSpec,
-    TxnResult,
 )
 
-PHASE_READ = "read"
 PHASE_PREPARE = "prepare"
-PHASE_DONE = "done"
-
-CompletionCallback = Callable[[TxnResult], None]
 
 
 def fast_quorum(group_size: int) -> int:
@@ -80,43 +76,29 @@ class _Partition:
 
 
 @dataclass
-class _TapirTxn:
-    tid: TID
-    spec: TransactionSpec
-    on_complete: Optional[CompletionCallback]
-    started_ms: float
-    phase: str = PHASE_READ
+class _TapirTxn(ClientTxn):
+    TIMERS = ("fast_timer", "retry_timer")
+
     partitions: Dict[str, _Partition] = field(default_factory=dict)
-    awaiting_reads: Set[str] = field(default_factory=set)
-    values: Dict[str, Any] = field(default_factory=dict)
-    versions: Dict[str, int] = field(default_factory=dict)
-    writes: Dict[str, Any] = field(default_factory=dict)
     fast_timer: Any = None
-    retry_timer: Any = None
-    retries: int = 0
-    committed: Optional[bool] = None
-    abort_reason: str = ""
-    #: Tracing: the open client phase span (read/prepare).
-    phase_span: Any = None
     #: Tracing: the deepest causal context among prepare votes, for the
     #: slow-path timeout join (see :meth:`Tracer.absorb`).
     vote_ctx: Any = None
 
 
-class TapirClient(Node):
+class TapirClient(TxnClient):
     """An application server running the TAPIR client library."""
+
+    txn_class = _TapirTxn
+    system = "tapir"
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, partitioner: Partitioner,
                  config: TapirConfig,
                  result_hook: Optional[CompletionCallback] = None):
-        super().__init__(node_id, dc, kernel, network)
-        self.directory = directory
-        self.partitioner = partitioner
+        super().__init__(node_id, dc, kernel, network, directory,
+                         partitioner, config.retry_policy, result_hook)
         self.config = config
-        self.result_hook = result_hook
-        self._counter = 0
-        self._active: Dict[TID, _TapirTxn] = {}
         #: Keys of our own committed-but-unacknowledged transactions.
         self._locked_keys: Dict[str, int] = {}
         self._commit_acks_pending: Dict[TID, Set[Tuple[str, str]]] = {}
@@ -129,9 +111,6 @@ class TapirClient(Node):
         self._locked_writes: Dict[TID, Tuple[str, ...]] = {}
         self._queued: List[Tuple[TransactionSpec,
                                  Optional[CompletionCallback]]] = []
-        self.submitted = 0
-        self.committed = 0
-        self.aborted = 0
         self.slow_paths = 0
 
     # ------------------------------------------------------------------
@@ -145,7 +124,7 @@ class TapirClient(Node):
         if self._blocked_by_own(spec):
             self._queued.append((spec, on_complete))
             return None
-        return self._start(spec, on_complete)
+        return super().submit(spec, on_complete)
 
     def _blocked_by_own(self, spec: TransactionSpec) -> bool:
         keys = spec.all_keys()
@@ -157,40 +136,17 @@ class TapirClient(Node):
         return any(wanted & set(txn.spec.all_keys())
                    for txn in self._active.values())
 
-    def _start(self, spec: TransactionSpec,
-               on_complete: Optional[CompletionCallback]) -> TID:
-        self._counter += 1
-        tid = TID(self.node_id, self._counter)
-        txn = _TapirTxn(tid=tid, spec=spec, on_complete=on_complete,
-                        started_ms=self.kernel.now)
-        self._active[tid] = txn
-        self.submitted += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.txn_begin(tid, system="tapir", client=self.node_id,
-                             dc=self.dc)
-        read_groups = self.partitioner.group_by_partition(spec.read_keys)
-        write_groups = self.partitioner.group_by_partition(spec.write_keys)
-        for pid in sorted(set(read_groups) | set(write_groups)):
+    def _start(self, txn: _TapirTxn, groups: List[KeyGroup]) -> None:
+        for pid, read_keys, write_keys in groups:
             info = self.directory.lookup(pid)
             txn.partitions[pid] = _Partition(
                 pid=pid, replicas=list(info.replicas),
-                read_keys=tuple(read_groups.get(pid, ())),
-                write_keys=tuple(write_groups.get(pid, ())))
-        if not txn.partitions:
-            self._complete(txn, True, REASON_COMMITTED)
-            return tid
-        txn.awaiting_reads = {pid for pid, p in txn.partitions.items()
-                              if p.read_keys}
+                read_keys=read_keys, write_keys=write_keys)
         if txn.awaiting_reads:
-            if tracer.enabled:
-                txn.phase_span = tracer.span_begin(
-                    tid, SPAN_READ, self.node_id, self.dc)
+            self._enter_span(txn, SPAN_READ)
             self._send_reads(txn)
         else:
             self._enter_prepare(txn)
-        self._arm_retry(txn)
-        return tid
 
     # ------------------------------------------------------------------
     # Read phase: closest replica per partition
@@ -209,40 +165,25 @@ class TapirClient(Node):
                 tid=txn.tid, partition_id=pid, keys=part.read_keys))
 
     def _on_read_reply(self, msg: TapirReadReply) -> None:
-        txn = self._active.get(msg.tid)
-        if txn is None or txn.phase != PHASE_READ:
-            return
-        if msg.partition_id not in txn.awaiting_reads:
-            return
-        txn.awaiting_reads.discard(msg.partition_id)
-        for key, (value, version) in msg.values.items():
-            txn.values[key] = value
-            txn.versions[key] = version
-        if not txn.awaiting_reads:
+        txn = self._absorb_read(msg)
+        if txn is not None:
             self._enter_prepare(txn)
 
     # ------------------------------------------------------------------
     # Prepare phase: IR consensus
     # ------------------------------------------------------------------
     def _enter_prepare(self, txn: _TapirTxn) -> None:
-        reads = {k: txn.values.get(k) for k in txn.spec.read_keys}
-        writes = txn.spec.run_write_function(reads)
-        if writes is None:
+        if not self._compute_writes(txn):
             self._complete(txn, False, REASON_CLIENT_ABORT)
             return
-        txn.writes = writes
         txn.phase = PHASE_PREPARE
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span_end(txn.phase_span)
-            txn.phase_span = tracer.span_begin(
-                txn.tid, SPAN_PREPARE, self.node_id, self.dc)
+        self._enter_span(txn, SPAN_PREPARE)
         self._send_prepares(txn)
         txn.fast_timer = self.set_timer(
             self.config.fast_path_timeout_ms, self._fast_path_timeout, txn)
 
     def _send_prepares(self, txn: _TapirTxn) -> None:
-        # Ordered: partitions is populated over sorted(pids) in begin(),
+        # Ordered: partitions is populated over sorted(pids) in _start,
         # so insertion order is the sorted order.
         # detlint: ignore[values-fanout]
         for part in txn.partitions.values():
@@ -292,7 +233,7 @@ class TapirClient(Node):
             # Join: this timer fires with an empty context, but the slow
             # path's decision is computed from the votes received so far.
             tracer.absorb(txn.vote_ctx)
-        # Ordered: partitions insertion order is sorted(pids); see begin().
+        # Ordered: partitions insertion order is sorted(pids); see _start.
         # detlint: ignore[values-fanout]
         for part in txn.partitions.values():
             if part.decided is not None or part.finalizing:
@@ -351,7 +292,7 @@ class TapirClient(Node):
         pending: Set[Tuple[str, str]] = set()
         writes_by_pid: Dict[str, Dict] = {}
         versions_by_pid: Dict[str, Dict[str, int]] = {}
-        # Ordered: partitions insertion order is sorted(pids); see begin().
+        # Ordered: partitions insertion order is sorted(pids); see _start.
         # detlint: ignore[values-fanout]
         for part in txn.partitions.values():
             writes = {k: txn.writes[k] for k in part.write_keys
@@ -385,8 +326,7 @@ class TapirClient(Node):
 
     def _arm_commit_retry(self, tid: TID) -> None:
         attempts = self._commit_attempts.get(tid, 0)
-        delay = self.config.retry_policy.delay_ms(attempts,
-                                                  self.kernel.random)
+        delay = self.retry_policy.delay_ms(attempts, self.kernel.random)
         self._commit_timers[tid] = self.set_timer(
             delay, self._retry_commits, tid)
 
@@ -433,63 +373,29 @@ class TapirClient(Node):
             if self._blocked_by_own(spec):
                 still_queued.append((spec, on_complete))
             else:
-                self._start(spec, on_complete)
+                super().submit(spec, on_complete)
         self._queued = still_queued
 
     # ------------------------------------------------------------------
-    # Completion and timers
+    # Completion and retransmission
     # ------------------------------------------------------------------
     def _complete(self, txn: _TapirTxn, committed: bool,
                   reason: str) -> None:
-        if txn.phase == PHASE_DONE:
-            return
-        txn.phase = PHASE_DONE
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.span_end(txn.phase_span)
-            txn.phase_span = None
-            tracer.txn_end(txn.tid, committed, reason)
-        for name in ("fast_timer", "retry_timer"):
-            timer = getattr(txn, name)
-            if timer is not None:
-                timer.cancel()
-                setattr(txn, name, None)
-        self._active.pop(txn.tid, None)
-        if committed:
-            self.committed += 1
-        else:
-            self.aborted += 1
-        result = TxnResult(
-            tid=txn.tid, committed=committed,
-            latency_ms=self.kernel.now - txn.started_ms,
-            reason=reason, txn_type=txn.spec.txn_type,
-            reads=dict(txn.values))
-        if txn.on_complete is not None:
-            txn.on_complete(result)
-        if self.result_hook is not None:
-            self.result_hook(result)
+        super()._complete(txn, committed, reason)
         self._drain_queue()
 
-    def _arm_retry(self, txn: _TapirTxn) -> None:
-        delay = self.config.retry_policy.delay_ms(txn.retries,
-                                                  self.kernel.random)
-        txn.retry_timer = self.set_timer(delay, self._retry, txn)
-
-    def _retry(self, txn: _TapirTxn) -> None:
-        txn.retries += 1
+    def _resend(self, txn: _TapirTxn) -> None:
         if txn.phase == PHASE_READ:
             self._send_reads(txn)
         elif txn.phase == PHASE_PREPARE:
             self._send_prepares(txn)
             self._resend_finalizes(txn)
-        if txn.phase != PHASE_DONE:
-            self._arm_retry(txn)
 
     def _resend_finalizes(self, txn: _TapirTxn) -> None:
         """Retransmit finalize messages for stalled slow paths: a lost
         TapirFinalize (or ack) would otherwise never reach its quorum —
         replicas re-ack duplicates idempotently."""
-        # Ordered: partitions insertion order is sorted(pids); see begin().
+        # Ordered: partitions insertion order is sorted(pids); see _start.
         # detlint: ignore[values-fanout]
         for part in txn.partitions.values():
             if not part.finalizing:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.backoff import RetryPolicy
+from repro.core.backoff import DEFAULT_RETRY, RetryPolicy
 
 
 @dataclass
@@ -19,34 +18,16 @@ class TapirConfig:
         starting IR's slow path.  The Carousel paper singles this wait out
         as a cause of TAPIR's long tail (§6.3).  Sized for the EC2
         topology by default; the local-cluster experiments lower it.
-    retry_ms:
-        Client retransmission timeout for lost messages.
-    retry_backoff_multiplier / retry_backoff_max_ms / retry_jitter_fraction:
-        Capped exponential backoff with deterministic jitter for the
-        retransmission timers (reads/prepares and the asynchronous commit
-        round).  The defaults are the degenerate fixed-interval policy
-        that draws nothing from the RNG; see
+    retry_policy:
+        Backoff schedule of the retransmission timers (reads/prepares and
+        the asynchronous commit round).  The default is the degenerate
+        fixed-interval policy that draws nothing from the RNG; see
         :class:`repro.core.backoff.RetryPolicy`.
     """
 
     fast_path_timeout_ms: float = 250.0
-    retry_ms: float = 10_000.0
-    retry_backoff_multiplier: float = 1.0
-    retry_backoff_max_ms: Optional[float] = None
-    retry_jitter_fraction: float = 0.0
+    retry_policy: RetryPolicy = DEFAULT_RETRY
 
     def __post_init__(self) -> None:
         if self.fast_path_timeout_ms <= 0:
             raise ValueError("fast_path_timeout_ms must be positive")
-        if self.retry_ms <= 0:
-            raise ValueError("retry_ms must be positive")
-        self.retry_policy  # validate the backoff fields eagerly
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The retransmission backoff schedule retry timers share."""
-        return RetryPolicy(
-            base_ms=self.retry_ms,
-            multiplier=self.retry_backoff_multiplier,
-            max_ms=self.retry_backoff_max_ms,
-            jitter_fraction=self.retry_jitter_fraction)

@@ -8,8 +8,9 @@ its read/write keys against other prepared-but-unresolved transactions.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict
 
+from repro.core.occ import PendingList, PendingTxn
 from repro.sim.message import Message
 from repro.sim.node import Node
 from repro.store.kvstore import VersionedKVStore
@@ -29,7 +30,6 @@ from repro.tapir.messages import (
 )
 from repro.trace.tracer import SPAN_RECOVERY
 from repro.txn import TID
-from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     TapirFinalizeWal,
     TapirPrepareWal,
@@ -37,26 +37,8 @@ from repro.wal.records import (
 )
 
 
-class _PreparedTxn:
-    """A transaction this replica has prepared but not yet resolved."""
-
-    __slots__ = ("read_keys", "write_keys", "read_versions")
-
-    def __init__(self, read_versions: Tuple[Tuple[str, int], ...],
-                 write_keys: Tuple[str, ...]):
-        self.read_versions = dict(read_versions)
-        self.read_keys: FrozenSet[str] = frozenset(self.read_versions)
-        self.write_keys: FrozenSet[str] = frozenset(write_keys)
-
-
 class TapirReplica(Node):
     """One replica of one TAPIR partition."""
-
-    #: Extra CPU per prepared-list entry scanned during OCC validation, in
-    #: ms.  This is what makes "excessive queuing of pending transactions"
-    #: (§6.4.1) self-reinforcing: entries held longer (slow paths, load)
-    #: make validation slower, which queues more work.
-    PENDING_SCAN_COST_MS = 0.001
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  partition_id: str, group, config: TapirConfig,
@@ -66,49 +48,23 @@ class TapirReplica(Node):
         self.partition_id = partition_id
         self.group = list(group)
         self.config = config
-        self.store = VersionedKVStore()
-        self.prepared: Dict[TID, _PreparedTxn] = {}
-        # Key indexes so the simulator's validation cost is O(txn keys)
-        # even when the prepared list is long; the *modeled* CPU cost of a
-        # scan stays proportional to len(prepared) via service_time_for.
-        self._prepared_readers: Dict[str, set] = {}
-        self._prepared_writers: Dict[str, set] = {}
-        #: Outcomes already applied, to deduplicate retransmitted commits.
-        self.resolved: Dict[TID, bool] = {}
         self.prepares_ok = 0
         self.prepares_rejected = 0
-        self.wal = WriteAheadLog(node_id)
-        self.wal.attach_host(self)
+        self.attach_wal()
+        self._reset_state()
 
-    def _index_prepared(self, tid: TID, txn: _PreparedTxn) -> None:
-        self.prepared[tid] = txn
-        for key in txn.read_keys:
-            self._prepared_readers.setdefault(key, set()).add(tid)
-        for key in txn.write_keys:
-            self._prepared_writers.setdefault(key, set()).add(tid)
-
-    def _drop_prepared(self, tid: TID) -> None:
-        txn = self.prepared.pop(tid, None)
-        if txn is None:
-            return
-        for key in txn.read_keys:
-            readers = self._prepared_readers.get(key)
-            if readers is not None:
-                readers.discard(tid)
-                if not readers:
-                    del self._prepared_readers[key]
-        for key in txn.write_keys:
-            writers = self._prepared_writers.get(key)
-            if writers is not None:
-                writers.discard(tid)
-                if not writers:
-                    del self._prepared_writers[key]
+    def _reset_state(self) -> None:
+        """Everything a power cycle wipes (and WAL replay rebuilds)."""
+        self.store = VersionedKVStore()
+        #: Transactions prepared here but not yet resolved.
+        self.prepared = PendingList()
+        #: Outcomes already applied, to deduplicate retransmitted commits.
+        self.resolved: Dict[TID, bool] = {}
 
     def service_time_for(self, msg) -> float:
         """CPU cost: base plus the modeled prepared-list scan (§6.4.1)."""
         if self.service_time_ms > 0 and isinstance(msg, TapirPrepare):
-            return (self.service_time_ms
-                    + len(self.prepared) * self.PENDING_SCAN_COST_MS)
+            return self.service_time_ms + self.prepared.scan_cost_ms()
         return self.service_time_ms
 
     # ------------------------------------------------------------------
@@ -130,36 +86,21 @@ class TapirReplica(Node):
     # Handlers
     # ------------------------------------------------------------------
     def _on_read(self, msg: TapirRead) -> None:
-        values = {}
-        for key in msg.keys:
-            record = self.store.read(key)
-            values[key] = (record.value, record.version)
+        values = self.store.read_versioned(msg.keys)
         self.send(msg.src, TapirReadReply(
             tid=msg.tid, partition_id=self.partition_id, values=values))
 
-    def _validate(self, tid: TID,
-                  read_versions: Dict[str, int],
-                  write_keys: FrozenSet[str]) -> str:
+    def _validate(self, msg: TapirPrepare) -> str:
         # Stale reads abort outright.
-        for key, version in read_versions.items():
+        for key, version in msg.read_versions:
             if self.store.version(key) != version:
                 return PREPARE_ABORT
         # Conflicts with other prepared transactions abstain: the other
         # transaction may yet abort, so this one is not necessarily doomed.
-        # Order-safe: every early exit in the loop returns the same
-        # verdict, so frozenset iteration order cannot leak out.
-        # detlint: ignore[set-iter]
-        for key in write_keys:
-            for other in self._prepared_writers.get(key, ()):
-                if other != tid:
-                    return PREPARE_ABSTAIN
-            for other in self._prepared_readers.get(key, ()):
-                if other != tid:
-                    return PREPARE_ABSTAIN
-        for key in read_versions:
-            for other in self._prepared_writers.get(key, ()):
-                if other != tid:
-                    return PREPARE_ABSTAIN
+        if self.prepared.conflicts(
+                msg.tid, [key for key, __ in msg.read_versions],
+                msg.write_keys):
+            return PREPARE_ABSTAIN
         return PREPARE_OK
 
     def _on_prepare(self, msg: TapirPrepare) -> None:
@@ -169,15 +110,12 @@ class TapirReplica(Node):
         elif tid in self.prepared:
             result = PREPARE_OK
         else:
-            result = self._validate(tid, dict(msg.read_versions),
-                                    frozenset(msg.write_keys))
+            result = self._validate(msg)
             if result == PREPARE_OK:
-                self._index_prepared(tid, _PreparedTxn(
-                    msg.read_versions, msg.write_keys))
                 # Journal the OK before it externalizes in our reply: a
                 # restarted replica must still count against later
                 # conflicting prepares (§5.2.1 view-change analogue).
-                self.wal.append(TapirPrepareWal(
+                self._journal(TapirPrepareWal(
                     tid=tid, read_versions=msg.read_versions,
                     write_keys=msg.write_keys))
                 self.prepares_ok += 1
@@ -195,12 +133,7 @@ class TapirReplica(Node):
         """IR slow path: adopt the client's consensus result."""
         tid = msg.tid
         if tid not in self.resolved:
-            self.wal.append(TapirFinalizeWal(tid=tid, result=msg.result))
-            if msg.result == PREPARE_OK and tid not in self.prepared:
-                # Adopt the group's decision even though we abstained.
-                self._index_prepared(tid, _PreparedTxn((), ()))
-            if msg.result != PREPARE_OK:
-                self._drop_prepared(tid)
+            self._journal(TapirFinalizeWal(tid=tid, result=msg.result))
         self.send(msg.src, TapirFinalizeAck(
             tid=tid, partition_id=self.partition_id,
             replica_id=self.node_id))
@@ -208,62 +141,65 @@ class TapirReplica(Node):
     def _on_commit(self, msg: TapirCommit) -> None:
         tid = msg.tid
         if tid not in self.resolved:
-            self.resolved[tid] = msg.commit
-            rows = []
-            if msg.commit:
-                for key, value in msg.writes.items():
-                    version = msg.write_versions.get(
-                        key, self.store.version(key) + 1)
-                    self.store.write_if_newer(key, value, version)
-                    rows.append((key, value, version))
-            # Journal the applied outcome (with the resolved versions)
-            # before acking — the ack tells the client this replica is
-            # durable for the transaction.
-            self.wal.append(TapirResolveWal(
+            # Journal the outcome (with the resolved versions) before
+            # acking — the ack tells the client this replica is durable
+            # for the transaction.
+            rows = [(key, value, msg.write_versions.get(
+                        key, self.store.version(key) + 1))
+                    for key, value in msg.writes.items()] \
+                if msg.commit else []
+            self._journal(TapirResolveWal(
                 tid=tid, commit=msg.commit, writes=tuple(sorted(rows))))
-            self._drop_prepared(tid)
         self.send(msg.src, TapirCommitAck(
             tid=tid, partition_id=self.partition_id,
             replica_id=self.node_id))
 
     # ------------------------------------------------------------------
-    # Crash-restart recovery
+    # Durable state transitions (live and on crash-restart replay)
     # ------------------------------------------------------------------
+    def _journal(self, record) -> None:
+        """Make ``record`` durable, then apply it."""
+        self.wal.append(record)
+        self._apply(record)
+
+    def _add_prepared(self, tid: TID, read_versions=(),
+                      write_keys=()) -> None:
+        self.prepared.add(PendingTxn(
+            tid, frozenset(key for key, __ in read_versions),
+            frozenset(write_keys), tuple(read_versions), term=0,
+            coordinator_id=""))
+
+    def _apply(self, record) -> None:
+        """One journaled state change.  Live handlers and WAL replay share
+        these adopt-and-drop rules, so the rebuilt state is exactly what
+        a replica that had processed the journaled prefix holds in RAM."""
+        tid = record.tid
+        if isinstance(record, TapirPrepareWal):
+            if tid not in self.resolved and tid not in self.prepared:
+                self._add_prepared(tid, record.read_versions,
+                                   record.write_keys)
+        elif isinstance(record, TapirFinalizeWal):
+            if tid in self.resolved:
+                return
+            if record.result != PREPARE_OK:
+                self.prepared.remove(tid)
+            elif tid not in self.prepared:
+                # Adopt the group's decision even though we abstained.
+                self._add_prepared(tid)
+        elif isinstance(record, TapirResolveWal):
+            self.resolved[tid] = record.commit
+            if record.commit:
+                for key, value, version in record.writes:
+                    self.store.write_if_newer(key, value, version)
+            self.prepared.remove(tid)
+
     def on_restart(self) -> None:
         """Power-cycle recovery: rebuild store, prepared set and resolved
-        outcomes by replaying the WAL in append order.
-
-        Prepare / finalize / resolve records replay through the same
-        adopt-and-drop rules as the live handlers, so the rebuilt state
-        is exactly what a replica that had processed the journaled
-        prefix would hold in RAM.
-        """
+        outcomes by replaying the WAL in append order."""
         records = self.wal.replay()
-        self.store = VersionedKVStore()
-        self.prepared = {}
-        self._prepared_readers = {}
-        self._prepared_writers = {}
-        self.resolved = {}
+        self._reset_state()
         for record in records:
-            if isinstance(record, TapirPrepareWal):
-                if record.tid not in self.resolved \
-                        and record.tid not in self.prepared:
-                    self._index_prepared(record.tid, _PreparedTxn(
-                        record.read_versions, record.write_keys))
-            elif isinstance(record, TapirFinalizeWal):
-                if record.tid in self.resolved:
-                    continue
-                if record.result == PREPARE_OK \
-                        and record.tid not in self.prepared:
-                    self._index_prepared(record.tid, _PreparedTxn((), ()))
-                if record.result != PREPARE_OK:
-                    self._drop_prepared(record.tid)
-            elif isinstance(record, TapirResolveWal):
-                self.resolved[record.tid] = record.commit
-                if record.commit:
-                    for key, value, version in record.writes:
-                        self.store.write_if_newer(key, value, version)
-                self._drop_prepared(record.tid)
+            self._apply(record)
         tracer = self.tracer
         if tracer.enabled:
             tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,

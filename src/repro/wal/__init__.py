@@ -19,8 +19,6 @@ from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     CoordDecisionWal,
     CoordFinishWal,
-    LayeredDecisionWal,
-    LayeredFinishWal,
     OccPrepareWal,
     RaftAppendRecord,
     RaftTermRecord,
@@ -35,8 +33,6 @@ __all__ = [
     "RaftAppendRecord",
     "CoordDecisionWal",
     "CoordFinishWal",
-    "LayeredDecisionWal",
-    "LayeredFinishWal",
     "OccPrepareWal",
     "TapirPrepareWal",
     "TapirFinalizeWal",

@@ -1,6 +1,6 @@
 """WAL record types for every durable role in the tree.
 
-These are deliberately *not* :class:`repro.net.message.Message`
+These are deliberately *not* :class:`repro.sim.message.Message`
 subclasses: they never travel on the network, they are appended to a
 node-local :class:`repro.wal.log.WriteAheadLog` and replayed into a
 freshly constructed node after a power cycle.  Keeping them out of the
@@ -17,7 +17,7 @@ lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +51,8 @@ class RaftAppendRecord:
 
 
 # --------------------------------------------------------------------------
-# Carousel coordinator decision log (2PC outcome durability, paper §4.3).
+# Coordinator decision log (2PC outcome durability, paper §4.3), shared by
+# the Carousel coordinator and the layered baseline's 2PC driver.
 # --------------------------------------------------------------------------
 
 
@@ -63,11 +64,13 @@ class CoordDecisionWal:
     group_id: str
     client_id: str
     decision: str
-    reason: str
-    # ((partition_id, ((read keys...), (write keys...))), ...) sorted by pid
+    # ((partition_id, PartitionSets), ...) sorted by pid
     participants: Tuple
     # ((key, value), ...) sorted by key
     writes: Tuple
+    #: Abort attribution for the re-sent reply; the layered baseline
+    #: derives its reason from the decision and leaves this empty.
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -77,26 +80,27 @@ class CoordFinishWal:
     tid: str
 
 
-# --------------------------------------------------------------------------
-# Layered (2PC-over-Raft baseline) coordinator decision log.
-# --------------------------------------------------------------------------
+def fold_decisions(records: Iterable[object]
+                   ) -> Tuple[Dict[str, str], List[CoordDecisionWal]]:
+    """Decided minus finished, over a WAL image in append order.
 
-
-@dataclass(frozen=True)
-class LayeredDecisionWal:
-    tid: str
-    group_id: str
-    client_id: str
-    decision: str
-    # ((partition_id, (write keys...)), ...) sorted by pid
-    participants: Tuple
-    # ((key, value), ...) sorted by key
-    writes: Tuple
-
-
-@dataclass(frozen=True)
-class LayeredFinishWal:
-    tid: str
+    Returns ``(finished, owed)``: ``{tid: decision}`` for decisions whose
+    finish record is durable, and the decision records whose writeback
+    phase a restarted coordinator still owes its participants — the
+    client already saw the reply — in append order, which is
+    deterministic under a fixed seed.
+    """
+    decided: Dict[str, CoordDecisionWal] = {}
+    done = set()
+    for record in records:
+        if isinstance(record, CoordDecisionWal):
+            decided[record.tid] = record
+        elif isinstance(record, CoordFinishWal):
+            done.add(record.tid)
+    finished = {tid: record.decision
+                for tid, record in decided.items() if tid in done}
+    owed = [record for tid, record in decided.items() if tid not in done]
+    return finished, owed
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ coordinator failures end to end, including CPC's five-step leader recovery.
 import pytest
 
 from repro.bench.cluster import CarouselCluster, DeploymentSpec
+from repro.core.backoff import RetryPolicy
 from repro.core.config import BASIC, FAST, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
@@ -18,7 +19,7 @@ def make_cluster(mode=BASIC, seed=1, retry_ms=800.0,
                  heartbeat_interval_ms=200.0):
     config = CarouselConfig(
         mode=mode,
-        client_retry_ms=retry_ms,
+        retry_policy=RetryPolicy(base_ms=retry_ms),
         heartbeat_interval_ms=heartbeat_interval_ms,
         heartbeat_misses=3,
         raft=RaftConfig(election_timeout_min_ms=400.0,

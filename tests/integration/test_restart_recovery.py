@@ -15,8 +15,15 @@ from repro.chaos import (
     planted_lost_commit_bug,
     run_chaos,
 )
-from repro.raft.node import RaftMember
+from repro.core.config import CarouselConfig
+from repro.core.server import CarouselServer
+from repro.layered.server import LayeredServer
+from repro.raft.node import RaftConfig, RaftMember
 from repro.sim.failure import FailureInjector
+from repro.sim.kernel import Kernel
+from repro.sim.network import Network
+from repro.sim.topology import uniform_topology
+from repro.store.directory import DirectoryService, PartitionInfo
 from repro.systems import SYSTEMS
 from tests.support import RaftCluster, WalRaftHost
 
@@ -131,6 +138,79 @@ def test_term_start_barrier_gates_new_leaders():
     # Once applied, registration fires synchronously.
     leader.when_term_start_applied(lambda: fired.append("sync"))
     assert fired[-1] == "sync"
+
+
+# ----------------------------------------------------------------------
+# The one restart skeleton (RaftHost.on_restart) re-creates a server's
+# groups from the member ids its members held: a host of two groups must
+# come back with both, in the pre-crash order, over the pre-crash member
+# lists, with Raft persistent state restored from the WAL image.
+# ----------------------------------------------------------------------
+
+_RAFT = RaftConfig(election_timeout_min_ms=150.0,
+                   election_timeout_max_ms=300.0,
+                   heartbeat_interval_ms=40.0)
+
+
+def _carousel_server(node_id, dc, kernel, network, directory):
+    return CarouselServer(node_id, dc, kernel, network, directory,
+                          CarouselConfig(raft=_RAFT))
+
+
+def _layered_server(node_id, dc, kernel, network, directory):
+    return LayeredServer(node_id, dc, kernel, network, directory,
+                         raft_config=_RAFT)
+
+
+@pytest.mark.parametrize("make_server", [_carousel_server, _layered_server],
+                         ids=["carousel", "layered"])
+def test_restart_rebuilds_every_hosted_group_in_order(make_server):
+    kernel = Kernel(seed=3)
+    topology = uniform_topology(3, 10.0)
+    network = Network(kernel, topology, jitter_fraction=0.0)
+    directory = DirectoryService()
+    ids = ["s0", "s1", "s2"]
+    dc_of = dict(zip(ids, topology.datacenters))
+    servers = {sid: make_server(sid, dc_of[sid], kernel, network, directory)
+               for sid in ids}
+    # Two groups over the same three hosts, with different member orders.
+    groups = {"g1": ["s1", "s2", "s0"], "g0": ["s0", "s1", "s2"]}
+    for gid, members in groups.items():
+        directory.register(PartitionInfo(
+            gid, list(members), [dc_of[m] for m in members], members[0]))
+        for sid in members:
+            servers[sid].add_partition(gid, members,
+                                       bootstrap_leader=members[0])
+    for server in servers.values():
+        server.start_raft()
+    kernel.run(until=500.0)
+
+    victim = servers["s1"]                 # leads g1, follows in g0
+    wiped = dict(victim.members)
+    terms = {gid: m.current_term for gid, m in wiped.items()}
+    logs = {gid: m.log.last_index for gid, m in wiped.items()}
+    assert terms["g1"] >= 1 and logs["g1"] >= 1
+    victim.restart()
+
+    assert list(victim.members) == list(groups)          # pre-crash order
+    assert list(victim.partitions) == list(groups)
+    for gid, member in victim.members.items():
+        assert member is not wiped[gid]                  # rebuilt fresh
+        assert member.member_ids == groups[gid]
+        assert member.bootstrap_leader is None           # rejoins following
+        assert not member.is_leader
+        assert member.current_term == terms[gid]         # from the WAL
+        assert member.log.last_index == logs[gid]
+        assert victim.partitions[gid].member is member
+    # A second power cycle finds the same shape to rebuild from.
+    victim.restart()
+    assert {gid: m.member_ids for gid, m in victim.members.items()} == groups
+    kernel.run(until=3000.0)
+    for gid in groups:
+        leaders = [s.node_id for s in servers.values()
+                   if s.members[gid].is_leader]
+        assert len(leaders) == 1
+        assert directory.lookup(gid).leader == leaders[0]
 
 
 # ----------------------------------------------------------------------

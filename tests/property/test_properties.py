@@ -121,6 +121,39 @@ class TestPendingListProperties:
         assert plist_a.conflicts(TID("c", 2), [], keys_b) == \
             plist_b.conflicts(TID("c", 1), [], keys_a)
 
+    #: ("add", seq, reads, writes) inserts or replaces; ("remove", seq).
+    _op_st = st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 4), keys_st, keys_st),
+        st.tuples(st.just("remove"), st.integers(1, 4)))
+
+    @given(st.lists(_op_st, max_size=12), st.integers(1, 5), keys_st,
+           keys_st)
+    def test_index_matches_brute_force_after_any_sequence(
+            self, ops, probe_seq, reads, writes):
+        """The key index is the only OCC conflict check all four systems
+        run: after any add/replace/remove sequence it must answer exactly
+        what a scan of ``entries()`` answers, and hold nothing for an
+        empty list."""
+        plist = PendingList()
+        for op in ops:
+            if op[0] == "add":
+                plist.add(PendingTxn(TID("c", op[1]), frozenset(op[2]),
+                                     frozenset(op[3]), (), 1, "coord"))
+            else:
+                plist.remove(TID("c", op[1]))
+        probe = TID("c", probe_seq)
+        expected = any(
+            set(writes) & (e.write_keys | e.read_keys)
+            or set(reads) & e.write_keys
+            for e in plist.entries() if e.tid != probe)
+        assert plist.conflicts(probe, reads, writes) == expected
+        assert plist.blocks_read_only(reads) == any(
+            set(reads) & e.write_keys for e in plist.entries())
+        for tid in [e.tid for e in plist.entries()]:
+            plist.remove(tid)
+        assert len(plist) == 0
+        assert not plist._readers and not plist._writers
+
 
 class TestRaftLogProperties:
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1,

@@ -8,7 +8,6 @@ from repro.raft.node import RaftConfig, RaftHost, RaftMember
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.topology import Topology, uniform_topology
-from repro.wal.log import WriteAheadLog
 
 
 class ApplyRecorder:
@@ -29,24 +28,24 @@ class PlainRaftHost(RaftHost):
 
 
 class WalRaftHost(PlainRaftHost):
-    """Test host carrying a WAL so ``Node.restart`` works."""
+    """Test host carrying a WAL so ``Node.restart`` works: it restarts
+    through :meth:`RaftHost.on_restart`, each re-created member keeping
+    the config and apply recorder of the one it replaces."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.wal = WriteAheadLog(self.node_id)
-        self.wal.attach_host(self)
+        self.attach_wal()
 
     def on_restart(self):
-        records = self.wal.replay()
-        specs = [(m.group_id, list(m.member_ids), m.config, m.apply_fn)
-                 for m in self.members.values()]
-        self.members = {}
-        for group_id, member_ids, config, apply_fn in specs:
-            if isinstance(apply_fn, ApplyRecorder):
-                apply_fn.commands.clear()  # RAM is gone; re-apply rebuilds
-            RaftMember(self, group_id, member_ids, config=config,
-                       apply_fn=apply_fn)
-        self.replay_raft_wal(records)
+        self._wiped = dict(self.members)
+        super().on_restart()
+
+    def add_partition(self, group_id, member_ids):
+        old = self._wiped[group_id]
+        if isinstance(old.apply_fn, ApplyRecorder):
+            old.apply_fn.commands.clear()  # RAM is gone; re-apply rebuilds
+        return RaftMember(self, group_id, member_ids, config=old.config,
+                          apply_fn=old.apply_fn)
 
 
 class RaftCluster:

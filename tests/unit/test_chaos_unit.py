@@ -25,7 +25,7 @@ from repro.chaos.nemesis import (
     schedule_horizon,
 )
 from repro.core.backoff import RetryPolicy
-from repro.core.client import PHASE_COMMIT, _ClientTxn
+from repro.core.client import PHASE_COMMIT
 from repro.core.config import FAST, CarouselConfig
 from repro.core.messages import (
     CoordPrepareRequest,
@@ -329,16 +329,13 @@ class TestDuplicateDeliveryIdempotence:
         client = cluster.clients[0]
         spec = TransactionSpec(read_keys=("k",), write_keys=("k",),
                                compute_writes=lambda reads: {"k": 1})
-        tid = client.begin()
-        txn = _ClientTxn(tid=tid, spec=spec, on_complete=None,
-                         started_ms=0.0)
-        client._active[tid] = txn
-        client._build_participants(txn)
-        client._choose_coordinator(txn)
-        txn.phase = PHASE_COMMIT
-        txn.writes = {"k": 1}
         sent = []
         client.send = lambda dst, msg: sent.append((dst, msg))
+        # Register and group through the shell's own submit path.
+        txn = client._active[client.submit(spec)]
+        txn.phase = PHASE_COMMIT
+        txn.writes = {"k": 1}
+        sent.clear()
         client._retry(txn)
         kinds = [type(msg).__name__ for __, msg in sent]
         assert kinds == ["CoordPrepareRequest", "CommitRequest"]

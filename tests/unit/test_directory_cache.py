@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.cluster import CarouselCluster, DeploymentSpec
+from repro.core.backoff import RetryPolicy
 from repro.core.config import BASIC, CarouselConfig
 from repro.raft.node import RaftConfig
 from repro.sim.failure import FailureInjector
@@ -169,7 +170,7 @@ class TestClientWithCache:
     def make_cluster(self):
         config = CarouselConfig(
             mode=BASIC, directory_cache_ttl_ms=60_000.0,
-            client_retry_ms=800.0,
+            retry_policy=RetryPolicy(base_ms=800.0),
             raft=RaftConfig(election_timeout_min_ms=400.0,
                             election_timeout_max_ms=800.0,
                             heartbeat_interval_ms=100.0))

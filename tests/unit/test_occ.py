@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.backoff import RetryPolicy
 from repro.core.occ import (
     ABORT,
     PREPARED,
@@ -54,6 +55,34 @@ class TestPendingList:
 
     def test_confirm_unknown_is_noop(self):
         PendingList().confirm(TID("c", 99))
+
+    def test_remove_cleans_key_indexes(self):
+        # Was test_tapir_replica's white-box test of _drop_prepared; the
+        # TAPIR replica's prepared set is this list now.
+        plist = PendingList()
+        plist.add(entry(1, reads=("a",), writes=("b",)))
+        plist.add(entry(2, reads=("a",)))
+        plist.remove(TID("c", 1))
+        assert plist._readers == {"a": {TID("c", 2)}}
+        assert not plist._writers
+        plist.remove(TID("c", 2))
+        assert not plist._readers
+
+    def test_replace_reindexes(self):
+        plist = PendingList()
+        plist.add(entry(1, reads=("a",), writes=("b",)))
+        plist.add(entry(1, reads=("x",)))
+        assert plist._readers == {"x": {TID("c", 1)}}
+        assert not plist._writers
+        assert len(plist) == 1
+
+    def test_scan_cost_is_proportional_to_length(self):
+        from repro.core.occ import PENDING_SCAN_COST_MS
+        plist = PendingList()
+        assert plist.scan_cost_ms() == 0.0
+        for seq in range(3):
+            plist.add(entry(seq, reads=(f"k{seq}",)))
+        assert plist.scan_cost_ms() == 3 * PENDING_SCAN_COST_MS
 
     def test_snapshot_sorted_and_immutable(self):
         plist = PendingList()
@@ -146,11 +175,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             CarouselConfig(heartbeat_misses=0)
         with pytest.raises(ValueError):
-            CarouselConfig(client_retry_ms=0)
+            CarouselConfig(retry_policy=RetryPolicy(base_ms=0))
 
     def test_tapir_config_validation(self):
         from repro.tapir.config import TapirConfig
         with pytest.raises(ValueError):
             TapirConfig(fast_path_timeout_ms=0)
         with pytest.raises(ValueError):
-            TapirConfig(retry_ms=0)
+            TapirConfig(retry_policy=RetryPolicy(base_ms=0))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.fsm import FSMSpec
-from repro.analysis.msggraph import build_graph
+from repro.analysis.msggraph import build_graph, collect_sources
 from repro.analysis.protolint import (CATALOG_BEGIN, CATALOG_END,
                                       MessageContract, PROTOCOLS,
                                       apply_plant, default_paths,
@@ -243,6 +243,21 @@ def test_pl005_retry_policy_reference_counts_as_cover():
     assert run(messages=MESSAGES, node=node) == []
 
 
+def test_pl005_base_class_machinery_covers_the_subclass():
+    # The retry timer lives in a shared shell class the sender inherits.
+    node = CLEAN_NODE.replace(
+        "        self.set_timer(10.0, self.go)\n", "").replace(
+        "class Client:", "class Client(Shell):")
+    shell = """
+        class Shell:
+            def arm(self):
+                self.set_timer(10.0, self.fire)
+    """
+    assert run(messages=MESSAGES, node=node, shell=shell) == []
+    bare = shell.replace("self.set_timer(10.0, self.fire)", "pass")
+    assert codes(messages=MESSAGES, node=node, shell=bare) == ["PL005"]
+
+
 # ----------------------------------------------------------------------
 # PL006 handler-mutation
 # ----------------------------------------------------------------------
@@ -321,7 +336,7 @@ def test_pl007_valid_and_star_calls_are_clean():
 # PL008 fsm-conformance
 # ----------------------------------------------------------------------
 FSM_FIXTURE_SPEC = (FSMSpec(
-    name="fixture", path_fragment="core/machine.py", attr="phase",
+    name="fixture", path_fragments=("core/machine.py",), attr="phase",
     states=("idle", "busy", "done"), initial=("idle",),
     transitions={"idle": ("busy",), "busy": ("done",)}),)
 
@@ -449,6 +464,74 @@ def test_pl008_never_entered_state():
                     self.phase = BUSY
     """)
     assert "declared state 'done' is never entered" in msg
+
+
+def test_pl008_machine_split_across_a_shell_and_a_protocol_file():
+    # The layout of the real clients: the shell owns the READ default and
+    # the DONE assignment, the protocol file imports the shared constants
+    # and owns the phases in between.
+    spec = (FSMSpec(
+        name="split", path_fragments=("core/machine.py", "fx/shell.py"),
+        attr="phase", states=("idle", "busy", "done"), initial=("idle",),
+        transitions={"idle": ("busy", "done"), "busy": ("done",)}),)
+    shell = textwrap.dedent("""
+        IDLE = "idle"
+        DONE = "done"
+
+        class Txn:
+            phase: str = IDLE
+
+        class Shell:
+            def complete(self, txn):
+                if txn.phase == DONE:
+                    return
+                txn.phase = DONE
+    """)
+    machine = textwrap.dedent("""
+        from fx.shell import IDLE, Shell
+
+        BUSY = "busy"
+
+        class M(Shell):
+            def start(self, txn):
+                if txn.phase == IDLE:
+                    txn.phase = BUSY
+    """)
+
+    def messages(shell_src, machine_src=machine):
+        return sorted(f.message for f in lint_sources(
+            {"fx/shell.py": shell_src, "fx/core/machine.py": machine_src},
+            contracts={}, specs=spec) if f.rule.code == "PL008")
+
+    assert messages(shell) == []
+    # Neither file alone enters every state.
+    assert any("never entered" in m for m in messages(shell.replace(
+        "        txn.phase = DONE\n", "        pass\n")))
+    # A bad transition planted in the shell is still caught...
+    (msg,) = messages(shell.replace(
+        "            return\n", "            txn.phase = IDLE\n"))
+    assert "transition 'done' -> 'idle' is not declared" in msg
+    # ...and so is one guarded by a constant imported from the shell.
+    assert any("transition 'idle' -> 'idle' is not declared" in m
+               for m in messages(shell, machine.replace(
+                   "txn.phase = BUSY", "txn.phase = IDLE")))
+
+
+def test_pl008_bad_transition_planted_in_the_real_shell_is_caught():
+    sources = collect_sources(default_paths())
+    (shell,) = [p for p in sources if p.endswith("repro/client.py")]
+    anchor = "        if txn.phase == PHASE_DONE:\n            return\n"
+    assert sources[shell].count(anchor) == 2      # _complete and _retry
+    sources[shell] = sources[shell].replace(
+        anchor, "        if txn.phase == PHASE_DONE:\n"
+                "            txn.phase = PHASE_READ\n", 1)
+    found = sorted(f.message for f in lint_sources(sources)
+                   if f.rule.code == "PL008")
+    assert len(found) == 3 and all(            # once per client machine
+        "transition 'done' -> 'read' is not declared" in m for m in found)
+    assert {m.split(":")[0] for m in found} == {
+        "fsm carousel-client-txn", "fsm layered-client-txn",
+        "fsm tapir-client-txn"}
 
 
 # ----------------------------------------------------------------------

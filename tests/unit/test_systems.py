@@ -15,6 +15,7 @@ from repro import systems
 from repro.bench.cluster import DeploymentSpec
 from repro.chaos.runner import (CHAOS_TIMING, ChaosOptions, ClusterAdapter,
                                 run_chaos)
+from repro.client import ClientTxn, TxnClient
 from repro.core.backoff import RetryPolicy
 from repro.core.config import CarouselConfig
 from repro.raft.node import RaftConfig
@@ -123,15 +124,11 @@ class TestTimingProfiles:
     @pytest.mark.parametrize("mode", ["basic", "fast"])
     def test_carousel(self, timing, want, mode):
         cluster = _deploy(f"carousel-{mode}", timing)
-        retry = want["retry"]
         assert cluster.config == CarouselConfig(
             mode=mode, heartbeat_interval_ms=want["heartbeat_ms"],
-            heartbeat_misses=3, client_retry_ms=retry.base_ms,
-            retry_backoff_multiplier=retry.multiplier,
-            retry_backoff_max_ms=retry.max_ms,
-            retry_jitter_fraction=retry.jitter_fraction,
+            heartbeat_misses=3, retry_policy=want["retry"],
             raft=want["raft"])
-        assert cluster.config.retry_policy == retry
+        assert all(c.retry_policy == want["retry"] for c in cluster.clients)
         if timing is None:
             assert cluster.config == CarouselConfig(mode=mode)
 
@@ -146,14 +143,10 @@ class TestTimingProfiles:
 
     def test_tapir(self, timing, want):
         cluster = _deploy("tapir", timing)
-        retry = want["retry"]
         assert cluster.config == TapirConfig(
             fast_path_timeout_ms=want["tapir_timeout_ms"],
-            retry_ms=retry.base_ms,
-            retry_backoff_multiplier=retry.multiplier,
-            retry_backoff_max_ms=retry.max_ms,
-            retry_jitter_fraction=retry.jitter_fraction)
-        assert cluster.config.retry_policy == retry
+            retry_policy=want["retry"])
+        assert all(c.retry_policy == want["retry"] for c in cluster.clients)
         if timing is None:
             assert cluster.config == TapirConfig()
 
@@ -187,6 +180,93 @@ def test_fifth_row_works_in_every_harness(fifth_system):
     assert chaos.ok, [str(v) for v in chaos.violations]
     traced = run_traced(fifth_system)                     # traceable
     assert check_transaction(traced.txn_traces[0]).variant == "tapir-fast"
+
+
+# ----------------------------------------------------------------------
+# The 2FI client contract (DESIGN.md §2's litmus): every system's client
+# — a fifth row's included — is a TxnClient that writes no TID,
+# retry-arming, completion or result-reporting code of its own.
+
+#: What the shell owns outright; a protocol client may extend
+#: ``_complete``/``submit`` through ``super()`` but never these.
+_SHELL_ONLY = ("begin", "_register", "_absorb_read", "_compute_writes",
+               "_arm_retry", "_retry", "_cancel_timer", "_enter_span")
+
+
+@pytest.fixture(params=systems.SYSTEMS + ("fifth-row",))
+def any_system(request):
+    if request.param == "fifth-row":
+        return request.getfixturevalue("fifth_system")
+    return request.param
+
+
+class TestClientContract:
+    def test_clients_inherit_the_shell(self, any_system):
+        cluster = _deploy(any_system)
+        for client in cluster.clients:
+            assert isinstance(client, TxnClient)
+            assert issubclass(client.txn_class, ClientTxn)
+            own = [cls for cls in type(client).__mro__
+                   if cls is not TxnClient and issubclass(cls, TxnClient)]
+            redefined = [(cls.__name__, name) for cls in own
+                         for name in _SHELL_ONLY if name in vars(cls)]
+            assert not redefined
+            # The counters have one writer: the shell's _complete.
+            assert client.submitted == client.committed == 0
+
+    def test_empty_transaction_commits_at_once_with_no_messages(
+            self, any_system):
+        cluster = _deploy(any_system)
+        cluster.run(600)
+        client = cluster.clients[0]
+        sent = []
+        client.send = lambda dst, msg: sent.append(msg)
+        done, hooked = [], []
+        client.result_hook = hooked.append
+        tid = client.submit(TransactionSpec(read_keys=(), write_keys=()),
+                            done.append)
+        assert [r.tid for r in done] == [tid] and done[0].committed
+        assert hooked == done and done[0].latency_ms == 0.0
+        assert sent == [] and not client._active
+        assert (client.submitted, client.committed, client.aborted) \
+            == (1, 1, 0)
+
+    def test_duplicate_terminal_reply_completes_once(self, any_system):
+        cluster = _deploy(any_system)
+        cluster.run(600)
+        cluster.populate({KEY: 0})
+        client = cluster.clients[0]
+        done, hooked, terminal, armed = [], [], [], []
+        client.result_hook = hooked.append
+        deliver = client.handle_message
+
+        def recording(msg):
+            live = [getattr(txn, name) for name in txn.TIMERS]
+            before = len(done)
+            deliver(msg)
+            if len(done) > before:
+                terminal.append(msg)
+                armed.extend(t for t in live if t is not None)
+
+        client.handle_message = recording
+        tid = client.submit(TransactionSpec(
+            read_keys=(KEY,), write_keys=(KEY,),
+            compute_writes=lambda reads: {KEY: reads[KEY] + 1}),
+            done.append)
+        txn = client._active[tid]
+        assert txn.retry_timer is not None
+        cluster.run(5_000)
+        assert len(done) == 1 and done[0].committed and len(terminal) == 1
+        # Every timer the transaction class names: cancelled and cleared.
+        assert armed and all(timer.cancelled for timer in armed)
+        assert [getattr(txn, name) for name in txn.TIMERS] \
+            == [None] * len(txn.TIMERS)
+        for __ in range(2):                # the terminal reply, again
+            deliver(terminal[0])
+        cluster.run(1_000)
+        assert len(done) == 1 and len(hooked) == 1
+        assert (client.submitted, client.committed, client.aborted) \
+            == (1, 1, 0)
 
 
 # ----------------------------------------------------------------------

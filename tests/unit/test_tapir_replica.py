@@ -169,14 +169,20 @@ class TestResolution:
 
 
 class TestIndexConsistency:
-    def test_drop_cleans_key_indexes(self, rig):
+    def test_resolution_empties_the_prepared_list(self, rig):
         kernel, replica, sink = rig
         send(kernel, replica, sink,
              TapirPrepare(tid=TID("c", 1), partition_id="p0",
                           read_versions=(("a", 0),), write_keys=("b",)))
-        replica._drop_prepared(TID("c", 1))
-        assert not replica._prepared_readers
-        assert not replica._prepared_writers
+        assert len(replica.prepared) == 1
+        send(kernel, replica, sink,
+             TapirCommit(tid=TID("c", 1), partition_id="p0", commit=False))
+        assert len(replica.prepared) == 0
+        # Nothing left to conflict with: the same keys prepare again.
+        send(kernel, replica, sink,
+             TapirPrepare(tid=TID("c", 2), partition_id="p0",
+                          read_versions=(("b", 0),), write_keys=("a",)))
+        assert sink.received[-1].result == PREPARE_OK
 
     def test_modeled_validation_cost_grows_with_backlog(self, rig):
         kernel, replica, sink = rig

@@ -10,7 +10,8 @@ from repro.sim.stats import restart_summary
 from repro.sim.topology import uniform_topology
 from repro.wal.image import image_document
 from repro.wal.log import WriteAheadLog
-from repro.wal.records import CoordDecisionWal, CoordFinishWal
+from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
+                               RaftTermRecord, fold_decisions)
 
 import pytest
 
@@ -132,13 +133,39 @@ class TestImage:
         assert doc["records"][0]["type"] == "CoordDecisionWal"
 
 
+class TestFoldDecisions:
+    """Decided minus finished: the one fold both coordinators restart
+    through (Carousel's and the layered baseline's)."""
+
+    def test_splits_finished_from_owed_in_append_order(self):
+        abort = CoordDecisionWal(tid="t3", group_id="g", client_id="c",
+                                 decision="abort", participants=(),
+                                 writes=())
+        assert abort.reason == ""            # layered leaves it empty
+        finished, owed = fold_decisions([
+            _decision("t2"), RaftTermRecord("g", 1, None), _decision("t1"),
+            CoordFinishWal("t2"), abort, CoordFinishWal("t3")])
+        assert finished == {"t2": "commit", "t3": "abort"}
+        assert list(finished) == ["t2", "t3"]
+        assert owed == [_decision("t1")]
+
+    def test_finish_without_a_local_decision_is_ignored(self):
+        # A successor coordinator finishes a decision only its
+        # predecessor journaled.
+        finished, owed = fold_decisions([CoordFinishWal("t9"),
+                                         _decision("t1")])
+        assert finished == {} and owed == [_decision("t1")]
+
+    def test_empty_image(self):
+        assert fold_decisions([]) == ({}, [])
+
+
 class _RestartableNode(Node):
     """Minimal WAL-carrying node: counts restarts and replayed records."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.wal = WriteAheadLog(self.node_id)
-        self.wal.attach_host(self)
+        self.attach_wal()
         self.replayed = None
         self.fired = []
 
