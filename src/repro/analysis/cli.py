@@ -14,7 +14,8 @@ Dispatched from :mod:`repro.cli` when the first argument is ``lint``,
 
 Both linters exit 0 when clean and 1 on any non-suppressed finding
 (warnings included — suppressions, not severities, are the exemption
-mechanism); usage errors exit 2.
+mechanism); usage errors, and a ``--plant-bug`` that cannot be applied,
+exit 2.
 """
 
 from __future__ import annotations
@@ -170,9 +171,14 @@ def cmd_protolint(argv: List[str]) -> int:
         print(f"{doc} catalog section matches the code")
         return 0
 
-    findings = protolint.lint_paths(
-        paths, plant=args.plant_bug,
-        keep_suppressed=args.keep_suppressed)
+    try:
+        findings = protolint.lint_paths(
+            paths, plant=args.plant_bug,
+            keep_suppressed=args.keep_suppressed)
+    except protolint.PlantError as exc:
+        # Not exit 1: that would pass a self-check whose bug never landed.
+        print(f"cannot plant {args.plant_bug}: {exc}", file=sys.stderr)
+        return 2
     return _emit(findings, args.fmt, "protolint",
                  clean_message="clean: no protocol-conformance findings")
 

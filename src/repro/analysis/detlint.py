@@ -87,7 +87,7 @@ _BY_SLUG: Dict[str, Rule] = {rule.slug: rule for rule in _RULE_LIST}
 #: codebase: Node.send/_send helpers, kernel scheduling, Raft propose.
 SEND_NAMES = frozenset({
     "send", "_send", "schedule", "schedule_at", "set_timer", "propose",
-    "broadcast", "enqueue", "dispatch_partition_message",
+    "broadcast", "enqueue", "dispatch",
 })
 
 #: Order-insensitive consumers: a comprehension that feeds one of these

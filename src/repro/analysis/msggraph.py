@@ -3,18 +3,19 @@
 protolint's world model.  One pass over the protocol packages' ASTs
 produces a :class:`MessageGraph`: every ``Message`` subclass (and every
 other dataclass, for constructor checking), every send site, every
-construction site, every ``isinstance`` dispatch branch, a per-protocol
-function map for reachability closures, and the raw material for FSM
-conformance (state-attribute assignments and comparisons).
+construction site, every handler-table entry, a per-protocol function map
+for reachability closures, and the raw material for FSM conformance
+(state-attribute assignments and comparisons).
 
 The extractor is deliberately syntactic — no imports are executed, no
 types are inferred.  It leans on this codebase's idioms instead:
 
 * messages go on the wire through calls named ``send``/``_send`` whose
   second argument is (or was assigned from) a message constructor;
-* dispatchers are the functions named in :data:`DISPATCH_FUNCTIONS`,
-  whose ``isinstance`` chains may test single names, inline tuples, or
-  module/class tuple constants (``_PARTITION_MESSAGES``, ``RAFT_TYPES``);
+* a receiving class declares what it handles in class-level dict literals
+  named ``*HANDLERS`` (``{MessageType: "method_name"}``), the tables
+  :meth:`repro.sim.node.Node.dispatch` runs — so the graph reads
+  dispatch rather than inferring it;
 * protocol state machines store their state in a string attribute whose
   values come from module-level string constants (``FOLLOWER``,
   ``PHASE_READ``...).
@@ -28,13 +29,6 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-#: Functions whose ``isinstance`` chains are message dispatchers.
-DISPATCH_FUNCTIONS = frozenset({
-    "handle_message", "handle_app_message",
-    "dispatch_partition_message", "dispatch_coordinator_message",
-    "handle",
-})
 
 #: Call names that put a message on the wire.
 SEND_NAMES = frozenset({"send", "_send"})
@@ -124,15 +118,16 @@ class ConstructSite:
 
 @dataclass(frozen=True)
 class HandlerBranch:
-    """One ``isinstance`` dispatch branch for one message type."""
+    """One handler-table entry: ``cls.<table>[msg_type] = target``."""
 
     msg_type: str
     path: str
     line: int
-    cls: Optional[str]
-    func: str
-    #: Names of functions/methods called in the branch body.
-    targets: Tuple[str, ...]
+    cls: str
+    #: The ``*HANDLERS`` table declaring the entry.
+    table: str
+    #: Name of the method that handles the message.
+    target: str
 
 
 @dataclass
@@ -235,7 +230,7 @@ class MessageGraph:
         return [c for c in self.constructs if c.msg_type == msg_type]
 
     def branches_of(self, msg_type: str) -> List[HandlerBranch]:
-        """All dispatch branches for one message type."""
+        """All handler-table entries for one message type."""
         return [b for b in self.branches if b.msg_type == msg_type]
 
     def sender_classes(self, msg_type: str) -> List[str]:
@@ -244,25 +239,17 @@ class MessageGraph:
                        if s.cls is not None})
 
     def handler_classes(self, msg_type: str) -> List[str]:
-        """Classes with a dispatch branch for a message type, sorted."""
-        return sorted({b.cls for b in self.branches_of(msg_type)
-                       if b.cls is not None})
+        """Classes with a handler-table entry for a message type, sorted."""
+        return sorted({b.cls for b in self.branches_of(msg_type)})
 
     def protocols(self) -> List[str]:
         """Protocols that define at least one message, sorted."""
         found = {d.protocol for d in self.messages.values()}
         return sorted(found)
 
-    def reachable(self, protocol: str, msg_type: str,
+    def reachable(self, protocol: str,
                   seeds: Sequence[str]) -> "Reachability":
-        """Close over the protocol's call graph from ``seeds``.
-
-        When the worklist reaches a *dispatch* function that has branches
-        for ``msg_type``, it follows only those branches' targets — so a
-        ``handle_app_message -> dispatch_partition_message -> on_writeback``
-        chain stays specific to the message instead of pulling in every
-        branch of the dispatcher.
-        """
+        """Close over the protocol's call graph from ``seeds``."""
         visited: Set[str] = set()
         sends: Set[str] = set()
         guards: List[Tuple[str, int]] = []
@@ -273,14 +260,6 @@ class MessageGraph:
             if name in visited:
                 continue
             visited.add(name)
-            if name in DISPATCH_FUNCTIONS:
-                specific = [b for b in self.branches
-                            if b.func == name and b.msg_type == msg_type
-                            and protocol_of(b.path) == protocol]
-                if specific:
-                    for branch in specific:
-                        work.extend(branch.targets)
-                    continue
             info = self.functions.get((protocol, name))
             if info is None:
                 continue
@@ -341,11 +320,10 @@ def _class_fields(node: ast.ClassDef) -> Tuple[FieldDef, ...]:
 
 
 class _ModuleConstants:
-    """String and name-tuple constants of one module (incl. class-level)."""
+    """String constants of one module (incl. class-level)."""
 
     def __init__(self) -> None:
         self.strings: Dict[str, str] = {}
-        self.tuples: Dict[str, Tuple[str, ...]] = {}
         #: ``from <module> import <name> [as <local>]``:
         #: local -> (module, name).
         self.imports: Dict[str, Tuple[str, str]] = {}
@@ -365,9 +343,6 @@ class _ModuleConstants:
             if isinstance(value, ast.Constant) and \
                     isinstance(value.value, str):
                 self.strings[target.id] = value.value
-            elif isinstance(value, ast.Tuple) and value.elts and all(
-                    isinstance(e, ast.Name) for e in value.elts):
-                self.tuples[target.id] = tuple(e.id for e in value.elts)
 
     def resolve_string(self, expr: ast.AST) -> Optional[str]:
         """A string literal or a Name bound to a module string constant."""
@@ -376,22 +351,6 @@ class _ModuleConstants:
         if isinstance(expr, ast.Name):
             return self.strings.get(expr.id)
         return None
-
-    def resolve_types(self, expr: ast.AST) -> List[str]:
-        """Type names named by an ``isinstance`` second argument."""
-        if isinstance(expr, ast.Name):
-            if expr.id in self.tuples:
-                return list(self.tuples[expr.id])
-            return [expr.id]
-        if isinstance(expr, ast.Attribute):
-            # e.g. ``self.RAFT_TYPES`` resolving a class-level constant.
-            return list(self.tuples.get(expr.attr, ()))
-        if isinstance(expr, ast.Tuple):
-            names: List[str] = []
-            for elt in expr.elts:
-                names.extend(self.resolve_types(elt))
-            return names
-        return []
 
 
 def _is_guard_compare(node: ast.Compare) -> bool:
@@ -460,8 +419,8 @@ class _Extractor(ast.NodeVisitor):
             protocol=self.protocol,
             bases=tuple(b.id for b in node.bases
                         if isinstance(b, ast.Name))))
-        # Class-level string defaults feed the FSM initial-state check.
         for stmt in node.body:
+            # Class-level string defaults feed the FSM initial-state check.
             if isinstance(stmt, ast.AnnAssign) and \
                     isinstance(stmt.target, ast.Name) and \
                     stmt.value is not None:
@@ -470,9 +429,26 @@ class _Extractor(ast.NodeVisitor):
                     self.graph.fsm_defaults.append(FsmDefault(
                         attr=stmt.target.id, value=value, cls=node.name,
                         path=self.path, line=stmt.lineno))
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                    and isinstance(stmt.targets[0], ast.Name) \
+                    and stmt.targets[0].id.endswith("HANDLERS") \
+                    and isinstance(stmt.value, ast.Dict):
+                self._record_table(node.name, stmt.targets[0].id,
+                                   stmt.value)
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
+
+    def _record_table(self, cls: str, table: str, literal: ast.Dict) -> None:
+        """One branch per ``MessageType: "method"`` entry; other keys
+        (non-message types, ``**spread``) are not dispatch."""
+        for key, value in zip(literal.keys, literal.values):
+            if isinstance(key, ast.Name) and key.id in self.graph.messages \
+                    and isinstance(value, ast.Constant) \
+                    and isinstance(value.value, str):
+                self.graph.branches.append(HandlerBranch(
+                    msg_type=key.id, path=self.path, line=key.lineno,
+                    cls=cls, table=table, target=value.value))
 
     # -- functions ------------------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -487,37 +463,8 @@ class _Extractor(ast.NodeVisitor):
         if outermost:
             self._var_sites = {}
             self._func_info()  # ensure the unit exists even if empty
-            if node.name in DISPATCH_FUNCTIONS:
-                self._extract_branches(node)
         self.generic_visit(node)
         self._func_stack.pop()
-
-    def _extract_branches(self, fn) -> None:
-        for sub in ast.walk(fn):
-            if not isinstance(sub, ast.If):
-                continue
-            test = sub.test
-            if not (isinstance(test, ast.Call)
-                    and isinstance(test.func, ast.Name)
-                    and test.func.id == "isinstance"
-                    and len(test.args) == 2):
-                continue
-            names = [n for n in self.consts.resolve_types(test.args[1])
-                     if n in self.graph.messages]
-            if not names:
-                continue
-            targets: List[str] = []
-            for stmt in sub.body:
-                for call in ast.walk(stmt):
-                    if isinstance(call, ast.Call):
-                        name = _call_name(call)
-                        if name is not None and name != "isinstance" and \
-                                name not in targets:
-                            targets.append(name)
-            for msg_type in names:
-                self.graph.branches.append(HandlerBranch(
-                    msg_type=msg_type, path=self.path, line=test.lineno,
-                    cls=self._cls, func=fn.name, targets=tuple(targets)))
 
     # -- calls: sends, constructs, guards, mutations --------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -580,7 +527,6 @@ class _Extractor(ast.NodeVisitor):
             has_star=has_star,
             sent=id(node) in self._sent_ctor_nodes)
         self.graph.constructs.append(site)
-        self._last_construct = site
 
     # -- attributes: retry-policy references ----------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -729,8 +675,8 @@ def build_graph(sources: Dict[str, str]) -> MessageGraph:
                     module_consts.strings.setdefault(
                         local, origin.strings[name])
 
-    # Pass 2: sends, constructs, branches, functions, classes, FSM raw
-    # material.
+    # Pass 2: sends, constructs, handler tables, functions, classes, FSM
+    # raw material.
     for path in sorted(sources):
         _Extractor(path, graph, consts[path]).visit(trees[path])
 

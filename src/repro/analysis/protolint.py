@@ -1,13 +1,14 @@
 """protolint — static protocol-conformance checks over the message graph.
 
 Carousel's correctness argument is a contract between send sites and
-handler dispatch: every ``ReadPrepareRequest`` must produce a
+handler tables: every ``ReadPrepareRequest`` must produce a
 ``ReadReply``/``FastVote``, every decision must reach every participant,
 every RPC must have a retry path.  The chaos harness checks this
-dynamically, but a missed handler branch or a dead-letter message type
+dynamically, but a missing handler entry or a dead-letter message type
 survives until a nemesis schedule happens to hit it.  protolint proves
 the messaging surface is *closed* statically: it builds the message
-graph (:mod:`repro.analysis.msggraph`) and checks it against the
+graph (:mod:`repro.analysis.msggraph`) — whose handler branches are the
+receivers' declared ``*HANDLERS`` tables — and checks it against the
 declared per-protocol contracts below.
 
 Rules:
@@ -15,10 +16,10 @@ Rules:
 ======  ==================  ========  ==========================================
 code    slug                severity  fires when
 ======  ==================  ========  ==========================================
-PL001   dead-letter         error     a declared receiver has no dispatch branch
+PL001   dead-letter         error     a declared receiver has no handler entry
                                       for a message, or a message/contract
                                       entry has no counterpart
-PL002   dead-handler        warning   a branch exists in a non-receiver class,
+PL002   dead-handler        warning   an entry exists in a non-receiver class,
                                       or for a type that is never sent
 PL003   never-sent          warning   a message type is constructed but never
                                       sent (or never even constructed)
@@ -36,15 +37,14 @@ PL008   fsm-conformance     error     state assignments/compares violate a
 ======  ==================  ========  ==========================================
 
 Reply obligations (PL004) are checked over a call-graph closure from the
-dispatch branches' targets, so replies sent by helpers several calls deep
-count; replies sent inline in a dispatcher body (no protocol does this)
-would not.  Suppress individual findings with ``# protolint: ignore[...]``
-(see :mod:`repro.analysis.findings`).
+handler methods the tables name, so replies sent by helpers several
+calls deep count.  Suppress individual findings with
+``# protolint: ignore[...]`` (see :mod:`repro.analysis.findings`).
 
 Self-check plants (mirroring ``repro chaos --plant-bug``): the
-``dead-handler`` plant deletes the ``ClientHeartbeat`` branch from the
-Carousel server, the ``missing-reply`` plant drops the TAPIR read reply;
-CI runs both and asserts PL001/PL004 fire.
+``dead-handler`` plant deletes the ``ClientHeartbeat`` entry from the
+Carousel server's coordinator table, the ``missing-reply`` plant drops
+the TAPIR read reply; CI runs both and asserts PL001/PL004 fire.
 """
 
 from __future__ import annotations
@@ -56,14 +56,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .findings import (Finding, Rule, SEVERITY_ERROR, SEVERITY_WARNING,
                        is_suppressed, parse_suppressions)
 from .fsm import FSM_SPECS, FSMSpec, check_all as check_all_fsm
-from .msggraph import (DISPATCH_FUNCTIONS, MessageGraph, build_graph,
-                       collect_sources, protocol_of)
+from .msggraph import (HandlerBranch, MessageGraph, Reachability,
+                       build_graph, collect_sources, protocol_of)
 
 RULES: Dict[str, Rule] = {
     "PL001": Rule("PL001", "dead-letter", SEVERITY_ERROR,
-                  "message sent to a role with no handler branch for it"),
+                  "message sent to a role with no handler entry for it"),
     "PL002": Rule("PL002", "dead-handler", SEVERITY_WARNING,
-                  "handler branch for a message that never arrives there"),
+                  "handler entry for a message that never arrives there"),
     "PL003": Rule("PL003", "never-sent", SEVERITY_WARNING,
                   "message type constructed but never sent"),
     "PL004": Rule("PL004", "missing-reply", SEVERITY_ERROR,
@@ -83,7 +83,7 @@ RULES: Dict[str, Rule] = {
 class MessageContract:
     """Declared obligations for one message type.
 
-    ``receivers``: classes that must each have a dispatch branch.
+    ``receivers``: classes that must each have a handler-table entry.
     ``replies``: some handler path must send at least one of these.
     ``retried``: senders must have timer/RetryPolicy machinery (the
     message is retransmitted, so handlers see duplicates).
@@ -209,37 +209,6 @@ def _first_def_path(graph: MessageGraph, protocol: str) -> str:
     return paths[0]
 
 
-def _branch_delivers(graph: MessageGraph, protocol: str, msg_type: str,
-                     branch, seen: set) -> bool:
-    """Whether a dispatch branch actually reaches handler code.
-
-    A branch that only forwards to another dispatcher (the
-    ``_PARTITION_MESSAGES``/``_COORDINATOR_MESSAGES`` tuple pattern)
-    delivers only if that dispatcher has a delivering branch for the
-    type — a dropped inner branch is a dead letter even though the
-    outer tuple still matches.
-    """
-    if not branch.targets:
-        return True  # inline handling without calls
-    dispatch_targets = []
-    for target in branch.targets:
-        if target in DISPATCH_FUNCTIONS:
-            dispatch_targets.append(target)
-        else:
-            return True  # calls a real handler
-    for target in dispatch_targets:
-        if target in seen:
-            continue
-        seen.add(target)
-        for inner in graph.branches_of(msg_type):
-            if inner.func == target and \
-                    protocol_of(inner.path) == protocol and \
-                    _branch_delivers(graph, protocol, msg_type, inner,
-                                     seen):
-                return True
-    return False
-
-
 def _check_dead_letter(graph: MessageGraph,
                        contracts: Dict[str, Dict[str, MessageContract]],
                        ) -> List[Finding]:
@@ -257,18 +226,15 @@ def _check_dead_letter(graph: MessageGraph,
                     message=(f"message {name} is not declared in the "
                              f"{protocol} contract")))
                 continue
+            handlers = graph.handler_classes(name)
             for receiver in contract[name].receivers:
-                delivering = any(
-                    b.cls == receiver and
-                    _branch_delivers(graph, protocol, name, b, set())
-                    for b in graph.branches_of(name))
-                if not delivering:
+                if receiver not in handlers:
                     findings.append(Finding(
                         rule=rule, path=definition.path,
                         line=definition.line, col=1,
                         message=(f"{name} is declared to be received by "
                                  f"{receiver}, but {receiver} has no "
-                                 f"dispatch branch for it (dead letter)")))
+                                 f"handler entry for it (dead letter)")))
         # The contract-side check only makes sense when the protocol's
         # canonical message module is in scope — otherwise any partial
         # scan would report every contract entry as missing.
@@ -301,7 +267,7 @@ def _check_dead_handler(graph: MessageGraph,
         contract = contracts[definition.protocol].get(branch.msg_type)
         if contract is None:
             continue  # PL001 reports the missing contract entry
-        if branch.cls is not None and branch.cls not in contract.receivers:
+        if branch.cls not in contract.receivers:
             findings.append(Finding(
                 rule=rule, path=branch.path, line=branch.line, col=1,
                 message=(f"{branch.cls} handles {branch.msg_type}, but is "
@@ -316,7 +282,7 @@ def _check_dead_handler(graph: MessageGraph,
                 first = min(branches, key=lambda b: (b.path, b.line))
                 findings.append(Finding(
                     rule=rule, path=first.path, line=first.line, col=1,
-                    message=(f"handler branch for {name}, but {name} is "
+                    message=(f"handler entry for {name}, but {name} is "
                              f"never sent anywhere (dead handler)")))
     return findings
 
@@ -350,6 +316,20 @@ def _check_never_sent(graph: MessageGraph,
     return findings
 
 
+def _handler_reach(graph: MessageGraph, protocol: str, name: str,
+                   contract: MessageContract
+                   ) -> Optional[Tuple[HandlerBranch, Reachability]]:
+    """The first of the receivers' handler entries for ``name`` and the
+    call-graph closure from the methods they name; ``None`` when the
+    receivers have no entry."""
+    branches = [b for b in graph.branches_of(name)
+                if b.cls in contract.receivers]
+    if not branches:
+        return None
+    first = min(branches, key=lambda b: (b.path, b.line))
+    return first, graph.reachable(protocol, [b.target for b in branches])
+
+
 def _check_missing_reply(graph: MessageGraph,
                          contracts: Dict[str, Dict[str, MessageContract]],
                          ) -> List[Finding]:
@@ -359,16 +339,11 @@ def _check_missing_reply(graph: MessageGraph,
         for name, contract in sorted(contracts[protocol].items()):
             if not contract.replies or name not in graph.messages:
                 continue
-            branches = [b for b in graph.branches_of(name)
-                        if b.cls in contract.receivers]
-            if not branches:
-                continue  # PL001 reports the missing branch
-            seeds: List[str] = []
-            for branch in branches:
-                seeds.extend(branch.targets)
-            reach = graph.reachable(protocol, name, seeds)
+            found = _handler_reach(graph, protocol, name, contract)
+            if found is None:
+                continue  # PL001 reports the missing entry
+            first, reach = found
             if not reach.sends.intersection(contract.replies):
-                first = min(branches, key=lambda b: (b.path, b.line))
                 findings.append(Finding(
                     rule=rule, path=first.path, line=first.line, col=1,
                     message=(f"no handler path for {name} sends any of "
@@ -410,16 +385,11 @@ def _check_handler_mutation(graph: MessageGraph,
         for name, contract in sorted(contracts[protocol].items()):
             if not contract.dedup or name not in graph.messages:
                 continue
-            branches = [b for b in graph.branches_of(name)
-                        if b.cls in contract.receivers]
-            if not branches:
+            found = _handler_reach(graph, protocol, name, contract)
+            if found is None:
                 continue
-            seeds: List[str] = []
-            for branch in branches:
-                seeds.extend(branch.targets)
-            reach = graph.reachable(protocol, name, seeds)
+            first, reach = found
             if reach.mutations and not reach.guards:
-                first = min(branches, key=lambda b: (b.path, b.line))
                 where = min(reach.mutations)
                 findings.append(Finding(
                     rule=rule, path=first.path, line=first.line, col=1,
@@ -519,9 +489,7 @@ def lint_paths(paths: Optional[Sequence[str]] = None,
 # Planted bugs (self-check fixtures, mirroring ``repro chaos --plant-bug``)
 # ---------------------------------------------------------------------------
 
-_DEAD_HANDLER_ANCHOR = (
-    "        elif isinstance(msg, ClientHeartbeat):\n"
-    "            self.coordinator.on_heartbeat(msg)\n")
+_DEAD_HANDLER_ANCHOR = '        ClientHeartbeat: "on_heartbeat",\n'
 
 _MISSING_REPLY_ANCHOR = (
     "        self.send(msg.src, TapirReadReply(\n"
@@ -530,7 +498,8 @@ _MISSING_REPLY_ANCHOR = (
 
 
 def _plant_dead_handler(sources: Dict[str, str]) -> Dict[str, str]:
-    """Delete the Carousel server's ClientHeartbeat dispatch branch."""
+    """Delete ClientHeartbeat from the Carousel server's coordinator
+    table."""
     return _replace_in(sources, "core/server.py",
                        _DEAD_HANDLER_ANCHOR, "")
 
@@ -547,18 +516,22 @@ PLANT_BUGS = {
 }
 
 
+class PlantError(ValueError):
+    """A plant that cannot be applied: unknown, or its anchor drifted."""
+
+
 def _replace_in(sources: Dict[str, str], suffix: str, anchor: str,
                 replacement: str) -> Dict[str, str]:
     for path in sorted(sources):
         if Path(path).as_posix().endswith(suffix):
             if anchor not in sources[path]:
-                raise ValueError(
+                raise PlantError(
                     f"plant anchor not found in {path}; the source has "
                     f"drifted — update the plant in protolint.py")
             planted = dict(sources)
             planted[path] = sources[path].replace(anchor, replacement, 1)
             return planted
-    raise ValueError(f"no scanned file matches {suffix!r} to plant into")
+    raise PlantError(f"no scanned file matches {suffix!r} to plant into")
 
 
 def apply_plant(sources: Dict[str, str], plant: str) -> Dict[str, str]:
@@ -566,7 +539,7 @@ def apply_plant(sources: Dict[str, str], plant: str) -> Dict[str, str]:
     try:
         transform = PLANT_BUGS[plant]
     except KeyError:
-        raise ValueError(
+        raise PlantError(
             f"unknown plant {plant!r}; choose from "
             f"{', '.join(sorted(PLANT_BUGS))}") from None
     return transform(sources)
@@ -583,8 +556,8 @@ CATALOG_END = "<!-- protolint:catalog:end -->"
 def render_catalog(graph: MessageGraph) -> str:
     """Deterministic role -> sends/handles inventory, as markdown.
 
-    Derived purely from the extracted graph (send sites and dispatch
-    branches), so it cannot drift from the code; CI diffs it against
+    Derived purely from the extracted graph (send sites and handler
+    tables), so it cannot drift from the code; CI diffs it against
     PROTOCOL.md's marked section byte-for-byte.
     """
     lines: List[str] = [

@@ -15,6 +15,7 @@ from typing import Callable, List, Optional
 
 from repro.bench.cluster import CarouselCluster, DeploymentSpec
 from repro.core.config import BASIC, FAST, CarouselConfig
+from repro.raft.node import RaftHost
 from repro.sim.topology import ec2_five_regions
 from repro.txn import TransactionSpec
 
@@ -33,12 +34,6 @@ class TracedMessage:
         span = "WAN" if self.cross_dc else "local"
         return (f"{self.sent_at_ms:8.1f}ms  {self.src:18s} -> "
                 f"{self.dst:18s}  {self.msg_type} [{span}]")
-
-
-#: Raft message types, filtered out of protocol traces by default (the
-#: figures draw replication as shaded boxes rather than message arrows).
-RAFT_TYPES = frozenset({"RequestVote", "RequestVoteReply", "AppendEntries",
-                        "AppendEntriesReply"})
 
 
 def trace_transaction(mode: str = BASIC, seed: int = 42,
@@ -63,9 +58,10 @@ def trace_transaction(mode: str = BASIC, seed: int = 42,
     nodes = cluster.network.nodes
 
     def hook(msg, delay_ms):
-        msg_type = type(msg).__name__
-        if not include_raft and msg_type in RAFT_TYPES:
+        # The figures draw replication as shaded boxes, not arrows.
+        if not include_raft and type(msg) in RaftHost.HANDLERS:
             return
+        msg_type = type(msg).__name__
         src_dc = nodes[msg.src].dc
         dst_dc = nodes[msg.dst].dc
         trace.append(TracedMessage(

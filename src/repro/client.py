@@ -12,7 +12,7 @@ phase-span switching and the single completion path (counters,
 :class:`~repro.txn.TxnResult`, callbacks).  A protocol's client keeps
 only what is protocol: which messages a phase sends, which replies end
 it, and any state of its own (:meth:`_start`, :meth:`_resend`,
-``handle_message``).
+``HANDLERS``).
 """
 
 from __future__ import annotations

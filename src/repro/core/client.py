@@ -33,7 +33,6 @@ from repro.core.messages import (
     ReadReply,
     TxnReply,
 )
-from repro.sim.message import Message
 from repro.trace.tracer import SPAN_COMMIT, SPAN_READ, SPAN_READ_ONLY
 from repro.store.directory import DirectoryCache, DirectoryService
 from repro.store.partitioning import Partitioner
@@ -60,6 +59,11 @@ class CarouselClient(TxnClient):
     """An application server running Carousel's client library (§3.3)."""
 
     txn_class = _ClientTxn
+    HANDLERS = {
+        ReadReply: "_on_read_reply",
+        TxnReply: "_on_txn_reply",
+        ReadOnlyReply: "_on_read_only_reply",
+    }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, partitioner: Partitioner,
@@ -185,16 +189,6 @@ class CarouselClient(TxnClient):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def handle_message(self, msg: Message) -> None:
-        if isinstance(msg, ReadReply):
-            self._on_read_reply(msg)
-        elif isinstance(msg, TxnReply):
-            self._on_txn_reply(msg)
-        elif isinstance(msg, ReadOnlyReply):
-            self._on_read_only_reply(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected client message {msg!r}")
-
     def _on_read_reply(self, msg: ReadReply) -> None:
         txn = self._absorb_read(msg)
         if txn is not None:

@@ -403,4 +403,4 @@ class PartitionComponent:
                 read_versions=record.read_versions))
         buffered, self._buffered = self._buffered, []
         for msg in buffered:
-            self.server.dispatch_partition_message(msg)
+            self.server.dispatch(msg, self.server.PARTITION_HANDLERS, self)

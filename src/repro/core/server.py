@@ -35,12 +35,6 @@ from repro.sim.message import Message
 from repro.store.directory import DirectoryService
 from repro.store.kvstore import VersionedKVStore
 
-#: Messages addressed to a partition replica.
-_PARTITION_MESSAGES = (ReadPrepareRequest, ReadOnlyRequest, Writeback,
-                       PrepareQuery)
-#: Messages addressed to a transaction coordinator.
-_COORDINATOR_MESSAGES = (CoordPrepareRequest, CommitRequest, FastVote,
-                         PrepareResult, ClientHeartbeat, WritebackAck)
 #: Replicated commands owned by the coordinator role.
 _COORDINATOR_RECORDS = (CoordSetsRecord, CoordWriteDataRecord,
                         CoordDecisionRecord)
@@ -48,6 +42,24 @@ _COORDINATOR_RECORDS = (CoordSetsRecord, CoordWriteDataRecord,
 
 class CarouselServer(RaftHost):
     """One Carousel data server."""
+
+    #: Messages addressed to a partition replica: run by the
+    #: :class:`PartitionComponent` of ``msg.partition_id``.
+    PARTITION_HANDLERS = {
+        ReadPrepareRequest: "on_read_prepare",
+        ReadOnlyRequest: "on_read_only",
+        Writeback: "on_writeback",
+        PrepareQuery: "on_prepare_query",
+    }
+    #: Messages addressed to the transaction coordinator.
+    COORDINATOR_HANDLERS = {
+        CoordPrepareRequest: "on_coord_prepare",
+        CommitRequest: "on_commit_request",
+        FastVote: "on_fast_vote",
+        PrepareResult: "on_prepare_result",
+        ClientHeartbeat: "on_heartbeat",
+        WritebackAck: "on_writeback_ack",
+    }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, config: CarouselConfig,
@@ -128,38 +140,9 @@ class CarouselServer(RaftHost):
     # ------------------------------------------------------------------
     def handle_app_message(self, msg: Message) -> None:
         """Route a non-Raft message to the partition or coordinator role."""
-        if isinstance(msg, _PARTITION_MESSAGES):
-            self.dispatch_partition_message(msg)
-        elif isinstance(msg, _COORDINATOR_MESSAGES):
-            self.dispatch_coordinator_message(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected message {msg!r}")
-
-    def dispatch_coordinator_message(self, msg: Message) -> None:
-        """Deliver a coordinator-addressed message to the coordinator."""
-        if isinstance(msg, CoordPrepareRequest):
-            self.coordinator.on_coord_prepare(msg)
-        elif isinstance(msg, CommitRequest):
-            self.coordinator.on_commit_request(msg)
-        elif isinstance(msg, FastVote):
-            self.coordinator.on_fast_vote(msg)
-        elif isinstance(msg, PrepareResult):
-            self.coordinator.on_prepare_result(msg)
-        elif isinstance(msg, ClientHeartbeat):
-            self.coordinator.on_heartbeat(msg)
-        elif isinstance(msg, WritebackAck):
-            self.coordinator.on_writeback_ack(msg)
-
-    def dispatch_partition_message(self, msg: Message) -> None:
-        """Deliver a partition-addressed message to its component."""
+        if type(msg) not in self.PARTITION_HANDLERS:
+            self.dispatch(msg, self.COORDINATOR_HANDLERS, self.coordinator)
+            return
         component = self.partitions.get(msg.partition_id)
-        if component is None:
-            return  # stale addressing; the sender will retry
-        if isinstance(msg, ReadPrepareRequest):
-            component.on_read_prepare(msg)
-        elif isinstance(msg, ReadOnlyRequest):
-            component.on_read_only(msg)
-        elif isinstance(msg, Writeback):
-            component.on_writeback(msg)
-        elif isinstance(msg, PrepareQuery):
-            component.on_prepare_query(msg)
+        if component is not None:  # else stale addressing; sender retries
+            self.dispatch(msg, self.PARTITION_HANDLERS, component)

@@ -18,7 +18,6 @@ from repro.layered.messages import (
     LayeredReadReply,
     LayeredReply,
 )
-from repro.sim.message import Message
 from repro.trace.tracer import SPAN_COMMIT, SPAN_READ
 from repro.txn import REASON_CLIENT_ABORT
 
@@ -37,6 +36,10 @@ class LayeredClient(TxnClient):
 
     txn_class = _LayeredTxn
     system = "layered"
+    HANDLERS = {
+        LayeredReadReply: "_on_read_reply",
+        LayeredReply: "_on_reply",
+    }
 
     def _start(self, txn: _LayeredTxn, groups: List[KeyGroup]) -> None:
         """Read round first, then hand 2PC to a coordinator."""
@@ -94,14 +97,12 @@ class LayeredClient(TxnClient):
                 txn.coord_group_id).leader
             self._send_commit(txn)
 
-    def handle_message(self, msg: Message) -> None:
-        if isinstance(msg, LayeredReadReply):
-            txn = self._absorb_read(msg)
-            if txn is not None:
-                self._enter_commit(txn)
-        elif isinstance(msg, LayeredReply):
-            txn = self._active.get(msg.tid)
-            if txn is not None:
-                self._complete(txn, msg.committed, msg.reason)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected layered client message {msg!r}")
+    def _on_read_reply(self, msg: LayeredReadReply) -> None:
+        txn = self._absorb_read(msg)
+        if txn is not None:
+            self._enter_commit(txn)
+
+    def _on_reply(self, msg: LayeredReply) -> None:
+        txn = self._active.get(msg.tid)
+        if txn is not None:
+            self._complete(txn, msg.committed, msg.reason)

@@ -194,6 +194,20 @@ class _CoordState:
 class LayeredServer(RaftHost):
     """A data server of the layered baseline."""
 
+    #: Messages addressed to a partition replica: run by the
+    #: :class:`_LayeredPartition` of ``msg.partition_id``.
+    PARTITION_HANDLERS = {
+        LayeredRead: "on_read",
+        LayeredPrepare: "on_prepare",
+        LayeredWriteback: "on_writeback",
+    }
+    #: Messages addressed to this server's coordinator role.
+    COORDINATOR_HANDLERS = {
+        LayeredCommitRequest: "_on_commit_request",
+        LayeredPrepareAck: "_on_prepare_ack",
+        LayeredWritebackAck: "_on_writeback_ack",
+    }
+
     def __init__(self, node_id: str, dc: str, kernel, network, directory,
                  service_time_ms: float = 0.0, raft_config=None,
                  retry_policy: RetryPolicy = DEFAULT_RETRY):
@@ -270,20 +284,12 @@ class LayeredServer(RaftHost):
     # ------------------------------------------------------------------
     def handle_app_message(self, msg) -> None:
         """Route layered-protocol messages to the right role."""
-        if isinstance(msg, LayeredRead):
-            self.partitions[msg.partition_id].on_read(msg)
-        elif isinstance(msg, LayeredPrepare):
-            self.partitions[msg.partition_id].on_prepare(msg)
-        elif isinstance(msg, LayeredWriteback):
-            self.partitions[msg.partition_id].on_writeback(msg)
-        elif isinstance(msg, LayeredCommitRequest):
-            self._on_commit_request(msg)
-        elif isinstance(msg, LayeredPrepareAck):
-            self._on_prepare_ack(msg)
-        elif isinstance(msg, LayeredWritebackAck):
-            self._on_writeback_ack(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected layered message {msg!r}")
+        if type(msg) not in self.PARTITION_HANDLERS:
+            self.dispatch(msg, self.COORDINATOR_HANDLERS, self)
+            return
+        partition = self.partitions.get(msg.partition_id)
+        if partition is not None:  # else stale addressing; sender retries
+            self.dispatch(msg, self.PARTITION_HANDLERS, partition)
 
     # ------------------------------------------------------------------
     # Coordinator role (2PC driver)

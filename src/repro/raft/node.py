@@ -85,6 +85,14 @@ class RaftConfig:
 class RaftMember:
     """One member of a Raft consensus group."""
 
+    #: Its host dispatches each Raft message of the group here.
+    HANDLERS = {
+        RequestVote: "_on_request_vote",
+        RequestVoteReply: "_on_vote_reply",
+        AppendEntries: "_on_append_entries",
+        AppendEntriesReply: "_on_append_reply",
+    }
+
     def __init__(self, host: "RaftHost", group_id: str,
                  member_ids: List[str],
                  config: Optional[RaftConfig] = None,
@@ -440,19 +448,6 @@ class RaftMember:
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def handle(self, msg: Message) -> None:
-        """Dispatch one Raft message to its handler."""
-        if isinstance(msg, RequestVote):
-            self._on_request_vote(msg)
-        elif isinstance(msg, RequestVoteReply):
-            self._on_vote_reply(msg)
-        elif isinstance(msg, AppendEntries):
-            self._on_append_entries(msg)
-        elif isinstance(msg, AppendEntriesReply):
-            self._on_append_reply(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected raft message {msg!r}")
-
     def _on_request_vote(self, msg: RequestVote) -> None:
         if msg.term > self.current_term:
             self._step_down(msg.term)
@@ -613,13 +608,17 @@ class RaftMember:
 class RaftHost(Node):
     """A network node hosting one or more Raft group members.
 
-    Raft messages are routed to the member with the matching ``group_id``;
-    everything else goes to :meth:`handle_app_message`, which protocol
-    servers (Carousel data servers) override.
+    Raft messages (:attr:`HANDLERS`) are routed to the member with the
+    matching ``group_id`` and run through its table; everything else goes
+    to :meth:`handle_app_message`, which protocol servers override.
     """
 
-    RAFT_TYPES = (RequestVote, RequestVoteReply, AppendEntries,
-                  AppendEntriesReply)
+    HANDLERS = {
+        RequestVote: "_to_member",
+        RequestVoteReply: "_to_member",
+        AppendEntries: "_to_member",
+        AppendEntriesReply: "_to_member",
+    }
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -648,16 +647,20 @@ class RaftHost(Node):
             member.start()
 
     def handle_message(self, msg: Message) -> None:
-        if isinstance(msg, self.RAFT_TYPES):
-            member = self.members.get(msg.group_id)
-            if member is not None:
-                member.handle(msg)
-            return
-        self.handle_app_message(msg)
+        if type(msg) in self.HANDLERS:
+            self.dispatch(msg, self.HANDLERS, self)
+        else:
+            self.handle_app_message(msg)
+
+    def _to_member(self, msg: Message) -> None:
+        member = self.members.get(msg.group_id)
+        if member is not None:
+            self.dispatch(msg, member.HANDLERS, member)
 
     def handle_app_message(self, msg: Message) -> None:
-        """Handle a non-Raft message. Subclasses override."""
-        raise NotImplementedError
+        """Handle a non-Raft message.  Servers override; a bare host
+        has no handler for one (``TypeError``)."""
+        super().handle_message(msg)
 
     def on_crash(self) -> None:
         """Fail-stop: drop volatile Raft state on every member.

@@ -1,8 +1,9 @@
 """Base class for simulated processes.
 
 A :class:`Node` is an event-driven state machine attached to a network.  It
-receives messages through :meth:`handle_message`, sends with :meth:`send`,
-and sets timers with :meth:`set_timer`.
+receives messages through :meth:`handle_message`, which runs the method its
+:attr:`~Node.HANDLERS` table names for the message type, sends with
+:meth:`send`, and sets timers with :meth:`set_timer`.
 
 CPU model
 ---------
@@ -17,7 +18,7 @@ paper identifies for TAPIR's collapse in §6.4.1.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
@@ -28,10 +29,14 @@ from repro.wal.log import WriteAheadLog
 class Node:
     """A simulated process: data server, coordinator group member, or client.
 
-    Subclasses override :meth:`handle_message` (and usually dispatch on the
-    message dataclass type) and may override :meth:`on_crash` /
+    Subclasses declare :attr:`HANDLERS` and may override :meth:`on_crash` /
     :meth:`on_recover` to reset volatile state.
     """
+
+    #: Message type -> name of the method that handles it.  Names, not
+    #: functions: :meth:`dispatch` looks the method up on every delivery,
+    #: so a handler patched onto its class (``repro.chaos.bugs``) runs.
+    HANDLERS: Dict[type, str] = {}
 
     def __init__(self, node_id: str, dc: str, kernel: Kernel,
                  network: Network, service_time_ms: float = 0.0):
@@ -93,8 +98,18 @@ class Node:
         self.handle_message(msg)
 
     def handle_message(self, msg: Message) -> None:
-        """Handle a delivered message. Subclasses must override."""
-        raise NotImplementedError
+        """Handle a delivered message through :attr:`HANDLERS`."""
+        self.dispatch(msg, self.HANDLERS, self)
+
+    def dispatch(self, msg: Message, handlers: Dict[type, str],
+                 target: object) -> None:
+        """Call the method of ``target`` that ``handlers`` names for
+        ``msg``'s exact type (a table key is never subclassed)."""
+        name = handlers.get(type(msg))
+        if name is None:
+            raise TypeError(f"{type(self).__name__} has no handler for "
+                            f"{type(msg).__name__}")
+        getattr(target, name)(msg)
 
     @property
     def queue_delay_ms(self) -> float:

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.client import (PHASE_READ, ClientTxn, CompletionCallback,
                           KeyGroup, TxnClient)
-from repro.sim.message import Message
 from repro.trace.tracer import SPAN_PREPARE, SPAN_READ
 from repro.store.directory import DirectoryService
 from repro.store.partitioning import Partitioner
@@ -91,6 +90,12 @@ class TapirClient(TxnClient):
 
     txn_class = _TapirTxn
     system = "tapir"
+    HANDLERS = {
+        TapirReadReply: "_on_read_reply",
+        TapirPrepareReply: "_on_prepare_reply",
+        TapirFinalizeAck: "_on_finalize_ack",
+        TapirCommitAck: "_on_commit_ack",
+    }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, partitioner: Partitioner,
@@ -406,18 +411,3 @@ class TapirClient(TxnClient):
                 self.send(replica, TapirFinalize(
                     tid=txn.tid, partition_id=part.pid,
                     result=part.decided))
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def handle_message(self, msg: Message) -> None:
-        if isinstance(msg, TapirReadReply):
-            self._on_read_reply(msg)
-        elif isinstance(msg, TapirPrepareReply):
-            self._on_prepare_reply(msg)
-        elif isinstance(msg, TapirFinalizeAck):
-            self._on_finalize_ack(msg)
-        elif isinstance(msg, TapirCommitAck):
-            self._on_commit_ack(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected TAPIR client message {msg!r}")

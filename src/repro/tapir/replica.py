@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.occ import PendingList, PendingTxn
-from repro.sim.message import Message
 from repro.sim.node import Node
 from repro.store.kvstore import VersionedKVStore
 from repro.tapir.config import TapirConfig
@@ -40,6 +39,13 @@ from repro.wal.records import (
 class TapirReplica(Node):
     """One replica of one TAPIR partition."""
 
+    HANDLERS = {
+        TapirRead: "_on_read",
+        TapirPrepare: "_on_prepare",
+        TapirFinalize: "_on_finalize",
+        TapirCommit: "_on_commit",
+    }
+
     def __init__(self, node_id: str, dc: str, kernel, network,
                  partition_id: str, group, config: TapirConfig,
                  service_time_ms: float = 0.0):
@@ -66,21 +72,6 @@ class TapirReplica(Node):
         if self.service_time_ms > 0 and isinstance(msg, TapirPrepare):
             return self.service_time_ms + self.prepared.scan_cost_ms()
         return self.service_time_ms
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def handle_message(self, msg: Message) -> None:
-        if isinstance(msg, TapirRead):
-            self._on_read(msg)
-        elif isinstance(msg, TapirPrepare):
-            self._on_prepare(msg)
-        elif isinstance(msg, TapirFinalize):
-            self._on_finalize(msg)
-        elif isinstance(msg, TapirCommit):
-            self._on_commit(msg)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected TAPIR message {msg!r}")
 
     # ------------------------------------------------------------------
     # Handlers

@@ -83,6 +83,17 @@ def test_protolint_invalid_plant_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_protolint_drifted_plant_anchor_is_exit_2(monkeypatch, capsys):
+    # Exit 1 would read as "bug caught" although nothing was planted.
+    from repro.analysis import protolint
+    monkeypatch.setattr(protolint, "_DEAD_HANDLER_ANCHOR", "no such line\n")
+    assert analysis_main(["protolint", "--plant-bug", "dead-handler"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot plant dead-handler" in captured.err
+    assert "anchor not found" in captured.err
+
+
 # ----------------------------------------------------------------------
 # JSON output schema
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Message-graph extraction tests: defs, sends, branches, closures, FSM.
+"""Message-graph extraction tests: defs, sends, handler tables, closures,
+FSM.
 
 Each fixture is a minimal module (or pair of modules) exercising one
 extraction path; paths carry a ``core/`` fragment so the fixtures land in
@@ -91,46 +92,42 @@ def test_variable_bound_send_marks_construct_sent():
     assert [s.msg_type for s in g.sends] == ["Ping"]
 
 
-def test_branch_extraction_name_tuple_and_constants():
+def test_branch_extraction_from_handler_tables():
     g = graph_of(messages=MESSAGES, node="""
-        _GROUP = (Ping, Pong)
-
         class Host:
-            TYPES = (Ping,)
+            PARTITION_HANDLERS = {
+                Ping: "on_ping",
+            }
+            COORDINATOR_HANDLERS = {Ping: "coord_ping", Pong: "on_pong"}
 
-            def handle_message(self, msg):
-                if isinstance(msg, _GROUP):
-                    self.route(msg)
-
-            def handle_app_message(self, msg):
-                if isinstance(msg, Ping):
-                    self.on_ping(msg)
-                elif isinstance(msg, (Pong,)):
-                    self.on_pong(msg)
-
-            def handle(self, msg):
-                if isinstance(msg, self.TYPES):
-                    self.on_self_const(msg)
+            def on_ping(self, msg):
+                self.send(msg.src, Pong(tid=msg.tid))
     """)
-    by_func = {}
-    for b in g.branches:
-        by_func.setdefault(b.func, []).append(b)
-    assert sorted(b.msg_type for b in by_func["handle_message"]) == \
-        ["Ping", "Pong"]
-    assert {b.msg_type: b.targets for b in by_func["handle_app_message"]} \
-        == {"Ping": ("on_ping",), "Pong": ("on_pong",)}
-    assert [b.msg_type for b in by_func["handle"]] == ["Ping"]
+    assert [(b.table, b.msg_type, b.target, b.line) for b in g.branches] \
+        == [("PARTITION_HANDLERS", "Ping", "on_ping", 4),
+            ("COORDINATOR_HANDLERS", "Ping", "coord_ping", 6),
+            ("COORDINATOR_HANDLERS", "Pong", "on_pong", 6)]
     assert all(b.cls == "Host" for b in g.branches)
+    assert g.handler_classes("Pong") == ["Host"]
+    # The closure starts at the method a table names.
+    reach = g.reachable("carousel", [b.target for b in g.branches_of("Ping")])
+    assert reach.sends == {"Pong"}
 
 
 def test_unknown_types_in_isinstance_are_ignored():
+    # Only ``*HANDLERS`` dict literals in a class body are dispatch: an
+    # isinstance chain, a non-message key, a differently named dict and a
+    # module-level table all contribute nothing.
     g = graph_of(messages=MESSAGES, node="""
+        HANDLERS = {Ping: "on_ping"}
+
         class Host:
+            HANDLERS = {SomethingElse: "on_other", str: "on_str"}
+            ROUTES = {Ping: "on_ping"}
+
             def handle_message(self, msg):
-                if isinstance(msg, SomethingElse):
-                    self.on_other(msg)
-                elif isinstance(msg, str):
-                    self.on_str(msg)
+                if isinstance(msg, Ping):
+                    self.on_ping(msg)
     """)
     assert g.branches == []
 
@@ -246,37 +243,6 @@ def test_guard_does_not_leak_into_else_branch():
     assert by_value == {"b": ("a",), "c": ()}
 
 
-def test_reachable_redirects_through_dispatcher():
-    g = graph_of(messages=MESSAGES, node="""
-        _ALL = (Ping, Pong)
-
-        class Host:
-            def handle_app_message(self, msg):
-                if isinstance(msg, _ALL):
-                    self.dispatch_partition_message(msg)
-
-            def dispatch_partition_message(self, msg):
-                if isinstance(msg, Ping):
-                    self.on_ping(msg)
-                elif isinstance(msg, Pong):
-                    self.on_pong(msg)
-
-            def on_ping(self, msg):
-                self.send(msg.src, Pong(tid=msg.tid))
-
-            def on_pong(self, msg):
-                self.done.add(msg.tid)
-    """)
-    reach = g.reachable("carousel", "Ping",
-                        ["dispatch_partition_message"])
-    assert reach.sends == {"Pong"}
-    assert "on_pong" not in reach.visited
-    reach_pong = g.reachable("carousel", "Pong",
-                             ["dispatch_partition_message"])
-    assert reach_pong.sends == frozenset()
-    assert reach_pong.mutations
-
-
 def test_collect_sources_walks_directories(tmp_path):
     pkg = tmp_path / "core"
     pkg.mkdir()
@@ -297,15 +263,15 @@ def test_tree_graph_inventory():
     assert g.protocols() == ["carousel", "layered", "raft", "tapir"]
     # Every message type is dispatched somewhere and sent somewhere.
     for name in g.messages:
-        assert g.branches_of(name), f"{name} has no dispatch branch"
+        assert g.branches_of(name), f"{name} has no handler entry"
         assert g.sends_of(name), f"{name} is never sent"
 
 
-def test_tree_raft_host_tuple_dispatch():
+def test_tree_raft_host_table():
     g = build_graph_from_paths(default_paths())
-    hosts = [b for b in g.branches_of("AppendEntries")
-             if b.cls == "RaftHost"]
-    assert hosts and all(b.func == "handle_message" for b in hosts)
-    members = [b for b in g.branches_of("AppendEntries")
-               if b.cls == "RaftMember"]
-    assert members and members[0].targets == ("_on_append_entries",)
+    (host,) = [b for b in g.branches_of("AppendEntries")
+               if b.cls == "RaftHost"]
+    assert (host.table, host.target) == ("HANDLERS", "_to_member")
+    (member,) = [b for b in g.branches_of("AppendEntries")
+                 if b.cls == "RaftMember"]
+    assert member.target == "_on_append_entries"

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.fsm import FSMSpec
 from repro.analysis.msggraph import build_graph, collect_sources
 from repro.analysis.protolint import (CATALOG_BEGIN, CATALOG_END,
-                                      MessageContract, PROTOCOLS,
+                                      MessageContract,
                                       apply_plant, default_paths,
                                       embed_catalog, extract_doc_catalog,
                                       lint_paths, lint_sources,
@@ -38,9 +38,7 @@ MESSAGES = textwrap.dedent("""
 #: Client handles Rep.
 CLEAN_NODE = textwrap.dedent("""
     class Server:
-        def handle_app_message(self, msg):
-            if isinstance(msg, Req):
-                self.on_req(msg)
+        HANDLERS = {Req: "on_req"}
 
         def on_req(self, msg):
             if msg.tid in self.seen:
@@ -49,9 +47,7 @@ CLEAN_NODE = textwrap.dedent("""
             self.send(msg.src, Rep(tid=msg.tid))
 
     class Client:
-        def handle_message(self, msg):
-            if isinstance(msg, Rep):
-                self.on_rep(msg)
+        HANDLERS = {Rep: "on_rep"}
 
         def on_rep(self, msg):
             self.done[msg.tid] = msg
@@ -93,12 +89,9 @@ def test_clean_fixture_protocol_has_no_findings():
 # PL001 dead-letter
 # ----------------------------------------------------------------------
 def test_pl001_receiver_without_branch():
-    node = CLEAN_NODE.replace(
-        "        if isinstance(msg, Req):\n"
-        "            self.on_req(msg)\n",
-        "        pass\n")
+    node = CLEAN_NODE.replace('HANDLERS = {Req: "on_req"}', "HANDLERS = {}")
     found = run(messages=MESSAGES, node=node)
-    assert any(code == "PL001" and "Server has no dispatch branch" in msg
+    assert any(code == "PL001" and "Server has no handler entry" in msg
                for code, msg in found)
 
 
@@ -117,44 +110,13 @@ def test_pl001_contract_entry_without_message():
     assert any(code == "PL001" and "Ghost" in msg for code, msg in found)
 
 
-def test_pl001_tuple_dispatch_with_dropped_inner_branch():
-    """The outer tuple branch still matches, but the inner dispatcher
-    lost its branch — protolint must follow the redirect."""
-    node = textwrap.dedent("""
-        _ALL = (Req, Rep)
-
-        class Server:
-            def handle_app_message(self, msg):
-                if isinstance(msg, _ALL):
-                    self.dispatch_partition_message(msg)
-
-            def dispatch_partition_message(self, msg):
-                if isinstance(msg, Rep):
-                    self.on_rep(msg)
-
-            def on_rep(self, msg):
-                self.done.add(msg.tid)
-    """)
-    contracts = {"carousel": {
-        "Req": MessageContract(("Server",)),
-        "Rep": MessageContract(("Server",)),
-    }}
-    found = run(contracts=contracts, messages=MESSAGES, node=node)
-    assert any(code == "PL001" and msg.startswith("Req is declared")
-               for code, msg in found)
-    assert not any("Rep is declared" in msg for code, msg in found
-                   if code == "PL001")
-
-
 # ----------------------------------------------------------------------
 # PL002 dead-handler
 # ----------------------------------------------------------------------
 def test_pl002_branch_in_non_receiver_class():
     node = CLEAN_NODE + textwrap.dedent("""
         class Bystander:
-            def handle_message(self, msg):
-                if isinstance(msg, Rep):
-                    self.on_rep(msg)
+            HANDLERS = {Rep: "on_rep"}
 
             def on_rep(self, msg):
                 self.x = msg
@@ -593,19 +555,6 @@ def test_plant_anchor_drift_raises():
     with pytest.raises(ValueError, match="anchor not found"):
         apply_plant({"fx/core/server.py": "nothing here\n"},
                     "dead-handler")
-
-
-def test_coordinator_dispatch_tuple_matches_contract():
-    """Regression for making ``_COORDINATOR_MESSAGES`` load-bearing:
-    the dispatch tuples must cover exactly the contracted
-    CarouselServer-bound message types."""
-    from repro.core.server import (_COORDINATOR_MESSAGES,
-                                   _PARTITION_MESSAGES)
-    dispatched = {t.__name__ for t in _COORDINATOR_MESSAGES}
-    dispatched |= {t.__name__ for t in _PARTITION_MESSAGES}
-    contracted = {name for name, c in PROTOCOLS["carousel"].items()
-                  if "CarouselServer" in c.receivers}
-    assert dispatched == contracted
 
 
 def test_catalog_matches_protocol_md_byte_for_byte():
