@@ -58,6 +58,12 @@ class DeploymentSpec:
         if self.n_partitions < 1:
             raise ValueError("need at least one partition")
 
+    @property
+    def n_clients(self) -> int:
+        """Workload clients the deployment builds: ``clients_per_dc`` in
+        every datacenter."""
+        return len(self.topology.datacenters) * self.clients_per_dc
+
 
 class _BaseCluster:
     """Common plumbing for Carousel, layered and TAPIR deployments.
@@ -118,6 +124,17 @@ class _BaseCluster:
     def run(self, ms: float) -> None:
         """Advance the simulation by ``ms`` virtual milliseconds."""
         self.kernel.run(until=self.kernel.now + ms)
+
+    def op_counters(self) -> Dict[str, int]:
+        """Deterministic work counters of this process: the kernel's
+        event counters plus the transport's message counters.  Under the
+        DES they are host-independent, so figure reports, runs and
+        :mod:`repro.perf` compare them exactly across machines."""
+        ops = self.kernel.op_counters()
+        ops["messages_sent"] = self.network.messages_sent
+        ops["messages_delivered"] = self.network.messages_delivered
+        ops["messages_dropped"] = self.network.messages_dropped
+        return ops
 
     def client(self, dc: str, index: int = 0):
         return self._clients_by_dc[dc][index]

@@ -73,23 +73,15 @@ class ExperimentResult:
 
     @property
     def op_counters(self) -> Dict[str, int]:
-        """Deterministic simulator-work counters for this run: the
-        kernel's event counters plus the network's message counters.
-        Host-independent, so figure reports and :mod:`repro.perf` can
-        compare them exactly across machines."""
-        ops = self.cluster.kernel.op_counters()
-        network = self.cluster.network
-        ops["messages_sent"] = network.messages_sent
-        ops["messages_delivered"] = network.messages_delivered
-        ops["messages_dropped"] = network.messages_dropped
-        return ops
+        """Deterministic simulator-work counters for this run
+        (:meth:`repro.bench.cluster._BaseCluster.op_counters`)."""
+        return self.cluster.op_counters()
 
     def record(self) -> RunRecord:
         """Detach the picklable summary (stats + op counters) from the
         live cluster/driver objects."""
         return RunRecord(system=self.system, target_tps=self.target_tps,
-                         stats=self.stats,
-                         op_counters=dict(self.op_counters))
+                         stats=self.stats, op_counters=self.op_counters)
 
 
 def build_workload(name: str, n_keys: int, seed: int):

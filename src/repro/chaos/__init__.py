@@ -7,7 +7,10 @@ four systems, checked by safety and liveness oracles
 (:mod:`repro.chaos.oracles`), with failing schedules shrunk to minimal
 reproducing subsequences (:mod:`repro.chaos.minimize`).  Everything is
 derived from the run seed, so every failure is a replayable
-counterexample.  CLI: ``python -m repro chaos``.
+counterexample.  A chaos run is a :class:`repro.scenario.Scenario` with
+a nemesis, built and run by :mod:`repro.chaos.runner` — which this
+package does not import, because :mod:`repro.scenario` imports the
+nemesis and oracles from here.  CLI: ``python -m repro chaos``.
 """
 
 from repro.chaos.bugs import (
@@ -27,12 +30,10 @@ from repro.chaos.nemesis import (
     generate_schedule,
     schedule_horizon,
 )
-from repro.chaos.oracles import OracleViolation, check_durability
-from repro.chaos.runner import (
-    ChaosOptions,
-    ChaosRunResult,
+from repro.chaos.oracles import (
     ClusterAdapter,
-    run_chaos,
+    OracleViolation,
+    check_durability,
 )
 
 __all__ = [
@@ -44,8 +45,6 @@ __all__ = [
     "NemesisEvent",
     "OracleViolation",
     "PLANTABLE_BUGS",
-    "ChaosOptions",
-    "ChaosRunResult",
     "ClusterAdapter",
     "apply_schedule",
     "check_durability",
@@ -53,6 +52,5 @@ __all__ = [
     "minimize_schedule",
     "planted_lost_commit_bug",
     "planted_writeback_bug",
-    "run_chaos",
     "schedule_horizon",
 ]

@@ -25,7 +25,8 @@ from repro.bench.report import render_link_faults
 from repro.chaos.bugs import PLANTABLE_BUGS
 from repro.chaos.minimize import minimize_schedule
 from repro.chaos.oracles import OracleViolation
-from repro.chaos.runner import ChaosOptions, ChaosRunResult, run_chaos
+from repro.chaos.runner import ChaosOptions, run_chaos
+from repro.scenario import Run
 from repro.trace.tracer import SPAN_NEMESIS
 
 
@@ -57,7 +58,7 @@ def _parallel_first_failing(system: str, seed: int, opts: ChaosOptions,
     return first_failing
 
 
-def _report_counterexample(system: str, seed: int, result: ChaosRunResult,
+def _report_counterexample(system: str, seed: int, result: Run,
                            opts: ChaosOptions, planted_bug,
                            plant_bug_name: Optional[str] = None,
                            jobs: int = 1) -> None:
@@ -133,11 +134,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="extra sampling weight for power-cycle "
                              "(restart) nemesis events (default 0: "
                              "unchanged legacy timelines); any W > 0 "
-                             "also enables the final-restart durability "
-                             "check")
-    parser.add_argument("--final-restart", action="store_true",
-                        help="power-cycle every server after the normal "
-                             "oracles and check durability against the "
+                             "also power-cycles every server at the end "
+                             "and checks durability against the "
                              "WAL-rebuilt state")
     parser.add_argument("--plant-bug", choices=sorted(PLANTABLE_BUGS),
                         default=None,
@@ -156,9 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     opts = ChaosOptions(rounds=args.rounds, n_events=args.events,
-                        restart_weight=args.restart_weight,
-                        final_restart=(args.final_restart
-                                       or args.restart_weight > 0))
+                        restart_weight=args.restart_weight)
     planted_bug = PLANTABLE_BUGS.get(args.plant_bug)
 
     failures = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.failure import FailureInjector
 from repro.sim.network import LinkFaults
@@ -202,6 +202,81 @@ def generate_schedule(seed: int, servers: Sequence[str],
                 targets=(servers[rng.randrange(len(servers))],)))
     events.sort(key=lambda e: (e.at_ms, e.kind, e.targets))
     return events
+
+
+def candidate_links(adapter: Any) -> List[Tuple[str, str]]:
+    """Endpoint pairs the nemesis may degrade, restricted to links that
+    actually carry protocol traffic (degrading a silent link tests
+    nothing): intra-group Raft links, leader-to-leader links
+    (coordinator prepares and writebacks), and client-to-server links.
+    TAPIR replicas never talk to each other — IR is client-driven — so
+    its candidates are the client/replica pairs.  Server/server links
+    appear three times so the nemesis samples them more often: that is
+    where replication and 2PC traffic concentrates.  Deterministic
+    order.  ``adapter`` is a :class:`repro.chaos.oracles.ClusterAdapter`.
+    """
+    cluster = adapter.cluster
+    clients = sorted(c.node_id for c in adapter.clients())
+    links = set()
+    if adapter.entry.leaderless:
+        for client_id in clients:
+            for replica_id in adapter.server_ids():
+                links.add((client_id, replica_id))
+    else:
+        leaders = []
+        for pid in cluster.partition_ids:
+            info = cluster.directory.lookup(pid)
+            leaders.append(info.leader)
+            replicas = list(info.replicas)
+            for i, a in enumerate(replicas):
+                for b in replicas[i + 1:]:
+                    links.add(tuple(sorted((a, b))))
+        for i, a in enumerate(leaders):
+            for b in leaders[i + 1:]:
+                if a != b:
+                    links.add(tuple(sorted((a, b))))
+        servers_by_dc: Dict[str, List[str]] = {}
+        servers = adapter.entry.nodes(cluster)
+        for server_id in adapter.server_ids():
+            server = servers[server_id]
+            servers_by_dc.setdefault(server.dc, []).append(server_id)
+        client_links = set()
+        for client in adapter.clients():
+            for leader in leaders:
+                client_links.add((client.node_id, leader))
+            # Fast-mode local reads talk to same-datacenter replicas.
+            for server_id in servers_by_dc.get(client.dc, ()):
+                client_links.add((client.node_id, server_id))
+        return sorted(links) * 3 + sorted(client_links)
+    return sorted(links)
+
+
+@dataclass(frozen=True)
+class Nemesis:
+    """A scenario's faults: the :func:`generate_schedule` recipe,
+    expanded against the built cluster — or, for the minimizer's
+    replays, explicit ``events`` in its place."""
+
+    n_events: int
+    #: Extra sampling weight for power-cycle events; any weight > 0 also
+    #: ends the run by power-cycling every server and judging durability
+    #: on the state rebuilt from WAL images.
+    restart_weight: int
+    #: The fault window.
+    start_ms: float
+    end_ms: float
+    events: Optional[Tuple[NemesisEvent, ...]] = None
+
+    def expand(self, seed: int, adapter: Any) -> List[NemesisEvent]:
+        """The events to inject into the cluster behind ``adapter`` (a
+        :class:`repro.chaos.oracles.ClusterAdapter`)."""
+        if self.events is not None:
+            return list(self.events)
+        return generate_schedule(
+            seed, adapter.server_ids(), candidate_links(adapter),
+            start_ms=self.start_ms, end_ms=self.end_ms,
+            n_events=self.n_events, restart_weight=self.restart_weight,
+            groups=adapter.replica_groups())
 
 
 def schedule_horizon(events: Sequence[NemesisEvent]) -> float:

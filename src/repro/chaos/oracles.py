@@ -28,8 +28,9 @@ both equal the number of committed transactions that wrote it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro import systems
 from repro.txn import TxnResult
 
 COMMIT = "commit"
@@ -52,15 +53,25 @@ class OracleViolation:
         return f"[{self.oracle}] {self.detail}"
 
 
+class ClientCounters(NamedTuple):
+    """One client's liveness counters, detached from the live node."""
+
+    node_id: str
+    submitted: int
+    committed: int
+    aborted: int
+    #: Transactions still in flight (or queued).
+    pending: int
+
+
 class OracleAdapter:
     """What the oracles read a deployment's final state through.
 
     Subclasses supply ``ring``, ``partition_ids``, ``clients()``,
     ``stores_for_key(key) -> [(node_id, store)]`` and
     ``resolved_for_pid(pid) -> [(location, {tid: decision})]`` — from
-    live cluster objects (:class:`repro.chaos.runner.ClusterAdapter`) or
-    from merged per-process snapshots
-    (:class:`repro.runtime.harness.SnapshotAdapter`).
+    live cluster objects (:class:`ClusterAdapter`) or from merged
+    per-process snapshots (:class:`repro.runtime.harness.SnapshotAdapter`).
     """
 
     def client_pending(self, client: Any) -> int:
@@ -75,6 +86,13 @@ class OracleAdapter:
             return False
         return not getattr(client, "_commit_acks_pending", None)
 
+    def client_counters(self) -> List[ClientCounters]:
+        """The liveness counters of every live client, construction
+        order."""
+        return [ClientCounters(c.node_id, c.submitted, c.committed,
+                               c.aborted, self.client_pending(c))
+                for c in self.clients()]
+
     def partitions_for(self, keys: Sequence[str]) -> List[str]:
         """Sorted partition ids holding ``keys``."""
         return sorted({self.ring.partition_for(k) for k in keys})
@@ -87,7 +105,49 @@ class OracleAdapter:
         return out
 
 
-def check_liveness(adapter, expected: int,
+class ClusterAdapter(OracleAdapter):
+    """Uniform access to live cluster internals for the oracles and the
+    nemesis; the :mod:`repro.systems` row of ``system`` says where the
+    server nodes and their replicated state live."""
+
+    def __init__(self, system: str, cluster: Any):
+        self.system = system
+        self.entry = systems.get(system)
+        self.cluster = cluster
+        self.ring = cluster.ring
+        self.partition_ids = cluster.partition_ids
+
+    def clients(self) -> List[Any]:
+        """All workload clients, construction order."""
+        return list(self.cluster.clients)
+
+    def server_ids(self) -> List[str]:
+        """Sorted server node ids — the nemesis's victim pool."""
+        return sorted(self.entry.nodes(self.cluster))
+
+    def replica_groups(self) -> List[Tuple[str, ...]]:
+        """The replica node-id set of every consensus group (for TAPIR,
+        of every partition), sorted — the correlated-restart targets."""
+        groups = set()
+        for pid in self.cluster.partition_ids:
+            groups.add(tuple(sorted(
+                r.node_id for r in self.cluster.replicas_of(pid))))
+        return sorted(groups)
+
+    def stores_for_key(self, key: str) -> List[Tuple[str, Any]]:
+        """``(node_id, VersionedKVStore)`` for every replica of ``key``."""
+        pid = self.cluster.ring.partition_for(key)
+        return [(replica.node_id, store) for replica, store in zip(
+            self.cluster.replicas_of(pid), self.cluster.stores_of(pid))]
+
+    def resolved_for_pid(self, pid: str) -> List[Tuple[str, Dict]]:
+        """``(location, {tid: "commit"|"abort"})`` per replica of ``pid``."""
+        return [(f"{replica.node_id}/{pid}",
+                 self.entry.replica_state(replica, pid)[1])
+                for replica in self.cluster.replicas_of(pid)]
+
+
+def check_liveness(clients: Sequence[ClientCounters], expected: int,
                    results: Sequence[ResultRow]) -> List[OracleViolation]:
     """After the final heal + quiescence, everything must have terminated."""
     violations: List[OracleViolation] = []
@@ -96,18 +156,17 @@ def check_liveness(adapter, expected: int,
             "liveness",
             f"only {len(results)} of {expected} submitted transactions "
             "reached a terminal response after the final heal"))
-    for client in adapter.clients():
+    for client in clients:
         if client.submitted != client.committed + client.aborted:
             violations.append(OracleViolation(
                 "liveness",
                 f"{client.node_id}: submitted={client.submitted} != "
                 f"committed={client.committed} + aborted={client.aborted}"))
-        pending = adapter.client_pending(client)
-        if pending:
+        if client.pending:
             violations.append(OracleViolation(
                 "liveness",
-                f"{client.node_id}: {pending} transaction(s) still in "
-                "flight after quiescence"))
+                f"{client.node_id}: {client.pending} transaction(s) still "
+                "in flight after quiescence"))
     return violations
 
 
@@ -148,18 +207,24 @@ def check_decisions(adapter,
     return violations
 
 
+def _committed_writes(results: Sequence[ResultRow]
+                      ) -> Tuple[Dict[str, int], Dict[str, Any]]:
+    """Per key: how many committed transactions wrote it, and the last."""
+    counts: Dict[str, int] = {}
+    last_tid: Dict[str, Any] = {}
+    for write_keys, result in results:
+        if result.committed:
+            for key in write_keys:
+                counts[key] = counts.get(key, 0) + 1
+                last_tid[key] = result.tid
+    return counts, last_tid
+
+
 def check_stores(adapter, results: Sequence[ResultRow],
                  keys: Sequence[str]) -> List[OracleViolation]:
     """Replica agreement plus exact increment accounting per key."""
     violations: List[OracleViolation] = []
-    committed_writes: Dict[str, int] = {}
-    last_tid: Dict[str, Any] = {}
-    for write_keys, result in results:
-        if not result.committed:
-            continue
-        for key in write_keys:
-            committed_writes[key] = committed_writes.get(key, 0) + 1
-            last_tid[key] = result.tid
+    committed_writes, last_tid = _committed_writes(results)
     for key in sorted(keys):
         want = committed_writes.get(key, 0)
         replicas = adapter.stores_for_key(key)
@@ -195,14 +260,7 @@ def check_durability(adapter, results: Sequence[ResultRow],
     — RAM-only survivals cannot mask a journaling hole.
     """
     violations: List[OracleViolation] = []
-    committed_writes: Dict[str, int] = {}
-    last_tid: Dict[str, Any] = {}
-    for write_keys, result in results:
-        if not result.committed:
-            continue
-        for key in write_keys:
-            committed_writes[key] = committed_writes.get(key, 0) + 1
-            last_tid[key] = result.tid
+    committed_writes, last_tid = _committed_writes(results)
     for key in sorted(keys):
         want = committed_writes.get(key, 0)
         for node_id, store in adapter.stores_for_key(key):

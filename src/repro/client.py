@@ -194,7 +194,7 @@ class TxnClient(Node):
             tid=txn.tid, committed=committed,
             latency_ms=self.kernel.now - txn.started_ms,
             reason=reason, txn_type=txn.spec.txn_type,
-            reads=dict(txn.values))
+            reads=dict(txn.values), versions=dict(txn.versions))
         if txn.on_complete is not None:
             txn.on_complete(result)
         if self.result_hook is not None:

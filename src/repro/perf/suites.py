@@ -308,10 +308,7 @@ def _bench_e2e(system: str, scale: str) -> SuiteResult:
     stats = driver.run()
     wall = time.perf_counter() - start
     committed = stats.outcomes.count(COMMITTED)
-    ops = cluster.kernel.op_counters()
-    ops["messages_sent"] = cluster.network.messages_sent
-    ops["messages_delivered"] = cluster.network.messages_delivered
-    ops["messages_dropped"] = cluster.network.messages_dropped
+    ops = cluster.op_counters()
     ops["committed"] = committed
     ops["aborted"] = stats.outcomes.count(ABORTED)
     ops["submitted"] = stats.submitted

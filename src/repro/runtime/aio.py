@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.backoff import RetryPolicy
 from repro.runtime.api import Runtime
@@ -417,3 +417,11 @@ class AioRuntime(Runtime):
     async def close(self) -> None:
         """Tear down the transport (listener and peer links)."""
         await self.network.close()
+
+
+
+async def follow(kernel: AioKernel, targets: Iterable[float]) -> None:
+    """The asyncio clock of :mod:`repro.scenario`'s driver: sleep until
+    each target time (ms on ``kernel``'s clock) in turn."""
+    for target in targets:
+        await asyncio.sleep(max(0.0, target - kernel.now) / 1000.0)

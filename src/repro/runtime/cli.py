@@ -22,18 +22,7 @@ import sys
 from typing import List, Optional
 
 from repro import systems
-from repro.runtime.conformance import (
-    ConformanceOptions,
-    format_result,
-    run_conformance,
-)
-
-
-def _options(args) -> ConformanceOptions:
-    opts = ConformanceOptions()
-    if args.rounds is not None:
-        opts.rounds = args.rounds
-    return opts
+from repro.runtime.conformance import ROUNDS, format_result, run_conformance
 
 
 def cmd_conform(args) -> int:
@@ -41,11 +30,10 @@ def cmd_conform(args) -> int:
     from repro.runtime.conformance import _message_graph
 
     graph = _message_graph()
-    opts = _options(args)
     failures = 0
     for system in args.systems:
         for seed in args.seeds:
-            result = run_conformance(system, seed, opts, graph=graph)
+            result = run_conformance(system, seed, args.rounds, graph=graph)
             print(format_result(result))
             if not result.ok:
                 failures += 1
@@ -58,8 +46,7 @@ def cmd_cluster(args) -> int:
     """Multi-process localhost cluster + differential evaluation."""
     from repro.runtime.serve import run_cluster
 
-    result = run_cluster(args.system, args.seed, opts=_options(args),
-                         differential=not args.no_differential)
+    result = run_cluster(args.system, args.seed, args.rounds)
     print(format_result(result))
     return 0 if result.ok else 1
 
@@ -87,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     conform.add_argument("--seeds", default="0,1,2",
                          type=systems.parse_seeds,
                          help="comma-separated seeds or lo..hi ranges")
-    conform.add_argument("--rounds", type=int, default=None,
-                         help="transactions per run (default 12)")
+    conform.add_argument("--rounds", type=int, default=ROUNDS,
+                         help="transactions per run (default %(default)s)")
     conform.set_defaults(func=cmd_conform)
 
     cluster = sub.add_parser(
@@ -96,10 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--system", default="carousel-fast",
                          type=systems.canonical, choices=systems.SYSTEMS)
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--rounds", type=int, default=None)
-    cluster.add_argument("--no-differential", action="store_true",
-                         help="skip the DES replay; only run the "
-                              "asyncio-side oracles")
+    cluster.add_argument("--rounds", type=int, default=ROUNDS)
     cluster.set_defaults(func=cmd_cluster)
 
     serve = sub.add_parser(

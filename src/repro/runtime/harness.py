@@ -5,11 +5,9 @@ Two concerns live here because they share the wire codec:
 * **Snapshots** — a serializable view of one process's replicated state
   (per-partition store contents and resolved-outcome maps) plus its
   transport counters.  :func:`snapshot_cluster` extracts one from a live
-  cluster object; :class:`SnapshotAdapter` replays the merged snapshots
-  through the *same* oracle functions the chaos harness uses
-  (:func:`repro.chaos.oracles.check_stores` / ``check_decisions``), so
-  the conformance verdict reuses the battle-tested value-parity logic
-  instead of reimplementing it.
+  cluster object; :class:`SnapshotAdapter` is the view over merged
+  snapshots that :func:`repro.scenario.judge` applies every oracle
+  (:mod:`repro.chaos.oracles`) through, whichever runtime made the run.
 
 * **Control frames** — the tiny orchestration vocabulary of the
   multi-process cluster (``python -m repro cluster``): address-table
@@ -29,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import systems
 from repro.chaos.oracles import OracleAdapter
+from repro.store.kvstore import Record
 from repro.runtime.wire import (
     WireError,
     decode_value,
@@ -153,30 +152,19 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
     return merged
 
 
-class _SnapshotRecord:
-    """Duck-typed :class:`repro.store.kvstore.Record`."""
-
-    __slots__ = ("value", "version")
-
-    def __init__(self, value: Any, version: int):
-        self.value = value
-        self.version = version
-
-
 class _SnapshotStore:
     """Duck-typed read-only store over snapshotted ``{key: (v, ver)}``."""
 
     def __init__(self, contents: Dict[str, Tuple[Any, int]]):
         self._contents = contents
 
-    def read(self, key: str) -> _SnapshotRecord:
-        value, version = self._contents.get(key, (None, 0))
-        return _SnapshotRecord(value, version)
+    def read(self, key: str) -> Record:
+        return Record(*self._contents.get(key, (None, 0)))
 
 
 class SnapshotAdapter(OracleAdapter):
     """The oracle-facing adapter interface of
-    :class:`repro.chaos.runner.ClusterAdapter`, backed by a merged
+    :class:`repro.chaos.oracles.ClusterAdapter`, backed by a merged
     snapshot instead of live cluster objects.
 
     ``ring``/``directory`` come from any process's cluster build — the

@@ -9,12 +9,13 @@ of the cluster, and then follows the driver's control frames
 exits.
 
 ``cluster`` is the driver: it spawns one ``serve`` child per datacenter,
-collects their ports from stdout, distributes the address table, runs
-the seeded sequential workload from local clients, gathers snapshots —
-and then replays the identical plan through the DES backend and applies
-the full differential evaluation (:mod:`repro.runtime.conformance`), so
-the multi-process smoke is held to the same oracle as the in-process
-harness.
+collects their ports from stdout, distributes the address table, and
+runs the conformance scenario through :func:`repro.scenario.run_async`
+— the same driver and judge as every other run — with its clients local
+and the children's snapshots gathered over control frames.  It then runs
+the identical scenario on the DES and compares the two runs
+(:mod:`repro.runtime.conformance`), so the multi-process smoke is held to
+the same oracle as the in-process harness.
 """
 
 # Spawning children and speaking TCP is this module's purpose; detlint's
@@ -25,29 +26,24 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro import systems
-from repro.bench.cluster import DeploymentSpec
-from repro.runtime.aio import AioRuntime
+from repro.runtime.aio import DRIVER_PROC, AioRuntime, proc_for
 from repro.runtime.conformance import (
-    CONFORM_TIMING,
-    ConformanceOptions,
+    ROUNDS,
     ConformanceResult,
-    build_conformance_plan,
-    drive_plan_async,
-    evaluate,
-    run_des_side,
+    compare,
+    conform_scenario,
 )
 from repro.runtime.harness import (
     CtlPeers,
     CtlShutdown,
     CtlSnapshotRequest,
     CtlSnapshotReply,
-    merge_snapshots,
     snapshot_cluster,
 )
-from repro.sim.topology import ec2_five_regions
+from repro.scenario import AIO, DES, run, run_async
 
 #: Wall-clock bound on a child reaching READY / answering a snapshot.
 CHILD_TIMEOUT_S = 30.0
@@ -55,10 +51,12 @@ CHILD_TIMEOUT_S = 30.0
 
 async def serve_async(system: str, seed: int, proc: str,
                       host: str = "127.0.0.1", port: int = 0) -> int:
-    """Run one logical process until the driver says shutdown."""
+    """Run one logical process of the conformance scenario's deployment
+    until the driver says shutdown."""
+    scenario = conform_scenario(system, seed, runtime=AIO)
     loop = asyncio.get_running_loop()
-    topology = ec2_five_regions()
-    runtime = AioRuntime(proc, seed, topology, loop, host=host)
+    runtime = AioRuntime(proc, seed, scenario.deployment.topology, loop,
+                         host=host)
     if port:
         runtime.network.port = port
     shutdown = asyncio.Event()
@@ -77,9 +75,8 @@ async def serve_async(system: str, seed: int, proc: str,
 
     runtime.network.control_handler = _on_control
     bound = await runtime.start()
-    holder["cluster"] = systems.build(
-        system, DeploymentSpec(seed=seed, topology=topology),
-        CONFORM_TIMING, runtime)
+    holder["cluster"] = systems.build(system, scenario.deployment,
+                                      scenario.timing, runtime)
     print(f"READY {proc} {bound}", flush=True)
     await shutdown.wait()
     await runtime.close()
@@ -107,26 +104,16 @@ async def _spawn_server(system: str, seed: int, proc: str
             return child, int(got_port)
 
 
-async def cluster_async(system: str, seed: int,
-                        opts: Optional[ConformanceOptions] = None,
-                        differential: bool = True
+async def cluster_async(system: str, seed: int, rounds: int = ROUNDS
                         ) -> ConformanceResult:
-    """Drive a multi-process localhost cluster through the seeded plan.
-
-    With ``differential`` (the default) the identical plan is also run
-    through the DES backend and the full conformance evaluation applies;
-    without it, only the asyncio-side liveness/oracle checks run (the
-    DES fields of the result stay empty).
-    """
-    opts = opts or ConformanceOptions()
+    """Drive a multi-process localhost cluster through the seeded
+    conformance scenario, then run the same scenario on the DES and
+    compare the two runs."""
+    scenario = conform_scenario(system, seed, rounds, AIO)
     loop = asyncio.get_running_loop()
-    topology = ec2_five_regions()
-    keys = [f"wk{i}" for i in range(opts.n_keys)]
-    plan = build_conformance_plan(seed, opts,
-                                  len(topology.datacenters), keys)
-
-    runtime = AioRuntime("driver", seed, topology, loop)
-    procs = [f"dc-{dc}" for dc in topology.datacenters]
+    topology = scenario.deployment.topology
+    runtime = AioRuntime(DRIVER_PROC, seed, topology, loop)
+    procs = [proc_for("server", dc) for dc in topology.datacenters]
     snapshots: Dict[str, dict] = {}
     snapshots_done = asyncio.Event()
 
@@ -136,11 +123,19 @@ async def cluster_async(system: str, seed: int,
             if len(snapshots) == len(procs):
                 snapshots_done.set()
 
+    async def gather() -> List[dict]:
+        for proc in procs:
+            runtime.network.send_control(proc, CtlSnapshotRequest())
+        await asyncio.wait_for(snapshots_done.wait(),
+                               timeout=CHILD_TIMEOUT_S)
+        return [snapshots[proc] for proc in procs]
+
     runtime.network.control_handler = _on_control
     port = await runtime.start()
     children: List[asyncio.subprocess.Process] = []
     try:
-        table: Dict[str, Tuple[str, int]] = {"driver": ("127.0.0.1", port)}
+        table: Dict[str, Tuple[str, int]] = {
+            DRIVER_PROC: ("127.0.0.1", port)}
         for proc in procs:
             child, child_port = await _spawn_server(system, seed, proc)
             children.append(child)
@@ -149,41 +144,13 @@ async def cluster_async(system: str, seed: int,
         for proc in procs:
             runtime.network.send_control(proc, CtlPeers(addresses=table))
 
-        driver = systems.build(
-            system, DeploymentSpec(seed=seed, topology=topology),
-            CONFORM_TIMING, runtime)
-        await asyncio.sleep(opts.settle_s)
-        results, violations = await drive_plan_async(driver, plan, opts)
-        await asyncio.sleep(opts.drain_s)
-
-        for proc in procs:
-            runtime.network.send_control(proc, CtlSnapshotRequest())
-        await asyncio.wait_for(snapshots_done.wait(),
-                               timeout=CHILD_TIMEOUT_S)
-        merged = merge_snapshots(
-            [snapshot_cluster(system, driver)]
-            + [snapshots[proc] for proc in procs])
+        aio = await run_async(scenario, [runtime], gather)
 
         for proc in procs:
             runtime.network.send_control(proc, CtlShutdown())
         for child in children:
             await asyncio.wait_for(child.wait(), timeout=CHILD_TIMEOUT_S)
         children = []
-
-        if differential:
-            des_cluster, des_results, des_snapshot, des_violations = \
-                run_des_side(system, seed, opts, plan)
-            return evaluate(system, seed, plan, keys,
-                            des_cluster, des_results, des_snapshot,
-                            driver, results, merged,
-                            des_violations + violations)
-        result = ConformanceResult(
-            system=system, seed=seed, rounds=len(plan),
-            committed=sum(1 for _, r in results if r.committed),
-            aborted=sum(1 for _, r in results if not r.committed),
-            counts_aio=dict(merged["sent_by_type"]),
-            violations=violations)
-        return result
     finally:
         for child in children:  # only on failure paths
             try:
@@ -191,11 +158,11 @@ async def cluster_async(system: str, seed: int,
             except ProcessLookupError:  # pragma: no cover
                 pass
         await runtime.close()
+    des = run(conform_scenario(system, seed, rounds, DES))
+    return compare(des, aio)
 
 
 def run_cluster(system: str, seed: int,
-                opts: Optional[ConformanceOptions] = None,
-                differential: bool = True) -> ConformanceResult:
+                rounds: int = ROUNDS) -> ConformanceResult:
     """Synchronous wrapper around :func:`cluster_async`."""
-    return asyncio.run(cluster_async(system, seed, opts=opts,
-                                     differential=differential))
+    return asyncio.run(cluster_async(system, seed, rounds))

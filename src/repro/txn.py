@@ -105,3 +105,5 @@ class TxnResult:
     reason: str
     txn_type: str = "generic"
     reads: Dict[str, Any] = field(default_factory=dict)
+    #: The store version each read returned (0: the key was absent).
+    versions: Dict[str, int] = field(default_factory=dict)

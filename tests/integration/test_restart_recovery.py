@@ -10,11 +10,8 @@ must be caught by the durability oracle — and only when planted.
 
 import pytest
 
-from repro.chaos import (
-    ChaosOptions,
-    planted_lost_commit_bug,
-    run_chaos,
-)
+from repro.chaos import planted_lost_commit_bug
+from repro.chaos.runner import ChaosOptions, run_chaos
 from repro.core.config import CarouselConfig
 from repro.core.server import CarouselServer
 from repro.layered.server import LayeredServer
@@ -29,8 +26,7 @@ from tests.support import RaftCluster, WalRaftHost
 
 #: Restart-weighted quick options: short runs that still power-cycle.
 RESTART_QUICK = ChaosOptions(rounds=12, window_ms=9000.0, n_events=4,
-                             drain_ms=7000.0, restart_weight=8,
-                             final_restart=True)
+                             drain_ms=7000.0, restart_weight=8)
 
 #: The CI discriminator for the planted lost-commit bug: heavy enough
 #: that a whole coordinator group gets power-cycled mid-writeback (the
@@ -41,8 +37,7 @@ RESTART_QUICK = ChaosOptions(rounds=12, window_ms=9000.0, n_events=4,
 #: a small seed range and requires at least one catch: a rebaseline that
 #: shifts interleavings moves *which* seed discriminates, not whether
 #: one does.
-PLANT_OPTS = ChaosOptions(rounds=40, n_events=10, restart_weight=40,
-                          final_restart=True)
+PLANT_OPTS = ChaosOptions(rounds=40, n_events=10, restart_weight=40)
 PLANT_SYSTEM = "carousel-fast"
 PLANT_SEEDS = range(30, 46)
 
@@ -63,8 +58,8 @@ def test_restart_weighted_run_is_deterministic():
     assert a.committed == b.committed and a.aborted == b.aborted
     assert a.restart_counts == b.restart_counts
     assert a.nemesis_log == b.nemesis_log
-    assert [(ks, r.tid, r.committed) for ks, r in a.results] == \
-        [(ks, r.tid, r.committed) for ks, r in b.results]
+    assert [(ks, r.tid, r.committed) for ks, r in a.history] == \
+        [(ks, r.tid, r.committed) for ks, r in b.history]
 
 
 def test_restart_weight_zero_keeps_legacy_timelines():

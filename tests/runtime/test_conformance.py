@@ -1,7 +1,7 @@
 """The DES-differential conformance harness.
 
 The unmarked tests cover the harness's pure pieces (plan generation,
-count reconciliation, snapshot merging) and the DES side alone — fast
+count reconciliation, snapshot merging) and the DES run alone — fast
 and fully deterministic, so they run in tier-1.  The full differential
 runs (DES *and* asyncio/TCP over localhost sockets, wall-clock settle
 times) are real-time tests and sit behind the ``cluster`` marker:
@@ -13,17 +13,17 @@ import pytest
 
 from repro.runtime.conformance import (
     TIME_DRIVEN,
-    ConformanceOptions,
     ConformanceResult,
-    build_conformance_plan,
+    conform_scenario,
     reconcile_counts,
     run_conformance,
-    run_des_side,
 )
 from repro.runtime.harness import merge_snapshots
+from repro.scenario import run
 from repro.systems import SYSTEMS
+from repro.workloads.plans import increment_plan
 
-_FAST = ConformanceOptions(rounds=8)
+_ROUNDS = 8
 
 
 # ----------------------------------------------------------------------
@@ -32,17 +32,18 @@ _FAST = ConformanceOptions(rounds=8)
 
 class TestPlan:
     def test_plan_is_seed_deterministic(self):
-        keys = ["wk0", "wk1", "wk2", "wk3"]
-        a = build_conformance_plan(5, _FAST, 5, keys)
-        b = build_conformance_plan(5, _FAST, 5, keys)
-        c = build_conformance_plan(6, _FAST, 5, keys)
+        a = conform_scenario("carousel-fast", 5, _ROUNDS).plan
+        b = conform_scenario("carousel-fast", 5, _ROUNDS).plan
+        c = conform_scenario("carousel-fast", 6, _ROUNDS).plan
         assert a == b
         assert a != c
-        assert len(a) == _FAST.rounds
+        assert len(a) == _ROUNDS
 
     def test_plan_rows_are_valid(self):
         keys = ["wk0", "wk1"]
-        for client, picked in build_conformance_plan(0, _FAST, 3, keys):
+        for at, client, picked in increment_plan("conform:0", _ROUNDS, 3,
+                                                 keys):
+            assert at is None  # sequential
             assert 0 <= client < 3
             assert 1 <= len(picked) <= 2
             assert set(picked) <= set(keys)
@@ -94,15 +95,13 @@ class TestMergeSnapshots:
 
 class TestDesSide:
     def test_des_side_is_reproducible(self):
-        keys = [f"wk{i}" for i in range(_FAST.n_keys)]
-        plan = build_conformance_plan(0, _FAST, 5, keys)
+        scenario = conform_scenario("carousel-fast", 0, _ROUNDS)
         snaps = []
         for __ in range(2):
-            __, results, snapshot, violations = run_des_side(
-                "carousel-fast", 0, _FAST, plan)
-            assert violations == []
-            assert len(results) == len(plan)
-            snaps.append(snapshot)
+            des = run(scenario)
+            assert des.violations == []
+            assert len(des.history) == len(scenario.plan)
+            snaps.append(des.snapshot)
         assert snaps[0] == snaps[1]
 
     def test_result_ok_reflects_violations(self):
@@ -121,7 +120,7 @@ class TestDesSide:
 def test_differential_conformance(system):
     """Same seeded plan through both backends: same decisions, same
     final replicated state, reconciled message counts."""
-    result = run_conformance(system, 0, ConformanceOptions(rounds=8))
+    result = run_conformance(system, 0, rounds=8)
     assert result.ok, "\n".join(result.violations)
     assert result.rounds == 8
     assert result.committed + result.aborted == 8
@@ -135,7 +134,6 @@ def test_multiprocess_cluster_smoke():
     to the same differential evaluation."""
     from repro.runtime.serve import run_cluster
 
-    result = run_cluster("carousel-fast", 0,
-                         opts=ConformanceOptions(rounds=5))
+    result = run_cluster("carousel-fast", 0, rounds=5)
     assert result.ok, "\n".join(result.violations)
     assert result.committed + result.aborted == 5
