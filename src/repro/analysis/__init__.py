@@ -15,8 +15,9 @@ those rules from review guidance into tooling:
 * :mod:`repro.analysis.protolint` — a protocol-conformance analyzer over
   the extracted message graph (:mod:`repro.analysis.msggraph`): dead
   letters, dead handlers, missing reply obligations, retry coverage,
-  idempotence guards, constructor field mismatches, and FSM conformance
-  against the declared state machines in :mod:`repro.analysis.fsm`.
+  idempotence guards and constructor field mismatches.  State machines
+  are checked at run time instead, against the ``TRANSITIONS`` table each
+  declares beside its code (:func:`repro.sim.node.goto`).
 
 They are exposed on the command line as ``python -m repro lint``,
 ``python -m repro protolint``, and ``python -m repro divergence``; CI

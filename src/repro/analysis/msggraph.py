@@ -3,9 +3,8 @@
 protolint's world model.  One pass over the protocol packages' ASTs
 produces a :class:`MessageGraph`: every ``Message`` subclass (and every
 other dataclass, for constructor checking), every send site, every
-construction site, every handler-table entry, a per-protocol function map
-for reachability closures, and the raw material for FSM conformance
-(state-attribute assignments and comparisons).
+construction site, every handler-table entry, and a per-protocol function
+map for reachability closures.
 
 The extractor is deliberately syntactic — no imports are executed, no
 types are inferred.  It leans on this codebase's idioms instead:
@@ -15,10 +14,7 @@ types are inferred.  It leans on this codebase's idioms instead:
 * a receiving class declares what it handles in class-level dict literals
   named ``*HANDLERS`` (``{MessageType: "method_name"}``), the tables
   :meth:`repro.sim.node.Node.dispatch` runs — so the graph reads
-  dispatch rather than inferring it;
-* protocol state machines store their state in a string attribute whose
-  values come from module-level string constants (``FOLLOWER``,
-  ``PHASE_READ``...).
+  dispatch rather than inferring it.
 
 Everything here is stdlib-``ast``; no third-party dependencies.
 """
@@ -166,42 +162,6 @@ class ClassInfo:
     bases: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FsmAssign:
-    """``<expr>.attr = <state>`` where the state resolved to a string."""
-
-    attr: str
-    value: str
-    #: Equality guards on the same attribute active at the assignment
-    #: (``if x.attr == STATE: x.attr = OTHER`` -> guards=("STATE",)).
-    guards: Tuple[str, ...]
-    cls: Optional[str]
-    func: Optional[str]
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class FsmCompare:
-    """``<expr>.attr ==/!= <state>`` with a resolved state string."""
-
-    attr: str
-    value: str
-    path: str
-    line: int
-
-
-@dataclass(frozen=True)
-class FsmDefault:
-    """Class-level ``attr: str = STATE`` default (the initial state)."""
-
-    attr: str
-    value: str
-    cls: str
-    path: str
-    line: int
-
-
 @dataclass
 class MessageGraph:
     """The extracted message graph over a set of sources."""
@@ -216,9 +176,6 @@ class MessageGraph:
     branches: List[HandlerBranch] = field(default_factory=list)
     functions: Dict[Tuple[str, str], FuncInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    fsm_assigns: List[FsmAssign] = field(default_factory=list)
-    fsm_compares: List[FsmCompare] = field(default_factory=list)
-    fsm_defaults: List[FsmDefault] = field(default_factory=list)
 
     # -- queries --------------------------------------------------------
     def sends_of(self, msg_type: str) -> List[SendSite]:
@@ -319,40 +276,6 @@ def _class_fields(node: ast.ClassDef) -> Tuple[FieldDef, ...]:
     return tuple(fields)
 
 
-class _ModuleConstants:
-    """String constants of one module (incl. class-level)."""
-
-    def __init__(self) -> None:
-        self.strings: Dict[str, str] = {}
-        #: ``from <module> import <name> [as <local>]``:
-        #: local -> (module, name).
-        self.imports: Dict[str, Tuple[str, str]] = {}
-
-    def collect(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.imports[alias.asname or alias.name] = \
-                        (node.module, alias.name)
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if isinstance(value, ast.Constant) and \
-                    isinstance(value.value, str):
-                self.strings[target.id] = value.value
-
-    def resolve_string(self, expr: ast.AST) -> Optional[str]:
-        """A string literal or a Name bound to a module string constant."""
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value
-        if isinstance(expr, ast.Name):
-            return self.strings.get(expr.id)
-        return None
-
-
 def _is_guard_compare(node: ast.Compare) -> bool:
     """Membership tests and ``.get(...)`` comparisons deduplicate
     retransmitted messages."""
@@ -372,16 +295,12 @@ def _is_guard_compare(node: ast.Compare) -> bool:
 class _Extractor(ast.NodeVisitor):
     """Second-pass visitor for one module."""
 
-    def __init__(self, path: str, graph: MessageGraph,
-                 consts: _ModuleConstants):
+    def __init__(self, path: str, graph: MessageGraph):
         self.path = path
         self.protocol = protocol_of(path)
         self.graph = graph
-        self.consts = consts
         self._class_stack: List[str] = []
         self._func_stack: List[str] = []
-        #: Guard facts in force: (attr, state) from enclosing ifs.
-        self._if_facts: List[Tuple[str, str]] = []
         #: Constructor Call node ids that are direct send arguments.
         self._sent_ctor_nodes: Set[int] = set()
         #: Per-outer-function: variable name -> its ConstructSite.
@@ -420,15 +339,6 @@ class _Extractor(ast.NodeVisitor):
             bases=tuple(b.id for b in node.bases
                         if isinstance(b, ast.Name))))
         for stmt in node.body:
-            # Class-level string defaults feed the FSM initial-state check.
-            if isinstance(stmt, ast.AnnAssign) and \
-                    isinstance(stmt.target, ast.Name) and \
-                    stmt.value is not None:
-                value = self.consts.resolve_string(stmt.value)
-                if value is not None:
-                    self.graph.fsm_defaults.append(FsmDefault(
-                        attr=stmt.target.id, value=value, cls=node.name,
-                        path=self.path, line=stmt.lineno))
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name) \
                     and stmt.targets[0].id.endswith("HANDLERS") \
@@ -539,7 +449,7 @@ class _Extractor(ast.NodeVisitor):
             self._mark_retry_machinery()
         self.generic_visit(node)
 
-    # -- assignments: message variables and FSM state -------------------
+    # -- assignments: message variables ----------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1:
             target = node.targets[0]
@@ -554,15 +464,6 @@ class _Extractor(ast.NodeVisitor):
                         self._var_sites[target.id] = \
                             self.graph.constructs[-1]
                     return
-            if isinstance(target, ast.Attribute):
-                value = self.consts.resolve_string(node.value)
-                if value is not None:
-                    guards = tuple(state for attr, state in self._if_facts
-                                   if attr == target.attr)
-                    self.graph.fsm_assigns.append(FsmAssign(
-                        attr=target.attr, value=value, guards=guards,
-                        cls=self._cls, func=self._outer_func,
-                        path=self.path, line=node.lineno))
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -572,49 +473,12 @@ class _Extractor(ast.NodeVisitor):
                 (self.path, node.lineno, "augassign"))
         self.generic_visit(node)
 
-    # -- comparisons: guards and FSM -------------------------------------
+    # -- comparisons: duplicate-delivery guards -------------------------
     def visit_Compare(self, node: ast.Compare) -> None:
         info = self._func_info()
         if info is not None and _is_guard_compare(node):
             info.guard_sites.append((self.path, node.lineno))
-        fact = self._fsm_fact(node)
-        if fact is not None:
-            self.graph.fsm_compares.append(FsmCompare(
-                attr=fact[0], value=fact[1], path=self.path,
-                line=node.lineno))
         self.generic_visit(node)
-
-    def _fsm_fact(self, node: ast.Compare) -> Optional[Tuple[str, str]]:
-        """``<expr>.attr ==/!= <resolvable state>`` -> (attr, state)."""
-        if len(node.ops) != 1 or \
-                not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            return None
-        left, right = node.left, node.comparators[0]
-        if isinstance(right, ast.Attribute) and \
-                not isinstance(left, ast.Attribute):
-            left, right = right, left
-        if not isinstance(left, ast.Attribute):
-            return None
-        value = self.consts.resolve_string(right)
-        if value is None:
-            return None
-        return (left.attr, value)
-
-    # -- if: track equality guards for FSM transitions -------------------
-    def visit_If(self, node: ast.If) -> None:
-        fact: Optional[Tuple[str, str]] = None
-        if isinstance(node.test, ast.Compare) and len(node.test.ops) == 1 \
-                and isinstance(node.test.ops[0], ast.Eq):
-            fact = self._fsm_fact(node.test)
-        self.visit(node.test)
-        if fact is not None:
-            self._if_facts.append(fact)
-        for stmt in node.body:
-            self.visit(stmt)
-        if fact is not None:
-            self._if_facts.pop()
-        for stmt in node.orelse:
-            self.visit(stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -639,16 +503,12 @@ def build_graph(sources: Dict[str, str]) -> MessageGraph:
     """Extract the message graph from ``{path: source}`` texts."""
     graph = MessageGraph(sources=dict(sources))
     trees: Dict[str, ast.Module] = {}
-    consts: Dict[str, _ModuleConstants] = {}
 
-    # Pass 1: message/dataclass definitions and module constants, from
-    # every file, so pass 2 can resolve cross-module references by name.
+    # Pass 1: message/dataclass definitions from every file, so pass 2
+    # can resolve cross-module references by name.
     for path in sorted(sources):
         tree = ast.parse(sources[path], filename=path)
         trees[path] = tree
-        module_consts = _ModuleConstants()
-        module_consts.collect(tree)
-        consts[path] = module_consts
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -663,22 +523,9 @@ def build_graph(sources: Dict[str, str]) -> MessageGraph:
             if definition.is_message:
                 graph.messages[node.name] = definition
 
-    # A state constant imported from another scanned module (the client
-    # shell's PHASE_READ) resolves like a local one.
-    by_module = {"/" + Path(path).with_suffix("").as_posix(): module_consts
-                 for path, module_consts in consts.items()}
-    for module_consts in consts.values():
-        for local, (module, name) in module_consts.imports.items():
-            suffix = "/" + module.replace(".", "/")
-            for module_path, origin in by_module.items():
-                if module_path.endswith(suffix) and name in origin.strings:
-                    module_consts.strings.setdefault(
-                        local, origin.strings[name])
-
-    # Pass 2: sends, constructs, handler tables, functions, classes, FSM
-    # raw material.
+    # Pass 2: sends, constructs, handler tables, functions, classes.
     for path in sorted(sources):
-        _Extractor(path, graph, consts[path]).visit(trees[path])
+        _Extractor(path, graph).visit(trees[path])
 
     # A subclass drives retransmission with its base class's machinery.
     def inherits_retry(info: ClassInfo) -> bool:

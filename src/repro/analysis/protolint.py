@@ -32,13 +32,14 @@ PL006   handler-mutation    warning   handlers of a dedup-contracted message
                                       duplicate-delivery guard in reach
 PL007   field-mismatch      error     a constructor call site does not match
                                       the dataclass definition
-PL008   fsm-conformance     error     state assignments/compares violate a
-                                      declared state machine (:mod:`.fsm`)
 ======  ==================  ========  ==========================================
 
 Reply obligations (PL004) are checked over a call-graph closure from the
 handler methods the tables name, so replies sent by helpers several
-calls deep count.  Suppress individual findings with
+calls deep count.  State machines are not checked here: each declares a
+``TRANSITIONS`` table beside its code, and
+:func:`repro.sim.node.goto` checks every transition as it runs.
+Suppress individual findings with
 ``# protolint: ignore[...]`` (see :mod:`repro.analysis.findings`).
 
 Self-check plants (mirroring ``repro chaos --plant-bug``): the
@@ -55,7 +56,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .findings import (Finding, Rule, SEVERITY_ERROR, SEVERITY_WARNING,
                        is_suppressed, parse_suppressions)
-from .fsm import FSM_SPECS, FSMSpec, check_all as check_all_fsm
 from .msggraph import (HandlerBranch, MessageGraph, Reachability,
                        build_graph, collect_sources, protocol_of)
 
@@ -74,8 +74,6 @@ RULES: Dict[str, Rule] = {
                   "dedup handler mutates per-txn state unguarded"),
     "PL007": Rule("PL007", "field-mismatch", SEVERITY_ERROR,
                   "constructor call site disagrees with dataclass fields"),
-    "PL008": Rule("PL008", "fsm-conformance", SEVERITY_ERROR,
-                  "state machine assignment/compare outside declared FSM"),
 }
 
 
@@ -171,7 +169,7 @@ PROTOCOLS: Dict[str, Dict[str, MessageContract]] = {
 }
 
 #: Default scan scope: the four protocol packages, plus the client shell
-#: their client FSMs and retry machinery live in.
+#: their clients' retry machinery lives in.
 DEFAULT_SCAN_DIRS = (
     "src/repro/core",
     "src/repro/layered",
@@ -441,7 +439,6 @@ def _check_field_mismatch(graph: MessageGraph) -> List[Finding]:
 def lint_graph(graph: MessageGraph,
                contracts: Optional[Dict[str, Dict[str, MessageContract]]]
                = None,
-               specs: Tuple[FSMSpec, ...] = FSM_SPECS,
                keep_suppressed: bool = False) -> List[Finding]:
     """All protolint findings for an extracted graph."""
     if contracts is None:
@@ -454,7 +451,6 @@ def lint_graph(graph: MessageGraph,
     findings.extend(_check_retry_coverage(graph, contracts))
     findings.extend(_check_handler_mutation(graph, contracts))
     findings.extend(_check_field_mismatch(graph))
-    findings.extend(check_all_fsm(graph, RULES["PL008"], specs))
     if keep_suppressed:
         return findings
     suppressions = {path: parse_suppressions(text, tool="protolint")
@@ -466,23 +462,20 @@ def lint_graph(graph: MessageGraph,
 def lint_sources(sources: Dict[str, str],
                  contracts: Optional[Dict[str, Dict[str, MessageContract]]]
                  = None,
-                 specs: Tuple[FSMSpec, ...] = FSM_SPECS,
                  keep_suppressed: bool = False) -> List[Finding]:
-    return lint_graph(build_graph(sources), contracts, specs,
-                      keep_suppressed)
+    return lint_graph(build_graph(sources), contracts, keep_suppressed)
 
 
 def lint_paths(paths: Optional[Sequence[str]] = None,
                contracts: Optional[Dict[str, Dict[str, MessageContract]]]
                = None,
-               specs: Tuple[FSMSpec, ...] = FSM_SPECS,
                plant: Optional[str] = None,
                keep_suppressed: bool = False) -> List[Finding]:
     """Lint files/directories; the main entry point for the CLI."""
     sources = collect_sources(list(paths) if paths else default_paths())
     if plant is not None:
         sources = apply_plant(sources, plant)
-    return lint_sources(sources, contracts, specs, keep_suppressed)
+    return lint_sources(sources, contracts, keep_suppressed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ contract — TID allocation (client id + counter, §3.3), registration and
 ``txn_begin`` tracing, grouping the key sets by partition, absorbing read
 replies (first reply per partition wins, §4.4.1), running the write
 function, the retransmission timer on one :class:`RetryPolicy`,
-phase-span switching and the single completion path (counters,
-:class:`~repro.txn.TxnResult`, callbacks).  A protocol's client keeps
-only what is protocol: which messages a phase sends, which replies end
-it, and any state of its own (:meth:`_start`, :meth:`_resend`,
-``HANDLERS``).
+phase changes and their spans (:meth:`_goto`) and the single completion
+path (counters, :class:`~repro.txn.TxnResult`, callbacks).  A protocol's
+client keeps only what is protocol: which messages a phase sends, which
+replies end it, the phases between ``read`` and ``done``
+(``TRANSITIONS``), and any state of its own (:meth:`_start`,
+:meth:`_resend`, ``HANDLERS``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, ClassVar, Dict, List,
                     Optional, Set, Tuple)
 
-from repro.sim.node import Node
+from repro.sim.node import Node, goto
 from repro.txn import REASON_COMMITTED, TID, TransactionSpec, TxnResult
 
 if TYPE_CHECKING:  # repro.core's package init imports a TxnClient subclass
@@ -162,6 +163,16 @@ class TxnClient(Node):
         txn.writes = writes
         return True
 
+    def _goto(self, txn: ClientTxn, phase: str,
+              span: Optional[str] = None) -> None:
+        """Move ``txn`` to ``phase`` and, when tracing, into a ``span``
+        phase span.  The protocol client's ``TRANSITIONS`` table (phase
+        -> the phases it may enter; first key ``read``) must declare the
+        step."""
+        txn.phase = goto(self, txn.phase, phase)
+        if span is not None:
+            self._enter_span(txn, span)
+
     def _enter_span(self, txn: ClientTxn, kind: str) -> None:
         """Tracing: close the open phase span and open a ``kind`` one."""
         tracer = self.tracer
@@ -177,7 +188,7 @@ class TxnClient(Node):
                   reason: str) -> None:
         if txn.phase == PHASE_DONE:
             return
-        txn.phase = PHASE_DONE
+        self._goto(txn, PHASE_DONE)
         tracer = self.tracer
         if tracer.enabled:
             tracer.span_end(txn.phase_span)

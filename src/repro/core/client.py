@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.client import (PHASE_READ, ClientTxn, CompletionCallback,
-                          KeyGroup, TxnClient)
+from repro.client import (PHASE_DONE, PHASE_READ, ClientTxn,
+                          CompletionCallback, KeyGroup, TxnClient)
 from repro.core.config import CarouselConfig
 from repro.core.messages import (
     ClientHeartbeat,
@@ -64,6 +64,14 @@ class CarouselClient(TxnClient):
         TxnReply: "_on_txn_reply",
         ReadOnlyReply: "_on_read_only_reply",
     }
+    #: Figure 1's read round, then the commit round; or the §4.4
+    #: read-only round alone.  A coordinator abort can end the read round.
+    TRANSITIONS = {
+        PHASE_READ: (PHASE_READ_ONLY, PHASE_COMMIT, PHASE_DONE),
+        PHASE_READ_ONLY: (PHASE_DONE,),
+        PHASE_COMMIT: (PHASE_DONE,),
+        PHASE_DONE: (),
+    }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  directory: DirectoryService, partitioner: Partitioner,
@@ -86,8 +94,7 @@ class CarouselClient(TxnClient):
         for pid, read_keys, write_keys in groups:
             txn.participants[pid] = PartitionSets(read_keys, write_keys)
         if txn.spec.is_read_only and self.config.read_only_optimization:
-            txn.phase = PHASE_READ_ONLY
-            self._enter_span(txn, SPAN_READ_ONLY)
+            self._goto(txn, PHASE_READ_ONLY, SPAN_READ_ONLY)
             self._send_read_only(txn)
         else:
             self._choose_coordinator(txn)
@@ -195,8 +202,7 @@ class CarouselClient(TxnClient):
             self._enter_commit_phase(txn)
 
     def _enter_commit_phase(self, txn: _ClientTxn) -> None:
-        txn.phase = PHASE_COMMIT
-        self._enter_span(txn, SPAN_COMMIT)
+        self._goto(txn, PHASE_COMMIT, SPAN_COMMIT)
         # On an application abort the coordinator is still told (§4.1.2).
         txn.abort_requested = not self._compute_writes(txn)
         self._cancel_timer(txn, "heartbeat_timer")

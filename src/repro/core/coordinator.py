@@ -52,11 +52,6 @@ from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
 
 COMMIT = "commit"
 
-#: Coordinator durability FSM: normal operation vs. WAL replay after a
-#: power cycle (decisions are journaled in ACTIVE, re-driven in RECOVERY).
-WAL_ACTIVE = "active"
-WAL_RECOVERY = "recovery"
-
 
 def supermajority(group_size: int) -> int:
     """CPC's fast-quorum size: ⌈3f/2⌉+1 for a 2f+1 group (§4.2)."""
@@ -130,7 +125,6 @@ class CoordinatorComponent:
         self.states: Dict[TID, CoordTxnState] = {}
         #: Outcomes of finished transactions, for late/duplicate messages.
         self.finished: Dict[TID, str] = {}
-        self.wal_state = WAL_ACTIVE
         self.fast_path_decisions = 0
         self.slow_path_decisions = 0
 
@@ -491,15 +485,13 @@ class CoordinatorComponent:
     def restore_from_wal(self, records) -> str:
         """Rebuild decided-but-unfinished transactions after a power cycle.
 
-        Runs in the RECOVERY state: each journaled decision without a
-        matching finish record is re-instantiated (participants, writes,
-        outcome) and its writeback phase re-driven immediately — the
-        client already saw the reply, so the writes are owed to the
-        participant partitions no matter who leads the group now.
-        Returns a summary for the recovery trace point.
+        Each journaled decision without a matching finish record is
+        re-instantiated (participants, writes, outcome) and its writeback
+        phase re-driven immediately — the client already saw the reply,
+        so the writes are owed to the participant partitions no matter
+        who leads the group now.  Returns a summary for the recovery
+        trace point.
         """
-        if self.wal_state == WAL_ACTIVE:
-            self.wal_state = WAL_RECOVERY
         finished, owed = fold_decisions(records)
         self.finished.update(finished)
         for record in owed:
@@ -513,8 +505,6 @@ class CoordinatorComponent:
                 replied=True, wal_recovered=True)
             self.states[record.tid] = state
             self._send_writebacks(state)
-        if self.wal_state == WAL_RECOVERY:
-            self.wal_state = WAL_ACTIVE
         return f"redriven={len(owed)} finished={len(finished)}"
 
     # ------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.client import PHASE_READ, ClientTxn, KeyGroup, TxnClient
+from repro.client import (PHASE_DONE, PHASE_READ, ClientTxn, KeyGroup,
+                          TxnClient)
 from repro.core.messages import PartitionSets
 from repro.layered.messages import (
     LayeredCommitRequest,
@@ -39,6 +40,12 @@ class LayeredClient(TxnClient):
     HANDLERS = {
         LayeredReadReply: "_on_read_reply",
         LayeredReply: "_on_reply",
+    }
+    #: ``read -> done`` is the shell's empty transaction.
+    TRANSITIONS = {
+        PHASE_READ: (PHASE_COMMIT, PHASE_DONE),
+        PHASE_COMMIT: (PHASE_DONE,),
+        PHASE_DONE: (),
     }
 
     def _start(self, txn: _LayeredTxn, groups: List[KeyGroup]) -> None:
@@ -74,8 +81,7 @@ class LayeredClient(TxnClient):
                 tid=txn.tid, partition_id=pid, keys=sets.read_keys))
 
     def _enter_commit(self, txn: _LayeredTxn) -> None:
-        txn.phase = PHASE_COMMIT
-        self._enter_span(txn, SPAN_COMMIT)
+        self._goto(txn, PHASE_COMMIT, SPAN_COMMIT)
         if not self._compute_writes(txn):
             self._complete(txn, False, REASON_CLIENT_ABORT)
             return

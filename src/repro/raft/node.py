@@ -43,7 +43,7 @@ from repro.raft.messages import (
     RequestVoteReply,
 )
 from repro.sim.message import Message
-from repro.sim.node import Node
+from repro.sim.node import Node, goto
 from repro.wal.records import RaftAppendRecord, RaftTermRecord
 
 FOLLOWER = "follower"
@@ -91,6 +91,14 @@ class RaftMember:
         RequestVoteReply: "_on_vote_reply",
         AppendEntries: "_on_append_entries",
         AppendEntriesReply: "_on_append_reply",
+    }
+    #: Role -> the roles :meth:`_goto` may enter from it.  Every role may
+    #: step down, a follower leads at once only as the bootstrap leader,
+    #: and a candidate may stand again.
+    TRANSITIONS = {
+        FOLLOWER: (FOLLOWER, CANDIDATE, LEADER),
+        CANDIDATE: (FOLLOWER, CANDIDATE, LEADER),
+        LEADER: (FOLLOWER,),
     }
 
     def __init__(self, host: "RaftHost", group_id: str,
@@ -254,7 +262,7 @@ class RaftMember:
     def handle_host_crash(self) -> None:
         """Drop volatile leadership state; keep persistent state."""
         self._cancel_timers()
-        self.state = FOLLOWER
+        self._goto(FOLLOWER)
         self.leader_id = None
         self._votes = {}
         self._commit_callbacks.clear()
@@ -369,7 +377,7 @@ class RaftMember:
     def _start_election(self) -> None:
         self.elections_started += 1
         self.current_term += 1
-        self.state = CANDIDATE
+        self._goto(CANDIDATE)
         self.voted_for = self.node_id
         self._persist_term()
         self.leader_id = None
@@ -401,13 +409,16 @@ class RaftMember:
     # ------------------------------------------------------------------
     # Role changes
     # ------------------------------------------------------------------
+    def _goto(self, state: str) -> None:
+        self.state = goto(self, self.state, state)
+
     def _step_down(self, new_term: int) -> None:
         if new_term > self.current_term:
             self.current_term = new_term
             self.voted_for = None
             self._persist_term()
         was_leader = self.state == LEADER
-        self.state = FOLLOWER
+        self._goto(FOLLOWER)
         self._votes = {}
         self._term_start_waiters.clear()
         if was_leader:
@@ -419,7 +430,7 @@ class RaftMember:
         self._arm_election_timer()
 
     def _become_leader(self, vote_payloads: Dict[str, Any]) -> None:
-        self.state = LEADER
+        self._goto(LEADER)
         self.leader_id = self.node_id
         if self._election_timer is not None:
             self._election_timer.cancel()

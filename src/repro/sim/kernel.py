@@ -173,11 +173,6 @@ class Kernel:
         """Lazy compaction passes performed."""
         return self._sched.compactions
 
-    @property
-    def _heap(self) -> List[Tuple[float, int, Event]]:
-        # Back-compat observability hook for the heap scheduler's tests.
-        return self._sched._heap
-
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now.

@@ -3,7 +3,9 @@
 A :class:`Node` is an event-driven state machine attached to a network.  It
 receives messages through :meth:`handle_message`, which runs the method its
 :attr:`~Node.HANDLERS` table names for the message type, sends with
-:meth:`send`, and sets timers with :meth:`set_timer`.
+:meth:`send`, and sets timers with :meth:`set_timer`.  A class whose state
+is a small machine declares it the same way, in a ``TRANSITIONS`` table
+that :func:`goto` checks on every state change.
 
 CPU model
 ---------
@@ -24,6 +26,17 @@ from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
 from repro.sim.network import Network
 from repro.wal.log import WriteAheadLog
+
+
+def goto(owner: object, current: str, new: str) -> str:
+    """Return ``new`` if ``owner``'s class declares ``current -> new`` in
+    its ``TRANSITIONS = {state: (next, ...)}`` table, else raise.  Each
+    machine's ``_goto`` stores the result; nothing else writes its state.
+    """
+    if new not in type(owner).TRANSITIONS.get(current, ()):
+        raise RuntimeError(f"{type(owner).__name__} has no transition "
+                           f"{current!r} -> {new!r}")
+    return new
 
 
 class Node:

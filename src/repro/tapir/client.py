@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.client import (PHASE_READ, ClientTxn, CompletionCallback,
-                          KeyGroup, TxnClient)
+from repro.client import (PHASE_DONE, PHASE_READ, ClientTxn,
+                          CompletionCallback, KeyGroup, TxnClient)
 from repro.trace.tracer import SPAN_PREPARE, SPAN_READ
 from repro.store.directory import DirectoryService
 from repro.store.partitioning import Partitioner
@@ -95,6 +95,13 @@ class TapirClient(TxnClient):
         TapirPrepareReply: "_on_prepare_reply",
         TapirFinalizeAck: "_on_finalize_ack",
         TapirCommitAck: "_on_commit_ack",
+    }
+    #: The write function may abort before the prepare round starts; the
+    #: commit round is asynchronous, after ``done``.
+    TRANSITIONS = {
+        PHASE_READ: (PHASE_PREPARE, PHASE_DONE),
+        PHASE_PREPARE: (PHASE_DONE,),
+        PHASE_DONE: (),
     }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
@@ -181,8 +188,7 @@ class TapirClient(TxnClient):
         if not self._compute_writes(txn):
             self._complete(txn, False, REASON_CLIENT_ABORT)
             return
-        txn.phase = PHASE_PREPARE
-        self._enter_span(txn, SPAN_PREPARE)
+        self._goto(txn, PHASE_PREPARE, SPAN_PREPARE)
         self._send_prepares(txn)
         txn.fast_timer = self.set_timer(
             self.config.fast_path_timeout_ms, self._fast_path_timeout, txn)

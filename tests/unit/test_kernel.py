@@ -162,7 +162,7 @@ def test_heap_compaction_when_cancelled_majority():
     for event in dead:
         event.cancel()
     assert kernel.heap_compactions >= 1
-    assert len(kernel._heap) < 15  # compaction dropped dead entries
+    assert len(kernel._sched._heap) < 15  # compaction dropped dead entries
     assert kernel.pending_events() == 5
     executed = kernel.run()
     assert executed == len(live)

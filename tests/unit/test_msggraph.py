@@ -1,5 +1,4 @@
-"""Message-graph extraction tests: defs, sends, handler tables, closures,
-FSM.
+"""Message-graph extraction tests: defs, sends, handler tables, closures.
 
 Each fixture is a minimal module (or pair of modules) exercising one
 extraction path; paths carry a ``core/`` fragment so the fixtures land in
@@ -199,48 +198,6 @@ def test_construct_site_kwargs_positional_and_star():
     assert [s.n_pos for s in sites] == [2, 0, 0]
     assert sites[1].kwargs == ("tid", "decision", "writes")
     assert [s.has_star for s in sites] == [False, False, True]
-
-
-def test_fsm_assign_compare_default_extraction():
-    g = graph_of(node="""
-        IDLE = "idle"
-        BUSY = "busy"
-
-        class Worker:
-            phase: str = IDLE
-
-            def start(self):
-                if self.phase == IDLE:
-                    self.phase = BUSY
-
-            def check(self):
-                return self.phase != BUSY
-    """)
-    (assign,) = [a for a in g.fsm_assigns if a.attr == "phase"]
-    assert assign.value == "busy"
-    assert assign.guards == ("idle",)
-    values = sorted(c.value for c in g.fsm_compares if c.attr == "phase")
-    assert values == ["busy", "idle"]
-    (default,) = [d for d in g.fsm_defaults if d.attr == "phase"]
-    assert default.value == "idle"
-    assert default.cls == "Worker"
-
-
-def test_guard_does_not_leak_into_else_branch():
-    g = graph_of(node="""
-        A = "a"
-        B = "b"
-        C = "c"
-
-        class Worker:
-            def step(self):
-                if self.phase == A:
-                    self.phase = B
-                else:
-                    self.phase = C
-    """)
-    by_value = {a.value: a.guards for a in g.fsm_assigns}
-    assert by_value == {"b": ("a",), "c": ()}
 
 
 def test_collect_sources_walks_directories(tmp_path):

@@ -1,4 +1,4 @@
-"""protolint rule tests: every rule PL001-PL008 fires on a fixture, the
+"""protolint rule tests: every rule PL001-PL007 fires on a fixture, the
 real tree is clean, and the planted-bug self-checks detect the plants.
 
 Fixtures are minimal protocol modules under a ``core/`` path (so they
@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.fsm import FSMSpec
-from repro.analysis.msggraph import build_graph, collect_sources
+from repro.analysis.msggraph import build_graph
 from repro.analysis.protolint import (CATALOG_BEGIN, CATALOG_END,
                                       MessageContract,
                                       apply_plant, default_paths,
@@ -63,22 +62,16 @@ CONTRACT = {"carousel": {
     "Rep": MessageContract(("Client",)),
 }}
 
-#: FSM specs that never match fixture paths, so fixture tests exercise
-#: exactly the rule under test.
-NO_SPECS = ()
-
-
-def run(contracts=CONTRACT, specs=NO_SPECS, **modules):
+def run(contracts=CONTRACT, **modules):
     """Lint fixture modules, return sorted (code, path:line) pairs."""
     sources = {f"fx/core/{name}.py": textwrap.dedent(text)
                for name, text in modules.items()}
-    findings = lint_sources(sources, contracts=contracts, specs=specs)
+    findings = lint_sources(sources, contracts=contracts)
     return sorted((f.rule.code, f.message) for f in findings)
 
 
-def codes(contracts=CONTRACT, specs=NO_SPECS, **modules):
-    return sorted(code for code, _ in
-                  run(contracts=contracts, specs=specs, **modules))
+def codes(contracts=CONTRACT, **modules):
+    return sorted(code for code, _ in run(contracts=contracts, **modules))
 
 
 def test_clean_fixture_protocol_has_no_findings():
@@ -295,208 +288,6 @@ def test_pl007_valid_and_star_calls_are_clean():
 
 
 # ----------------------------------------------------------------------
-# PL008 fsm-conformance
-# ----------------------------------------------------------------------
-FSM_FIXTURE_SPEC = (FSMSpec(
-    name="fixture", path_fragments=("core/machine.py",), attr="phase",
-    states=("idle", "busy", "done"), initial=("idle",),
-    transitions={"idle": ("busy",), "busy": ("done",)}),)
-
-FSM_HEADER = """
-    IDLE = "idle"
-    BUSY = "busy"
-    DONE = "done"
-    WEIRD = "weird"
-"""
-
-
-def fsm_run(body):
-    sources = {"fx/core/machine.py":
-               textwrap.dedent(FSM_HEADER) + textwrap.dedent(body)}
-    findings = lint_sources(sources, contracts={},
-                            specs=FSM_FIXTURE_SPEC)
-    return sorted(f.message for f in findings
-                  if f.rule.code == "PL008")
-
-
-def test_pl008_clean_machine():
-    assert fsm_run("""
-        class M:
-            phase: str = IDLE
-
-            def start(self):
-                if self.phase == IDLE:
-                    self.phase = BUSY
-
-            def finish(self):
-                if self.phase == BUSY:
-                    self.phase = DONE
-    """) == []
-
-
-def test_pl008_undeclared_assigned_state():
-    (msg,) = fsm_run("""
-        class M:
-            phase: str = IDLE
-
-            def boom(self):
-                self.phase = WEIRD
-
-            def a(self):
-                self.phase = BUSY
-
-            def b(self):
-                self.phase = DONE
-    """)
-    assert "undeclared state 'weird'" in msg
-
-
-def test_pl008_undeclared_compared_state():
-    messages = fsm_run("""
-        class M:
-            phase: str = IDLE
-
-            def check(self):
-                return self.phase == WEIRD
-
-            def a(self):
-                self.phase = BUSY
-
-            def b(self):
-                self.phase = DONE
-    """)
-    assert any("compares .phase against undeclared state 'weird'" in m
-               for m in messages)
-
-
-def test_pl008_undeclared_transition():
-    (msg,) = fsm_run("""
-        class M:
-            phase: str = IDLE
-
-            def skip(self):
-                if self.phase == IDLE:
-                    self.phase = DONE
-
-            def a(self):
-                self.phase = BUSY
-    """)
-    assert "transition 'idle' -> 'done' is not declared" in msg
-
-
-def test_pl008_bad_initial_default():
-    messages = fsm_run("""
-        class M:
-            phase: str = BUSY
-
-            def a(self):
-                if self.phase == BUSY:
-                    self.phase = DONE
-
-            def b(self):
-                self.phase = IDLE
-    """)
-    assert any("class default 'busy' is not a declared initial state"
-               in m for m in messages)
-
-
-def test_pl008_bad_init_assignment():
-    messages = fsm_run("""
-        class M:
-            def __init__(self):
-                self.phase = BUSY
-
-            def a(self):
-                if self.phase == BUSY:
-                    self.phase = DONE
-
-            def b(self):
-                self.phase = IDLE
-    """)
-    assert any("__init__ sets .phase to 'busy'" in m for m in messages)
-
-
-def test_pl008_never_entered_state():
-    (msg,) = fsm_run("""
-        class M:
-            phase: str = IDLE
-
-            def a(self):
-                if self.phase == IDLE:
-                    self.phase = BUSY
-    """)
-    assert "declared state 'done' is never entered" in msg
-
-
-def test_pl008_machine_split_across_a_shell_and_a_protocol_file():
-    # The layout of the real clients: the shell owns the READ default and
-    # the DONE assignment, the protocol file imports the shared constants
-    # and owns the phases in between.
-    spec = (FSMSpec(
-        name="split", path_fragments=("core/machine.py", "fx/shell.py"),
-        attr="phase", states=("idle", "busy", "done"), initial=("idle",),
-        transitions={"idle": ("busy", "done"), "busy": ("done",)}),)
-    shell = textwrap.dedent("""
-        IDLE = "idle"
-        DONE = "done"
-
-        class Txn:
-            phase: str = IDLE
-
-        class Shell:
-            def complete(self, txn):
-                if txn.phase == DONE:
-                    return
-                txn.phase = DONE
-    """)
-    machine = textwrap.dedent("""
-        from fx.shell import IDLE, Shell
-
-        BUSY = "busy"
-
-        class M(Shell):
-            def start(self, txn):
-                if txn.phase == IDLE:
-                    txn.phase = BUSY
-    """)
-
-    def messages(shell_src, machine_src=machine):
-        return sorted(f.message for f in lint_sources(
-            {"fx/shell.py": shell_src, "fx/core/machine.py": machine_src},
-            contracts={}, specs=spec) if f.rule.code == "PL008")
-
-    assert messages(shell) == []
-    # Neither file alone enters every state.
-    assert any("never entered" in m for m in messages(shell.replace(
-        "        txn.phase = DONE\n", "        pass\n")))
-    # A bad transition planted in the shell is still caught...
-    (msg,) = messages(shell.replace(
-        "            return\n", "            txn.phase = IDLE\n"))
-    assert "transition 'done' -> 'idle' is not declared" in msg
-    # ...and so is one guarded by a constant imported from the shell.
-    assert any("transition 'idle' -> 'idle' is not declared" in m
-               for m in messages(shell, machine.replace(
-                   "txn.phase = BUSY", "txn.phase = IDLE")))
-
-
-def test_pl008_bad_transition_planted_in_the_real_shell_is_caught():
-    sources = collect_sources(default_paths())
-    (shell,) = [p for p in sources if p.endswith("repro/client.py")]
-    anchor = "        if txn.phase == PHASE_DONE:\n            return\n"
-    assert sources[shell].count(anchor) == 2      # _complete and _retry
-    sources[shell] = sources[shell].replace(
-        anchor, "        if txn.phase == PHASE_DONE:\n"
-                "            txn.phase = PHASE_READ\n", 1)
-    found = sorted(f.message for f in lint_sources(sources)
-                   if f.rule.code == "PL008")
-    assert len(found) == 3 and all(            # once per client machine
-        "transition 'done' -> 'read' is not declared" in m for m in found)
-    assert {m.split(":")[0] for m in found} == {
-        "fsm carousel-client-txn", "fsm layered-client-txn",
-        "fsm tapir-client-txn"}
-
-
-# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 def test_protolint_suppression_by_code_and_slug():
@@ -508,8 +299,8 @@ def test_protolint_suppression_by_code_and_slug():
         "# protolint: ignore[PL005]\n")
     sources = {"fx/core/messages.py": MESSAGES,
                "fx/core/node.py": suppressed}
-    assert lint_sources(sources, contracts=CONTRACT, specs=NO_SPECS) == []
-    kept = lint_sources(sources, contracts=CONTRACT, specs=NO_SPECS,
+    assert lint_sources(sources, contracts=CONTRACT) == []
+    kept = lint_sources(sources, contracts=CONTRACT,
                         keep_suppressed=True)
     assert [f.rule.code for f in kept] == ["PL005"]
 
@@ -523,7 +314,7 @@ def test_detlint_comment_does_not_silence_protolint():
         "# detlint: ignore[PL005]\n")
     sources = {"fx/core/messages.py": MESSAGES,
                "fx/core/node.py": annotated}
-    findings = lint_sources(sources, contracts=CONTRACT, specs=NO_SPECS)
+    findings = lint_sources(sources, contracts=CONTRACT)
     assert [f.rule.code for f in findings] == ["PL005"]
 
 

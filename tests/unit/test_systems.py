@@ -7,8 +7,6 @@ and the litmus from DESIGN.md §2 is exercised: a fifth row (a renamed
 copy of TAPIR's) works in every harness with no other edit.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import systems
@@ -152,14 +150,8 @@ class TestTimingProfiles:
 
 
 # ----------------------------------------------------------------------
-# Litmus: a fifth system costs one table row.
-
-@pytest.fixture
-def fifth_system(monkeypatch):
-    row = replace(systems.TABLE["tapir"], name="tapir-2", label="TAPIR 2")
-    monkeypatch.setitem(systems.TABLE, row.name, row)
-    return row.name
-
+# Litmus: a fifth system (``fifth_system``, tests/unit/conftest.py) costs
+# one table row.
 
 def test_fifth_row_works_in_every_harness(fifth_system):
     cluster = _deploy(fifth_system)                       # buildable
@@ -190,7 +182,8 @@ def test_fifth_row_works_in_every_harness(fifth_system):
 #: What the shell owns outright; a protocol client may extend
 #: ``_complete``/``submit`` through ``super()`` but never these.
 _SHELL_ONLY = ("begin", "_register", "_absorb_read", "_compute_writes",
-               "_arm_retry", "_retry", "_cancel_timer", "_enter_span")
+               "_arm_retry", "_retry", "_cancel_timer", "_goto",
+               "_enter_span")
 
 
 @pytest.fixture(params=systems.SYSTEMS + ("fifth-row",))
