@@ -12,11 +12,12 @@ those rules from review guidance into tooling:
   same scenario twice under different ``PYTHONHASHSEED`` values, records a
   compact digest stream of kernel activity, and localizes the *first*
   diverging event with its causal context.
-* :mod:`repro.analysis.protolint` — a protocol-conformance analyzer over
-  the extracted message graph (:mod:`repro.analysis.msggraph`): dead
-  letters, dead handlers, missing reply obligations, retry coverage,
-  idempotence guards and constructor field mismatches.  State machines
-  are checked at run time instead, against the ``TRANSITIONS`` table each
+* :mod:`repro.analysis.protolint` — protocol conformance: the declared
+  ``*HANDLERS`` tables, ``Message`` subclasses and per-protocol contracts
+  checked against each other, then against a traced DES corpus of the
+  existing conform and chaos scenarios (unexercised types, requests whose
+  deliveries never produced a declared reply).  State machines are
+  checked at run time instead, against the ``TRANSITIONS`` table each
   declares beside its code (:func:`repro.sim.node.goto`).
 
 They are exposed on the command line as ``python -m repro lint``,
@@ -29,26 +30,23 @@ from repro.analysis.digest import DigestRecorder
 from repro.analysis.divergence import DivergenceReport, run_divergence
 from repro.analysis.findings import (Finding, format_findings,
                                      format_github)
-from repro.analysis.msggraph import MessageGraph, build_graph
 from repro.analysis.protolint import (MessageContract, PROTOCOLS,
                                       render_catalog)
-from repro.analysis.protolint import lint_paths as protolint_paths
+from repro.analysis.protolint import lint as lint_protocols
 
 __all__ = [
     "DigestRecorder",
     "DivergenceReport",
     "Finding",
     "MessageContract",
-    "MessageGraph",
     "PROTOCOLS",
     "RULES",
     "Rule",
-    "build_graph",
     "format_findings",
     "format_github",
     "lint_paths",
     "lint_source",
-    "protolint_paths",
+    "lint_protocols",
     "render_catalog",
     "run_divergence",
 ]

@@ -1,4 +1,4 @@
-"""CLI for the static analyzers: ``repro lint`` / ``repro protolint`` /
+"""CLI for the analyzers: ``repro lint`` / ``repro protolint`` /
 ``repro divergence``.
 
 Dispatched from :mod:`repro.cli` when the first argument is ``lint``,
@@ -12,10 +12,10 @@ Dispatched from :mod:`repro.cli` when the first argument is ``lint``,
     python -m repro divergence --system basic # dual-run determinism check
     python -m repro divergence --plant-set-bug  # demo: localize a known bug
 
-Both linters exit 0 when clean and 1 on any non-suppressed finding
-(warnings included — suppressions, not severities, are the exemption
-mechanism); usage errors, and a ``--plant-bug`` that cannot be applied,
-exit 2.
+Both linters exit 0 when clean and 1 on any finding detlint does not
+suppress (warnings included — suppressions, not severities, are the
+exemption mechanism); usage errors, and a ``--plant-bug`` that cannot be
+applied, exit 2.
 """
 
 from __future__ import annotations
@@ -61,22 +61,27 @@ def _emit(findings: List[Finding], fmt: str, tool: str,
     return 1 if findings else 0
 
 
-def _build_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="AST determinism linter (detlint).  Exits nonzero on "
-                    "any non-suppressed finding.")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
+def _linter_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """The options both linters share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
-    parser.add_argument("--keep-suppressed", action="store_true",
-                        help="also report findings silenced by "
-                             "'# detlint: ignore' annotations")
     parser.add_argument("--format", choices=["text", "json", "github"],
                         default="text", dest="fmt",
                         help="output format (github = workflow "
                              "annotations)")
+    return parser
+
+
+def _build_lint_parser() -> argparse.ArgumentParser:
+    parser = _linter_parser(
+        "python -m repro lint", "AST determinism linter (detlint).  Exits "
+        "nonzero on any non-suppressed finding.")
+    parser.add_argument("paths", nargs="*", default=["src"],
+                        help="files or directories to lint (default: src)")
+    parser.add_argument("--keep-suppressed", action="store_true",
+                        help="also report findings silenced by "
+                             "'# detlint: ignore' annotations")
     return parser
 
 
@@ -94,31 +99,19 @@ def cmd_lint(argv: List[str]) -> int:
 
 
 def _build_protolint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro protolint",
-        description="Static protocol-conformance analyzer over the "
-                    "message graph.  Exits nonzero on any non-suppressed "
-                    "finding.")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to analyze (default: "
-                             "the four protocol packages under src/repro)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule table and exit")
-    parser.add_argument("--keep-suppressed", action="store_true",
-                        help="also report findings silenced by "
-                             "'# protolint: ignore' annotations")
-    parser.add_argument("--format", choices=["text", "json", "github"],
-                        default="text", dest="fmt",
-                        help="output format (github = workflow "
-                             "annotations)")
+    parser = _linter_parser(
+        "python -m repro protolint", "Protocol-conformance analyzer: the "
+        "declared handler tables and contracts, checked against each other "
+        "and against a traced DES corpus.  Exits nonzero on any finding.")
     parser.add_argument("--catalog", action="store_true",
                         help="print the generated message catalog "
-                             "(role -> sends/handles) and exit")
+                             "(observed sends, causes and per-transaction "
+                             "counts) and exit")
     parser.add_argument("--check-docs", nargs="?", const=PROTOCOL_DOC,
                         default=None, metavar="PATH",
                         help="verify the catalog section in PATH "
                              f"(default {PROTOCOL_DOC}) matches the "
-                             "code byte-for-byte; exit 1 on drift")
+                             "corpus byte-for-byte; exit 1 on drift")
     parser.add_argument("--write-docs", nargs="?", const=PROTOCOL_DOC,
                         default=None, metavar="PATH",
                         help="regenerate the catalog section in PATH "
@@ -126,55 +119,47 @@ def _build_protolint_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plant-bug", choices=["dead-handler",
                                                 "missing-reply"],
                         default=None,
-                        help="self-check: plant a known protocol bug in "
-                             "the scanned sources and lint the result "
+                        help="self-check: patch a known protocol bug into "
+                             "the tables or handlers and lint the result "
                              "(exit 1 proves the rules fire)")
     return parser
 
 
 def cmd_protolint(argv: List[str]) -> int:
     from repro.analysis import protolint
-    from repro.analysis.msggraph import build_graph, collect_sources
 
     args = _build_protolint_parser().parse_args(argv)
     if args.list_rules:
         _print_rules(protolint.RULES)
         return 0
 
-    paths = args.paths or protolint.default_paths()
     if args.catalog or args.check_docs or args.write_docs:
-        graph = build_graph(collect_sources(paths))
-        catalog = protolint.render_catalog(graph)
+        catalog = protolint.render_catalog(protolint.corpus())
         if args.catalog:
             print(catalog, end="")
             return 0
         doc = Path(args.check_docs or args.write_docs)
-        if not doc.is_file():
-            print(f"docs file not found: {doc}", file=sys.stderr)
+        text = doc.read_text(encoding="utf-8") if doc.is_file() else ""
+        current = protolint.extract_doc_catalog(text)
+        if current is None:
+            print(f"{doc}: no such file, or no protolint catalog markers",
+                  file=sys.stderr)
             return 2
-        text = doc.read_text(encoding="utf-8")
         if args.write_docs:
             doc.write_text(protolint.embed_catalog(text, catalog),
                            encoding="utf-8")
             print(f"[updated catalog section in {doc}]")
             return 0
-        current = protolint.extract_doc_catalog(text)
-        if current is None:
-            print(f"{doc} has no protolint catalog markers",
-                  file=sys.stderr)
-            return 2
         if current != catalog:
             print(f"{doc} catalog section is stale; regenerate with "
                   f"`python -m repro protolint --write-docs`",
                   file=sys.stderr)
             return 1
-        print(f"{doc} catalog section matches the code")
+        print(f"{doc} catalog section matches the corpus")
         return 0
 
     try:
-        findings = protolint.lint_paths(
-            paths, plant=args.plant_bug,
-            keep_suppressed=args.keep_suppressed)
+        findings = protolint.lint(args.plant_bug)
     except protolint.PlantError as exc:
         # Not exit 1: that would pass a self-check whose bug never landed.
         print(f"cannot plant {args.plant_bug}: {exc}", file=sys.stderr)

@@ -448,7 +448,7 @@ def lint_source(source: str, path: str = "<string>",
     linter.visit(tree)
     if keep_suppressed:
         return linter.findings
-    suppressions = parse_suppressions(source, tool="detlint")
+    suppressions = parse_suppressions(source)
     return [f for f in linter.findings
             if not is_suppressed(f, suppressions)]
 

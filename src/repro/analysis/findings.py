@@ -1,28 +1,23 @@
 """Lint findings, severities, and per-line suppression.
 
-Shared by every static analyzer in :mod:`repro.analysis` — detlint (the
+Shared by the analyzers in :mod:`repro.analysis` — detlint (the
 determinism sanitizer) and protolint (the protocol-conformance checker)
-use the same :class:`Rule`/:class:`Finding` model, the same suppression
-comments, and the same output formatters, so CI and editors only need one
-grammar.
+use the same :class:`Rule`/:class:`Finding` model and the same output
+formatters, so CI and editors only need one grammar.
 
-A :class:`Finding` is one rule violation at one source location.  Findings
-can be suppressed in source with a ``# <tool>: ignore`` comment on the
-flagged line (or on a comment-only line directly above it, for flagged
-statements that are already long)::
+A :class:`Finding` is one rule violation at one source location.  detlint
+findings can be suppressed in source with a ``# detlint: ignore`` comment
+on the flagged line (or on a comment-only line directly above it, for
+flagged statements that are already long)::
 
     for pid in state.participants:        # detlint: ignore[values-fanout]
         ...
 
-    # protolint: ignore[handler-mutation, PL006]
-    def on_writeback(self, msg):
-        ...
-
 The bracket form suppresses only the named rules (codes like ``DL001`` or
 slugs like ``set-iter-send``); the bare form suppresses every rule on that
-line.  Suppressions are per-tool: a ``# detlint:`` comment never silences
-protolint and vice versa.  Suppressions are deliberate, grep-able
-exemptions: the CI gate fails on any finding that is *not* suppressed.
+line.  Suppressions are deliberate, grep-able exemptions: the CI gate
+fails on any finding that is *not* suppressed.  protolint has none: its
+findings are about declared tables and observed runs, not source lines.
 """
 
 from __future__ import annotations
@@ -34,13 +29,9 @@ from typing import Dict, Iterable, List, Optional, Set
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: The analyzers that share this suppression grammar.
-SUPPRESSION_TOOLS = ("detlint", "protolint")
-
-#: ``# <tool>: ignore`` / ``# <tool>: ignore[rule, rule]``
+#: ``# detlint: ignore`` / ``# detlint: ignore[rule, rule]``
 _SUPPRESS_RE = re.compile(
-    r"#\s*(?P<tool>" + "|".join(SUPPRESSION_TOOLS) +
-    r"):\s*ignore(?:\[(?P<names>[A-Za-z0-9_\-, ]*)\])?")
+    r"#\s*detlint:\s*ignore(?:\[(?P<names>[A-Za-z0-9_\-, ]*)\])?")
 
 
 @dataclass(frozen=True)
@@ -89,56 +80,38 @@ class Finding:
         }
 
 
-def parse_suppressions(source: str,
-                       tool: str = "detlint",
-                       ) -> Dict[int, Optional[Set[str]]]:
+def parse_suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
     """Map 1-based line number -> suppressed rule names on that line.
 
-    Only ``# <tool>: ignore`` comments count; annotations addressed to a
-    different analyzer are invisible here.  ``None`` means "suppress every
-    rule" (the bare ``ignore`` form); a set holds the codes/slugs named in
-    the bracket form.  A suppression on a comment-only line also covers
-    the next line, so long statements can carry their annotation above
-    themselves.
+    ``None`` means "suppress every rule" (the bare ``ignore`` form); a
+    set holds the codes/slugs named in the bracket form.  A suppression
+    on a comment-only line also covers the next line, so long statements
+    can carry their annotation above themselves.
     """
     result: Dict[int, Optional[Set[str]]] = {}
-
-    def merge(lineno: int, names: Optional[Set[str]]) -> None:
-        existing = result.get(lineno, set())
-        if names is None or existing is None:
-            result[lineno] = None
-        else:
-            result[lineno] = existing | names
-
     for lineno, text in enumerate(source.splitlines(), start=1):
         for match in _SUPPRESS_RE.finditer(text):
-            if match.group("tool") != tool:
-                continue
-            group = match.group("names")
-            if group is None:
-                names: Optional[Set[str]] = None
-            else:
-                names = {part.strip() for part in group.split(",")
-                         if part.strip()}
-                if not names:
-                    names = None
-            merge(lineno, names)
-            if text.lstrip().startswith("#"):
-                # Comment-only line: the annotation covers the statement
-                # below.
-                merge(lineno + 1, names)
+            names = {part.strip() for part in
+                     (match.group("names") or "").split(",")
+                     if part.strip()} or None
+            # A comment-only line's annotation covers the statement below.
+            covered = (lineno, lineno + 1) \
+                if text.lstrip().startswith("#") else (lineno,)
+            for line in covered:
+                existing = result.get(line, set())
+                result[line] = None if names is None or existing is None \
+                    else existing | names
     return result
 
 
 def is_suppressed(finding: Finding,
                   suppressions: Dict[int, Optional[Set[str]]]) -> bool:
     """Whether ``finding`` is covered by a source suppression."""
-    names = suppressions.get(finding.line, set())
     if finding.line not in suppressions:
         return False
-    if names is None:
-        return True
-    return finding.rule.code in names or finding.rule.slug in names
+    names = suppressions[finding.line]
+    return (names is None or finding.rule.code in names
+            or finding.rule.slug in names)
 
 
 def sort_findings(findings: Iterable[Finding]) -> List[Finding]:

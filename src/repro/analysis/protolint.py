@@ -1,541 +1,410 @@
-"""protolint — static protocol-conformance checks over the message graph.
+"""protolint — the declared protocol tables, checked against observed runs.
 
-Carousel's correctness argument is a contract between send sites and
-handler tables: every ``ReadPrepareRequest`` must produce a
-``ReadReply``/``FastVote``, every decision must reach every participant,
-every RPC must have a retry path.  The chaos harness checks this
-dynamically, but a missing handler entry or a dead-letter message type
-survives until a nemesis schedule happens to hit it.  protolint proves
-the messaging surface is *closed* statically: it builds the message
-graph (:mod:`repro.analysis.msggraph`) — whose handler branches are the
-receivers' declared ``*HANDLERS`` tables — and checks it against the
-declared per-protocol contracts below.
+Carousel's correctness argument is a contract between who sends each
+message and who handles it (Figs 2–3, §4.1–§4.3).  The code declares
+both halves as tables — each receiving class's ``*HANDLERS`` dict and the
+per-protocol :data:`PROTOCOLS` contracts below — and protolint checks
+them against each other, then against a traced DES corpus
+(:func:`observe`: the conform and chaos scenarios, plus a read-only and a
+TAPIR slow-path transaction), each send with its causal parent.
 
-Rules:
+======  =============  ========  ==========================================
+code    slug           severity  fires when
+======  =============  ========  ==========================================
+PL001   dead-letter    error     a message has no contract entry, a
+                                 contract entry no message, or a declared
+                                 receiver no table entry for it
+PL002   dead-handler   warning   a table entry in a class that is not a
+                                 declared receiver of the type
+PL003   unexercised    warning   the corpus never sent a contracted type
+PL004   missing-reply  error     the corpus sent a request, and no
+                                 delivery of it produced a declared reply
+======  =============  ========  ==========================================
 
-======  ==================  ========  ==========================================
-code    slug                severity  fires when
-======  ==================  ========  ==========================================
-PL001   dead-letter         error     a declared receiver has no handler entry
-                                      for a message, or a message/contract
-                                      entry has no counterpart
-PL002   dead-handler        warning   an entry exists in a non-receiver class,
-                                      or for a type that is never sent
-PL003   never-sent          warning   a message type is constructed but never
-                                      sent (or never even constructed)
-PL004   missing-reply       error     no handler path for a request can send
-                                      any of its declared replies
-PL005   no-retry-coverage   warning   a retried message is sent from a class
-                                      with no timer/RetryPolicy machinery
-PL006   handler-mutation    warning   handlers of a dedup-contracted message
-                                      mutate per-txn state with no
-                                      duplicate-delivery guard in reach
-PL007   field-mismatch      error     a constructor call site does not match
-                                      the dataclass definition
-======  ==================  ========  ==========================================
-
-Reply obligations (PL004) are checked over a call-graph closure from the
-handler methods the tables name, so replies sent by helpers several
-calls deep count.  State machines are not checked here: each declares a
-``TRANSITIONS`` table beside its code, and
-:func:`repro.sim.node.goto` checks every transition as it runs.
-Suppress individual findings with
-``# protolint: ignore[...]`` (see :mod:`repro.analysis.findings`).
-
-Self-check plants (mirroring ``repro chaos --plant-bug``): the
-``dead-handler`` plant deletes the ``ClientHeartbeat`` entry from the
-Carousel server's coordinator table, the ``missing-reply`` plant drops
-the TAPIR read reply; CI runs both and asserts PL001/PL004 fire.
-"""
+PL001/PL002 need no run, and the corpus runs only over closed tables (a
+dead letter would raise ``TypeError`` mid-run).  A send answers a request
+delivered at node N when N sends it and either its parent chain reaches
+that delivery (so replies after a Raft commit count) or it is of the same
+traced transaction: the tracer keeps one parent per send, and the
+coordinator's ``TxnReply`` is caused by the last participant result, not
+by the ``CoordPrepareRequest``.  The self-check plants patch the imported
+tables and handlers (DESIGN.md §9)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import importlib
+import linecache
+import math
+import os
+import pkgutil
+import re
+import sys
+from collections import Counter, defaultdict
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+from unittest import mock
 
-from .findings import (Finding, Rule, SEVERITY_ERROR, SEVERITY_WARNING,
-                       is_suppressed, parse_suppressions)
-from .msggraph import (HandlerBranch, MessageGraph, Reachability,
-                       build_graph, collect_sources, protocol_of)
+from repro import systems
+from repro.sim.message import Message
+
+from .findings import Finding, Rule, SEVERITY_ERROR, SEVERITY_WARNING
 
 RULES: Dict[str, Rule] = {
     "PL001": Rule("PL001", "dead-letter", SEVERITY_ERROR,
                   "message sent to a role with no handler entry for it"),
     "PL002": Rule("PL002", "dead-handler", SEVERITY_WARNING,
-                  "handler entry for a message that never arrives there"),
-    "PL003": Rule("PL003", "never-sent", SEVERITY_WARNING,
-                  "message type constructed but never sent"),
+                  "handler entry in a non-receiver class"),
+    "PL003": Rule("PL003", "unexercised", SEVERITY_WARNING,
+                  "message type the corpus never sent"),
     "PL004": Rule("PL004", "missing-reply", SEVERITY_ERROR,
-                  "no handler path can send a declared reply"),
-    "PL005": Rule("PL005", "no-retry-coverage", SEVERITY_WARNING,
-                  "retried message sent without timer/RetryPolicy cover"),
-    "PL006": Rule("PL006", "handler-mutation", SEVERITY_WARNING,
-                  "dedup handler mutates per-txn state unguarded"),
-    "PL007": Rule("PL007", "field-mismatch", SEVERITY_ERROR,
-                  "constructor call site disagrees with dataclass fields"),
+                  "request never answered with a declared reply"),
 }
 
 
 @dataclass(frozen=True)
 class MessageContract:
-    """Declared obligations for one message type.
-
-    ``receivers``: classes that must each have a handler-table entry.
-    ``replies``: some handler path must send at least one of these.
-    ``retried``: senders must have timer/RetryPolicy machinery (the
-    message is retransmitted, so handlers see duplicates).
-    ``dedup``: handlers mutate per-txn state and must carry a
-    duplicate-delivery guard (membership test / ``setdefault`` /
-    ``.get`` comparison) on some path.
-    """
+    """Declared obligations for one message type: each of ``receivers``
+    has a handler-table entry for it, and some delivery of it produces
+    at least one of ``replies``."""
 
     receivers: Tuple[str, ...]
     replies: Tuple[str, ...] = ()
-    retried: bool = False
-    dedup: bool = False
 
 
 _MC = MessageContract
 
 #: protocol -> message name -> contract.  This is the declared messaging
 #: surface of the repo; PROTOCOL.md's catalog section is generated from
-#: the extracted graph and cross-checked against these in CI.
+#: the observed corpus and cross-checked in CI.
 PROTOCOLS: Dict[str, Dict[str, MessageContract]] = {
     "carousel": {
-        "CoordPrepareRequest": _MC(("CarouselServer",), ("TxnReply",),
-                                   retried=True, dedup=True),
+        "CoordPrepareRequest": _MC(("CarouselServer",), ("TxnReply",)),
         "ReadPrepareRequest": _MC(
-            ("CarouselServer",),
-            ("ReadReply", "FastVote", "PrepareResult"),
-            retried=True, dedup=True),
+            ("CarouselServer",), ("ReadReply", "FastVote", "PrepareResult")),
         "ReadReply": _MC(("CarouselClient",)),
         "FastVote": _MC(("CarouselServer",)),
         "PrepareResult": _MC(("CarouselServer",)),
-        "CommitRequest": _MC(("CarouselServer",), ("TxnReply",),
-                             retried=True, dedup=True),
+        "CommitRequest": _MC(("CarouselServer",), ("TxnReply",)),
         "TxnReply": _MC(("CarouselClient",)),
-        "Writeback": _MC(("CarouselServer",), ("WritebackAck",),
-                         retried=True, dedup=True),
+        "Writeback": _MC(("CarouselServer",), ("WritebackAck",)),
         "WritebackAck": _MC(("CarouselServer",)),
         "ClientHeartbeat": _MC(("CarouselServer",)),
-        "ReadOnlyRequest": _MC(("CarouselServer",), ("ReadOnlyReply",),
-                               retried=True),
+        "ReadOnlyRequest": _MC(("CarouselServer",), ("ReadOnlyReply",)),
         "ReadOnlyReply": _MC(("CarouselClient",)),
-        "PrepareQuery": _MC(("CarouselServer",),
-                            ("PrepareResult", "FastVote"),
-                            retried=True, dedup=True),
+        "PrepareQuery": _MC(("CarouselServer",), ("PrepareResult",)),
     },
     "layered": {
-        "LayeredRead": _MC(("LayeredServer",), ("LayeredReadReply",),
-                           retried=True),
+        "LayeredRead": _MC(("LayeredServer",), ("LayeredReadReply",)),
         "LayeredReadReply": _MC(("LayeredClient",)),
-        "LayeredCommitRequest": _MC(("LayeredServer",), ("LayeredReply",),
-                                    retried=True, dedup=True),
-        "LayeredPrepare": _MC(("LayeredServer",), ("LayeredPrepareAck",),
-                              retried=True, dedup=True),
+        "LayeredCommitRequest": _MC(("LayeredServer",), ("LayeredReply",)),
+        "LayeredPrepare": _MC(("LayeredServer",), ("LayeredPrepareAck",)),
         "LayeredPrepareAck": _MC(("LayeredServer",)),
         "LayeredReply": _MC(("LayeredClient",)),
         "LayeredWriteback": _MC(("LayeredServer",),
-                                ("LayeredWritebackAck",),
-                                retried=True, dedup=True),
+                                ("LayeredWritebackAck",)),
         "LayeredWritebackAck": _MC(("LayeredServer",)),
     },
     "tapir": {
-        "TapirRead": _MC(("TapirReplica",), ("TapirReadReply",),
-                         retried=True),
+        "TapirRead": _MC(("TapirReplica",), ("TapirReadReply",)),
         "TapirReadReply": _MC(("TapirClient",)),
-        "TapirPrepare": _MC(("TapirReplica",), ("TapirPrepareReply",),
-                            retried=True, dedup=True),
+        "TapirPrepare": _MC(("TapirReplica",), ("TapirPrepareReply",)),
         "TapirPrepareReply": _MC(("TapirClient",)),
-        "TapirFinalize": _MC(("TapirReplica",), ("TapirFinalizeAck",),
-                             retried=True, dedup=True),
+        "TapirFinalize": _MC(("TapirReplica",), ("TapirFinalizeAck",)),
         "TapirFinalizeAck": _MC(("TapirClient",)),
-        "TapirCommit": _MC(("TapirReplica",), ("TapirCommitAck",),
-                           retried=True, dedup=True),
+        "TapirCommit": _MC(("TapirReplica",), ("TapirCommitAck",)),
         "TapirCommitAck": _MC(("TapirClient",)),
     },
-    # Raft retransmits by heartbeat/election timer; duplicate AppendEntries
-    # are deduplicated by term/index comparison, which is below this
-    # rule's model — so no raft type carries ``dedup``.
     "raft": {
         "RequestVote": _MC(("RaftMember", "RaftHost"),
-                           ("RequestVoteReply",), retried=True),
+                           ("RequestVoteReply",)),
         "RequestVoteReply": _MC(("RaftMember", "RaftHost")),
         "AppendEntries": _MC(("RaftMember", "RaftHost"),
-                             ("AppendEntriesReply",), retried=True),
+                             ("AppendEntriesReply",)),
         "AppendEntriesReply": _MC(("RaftMember", "RaftHost")),
     },
 }
 
-#: Default scan scope: the four protocol packages, plus the client shell
-#: their clients' retry machinery lives in.
-DEFAULT_SCAN_DIRS = (
-    "src/repro/core",
-    "src/repro/layered",
-    "src/repro/tapir",
-    "src/repro/raft",
-    "src/repro/client.py",
-)
+#: Protocol package under ``repro`` -> the contract it implements.
+PACKAGES = {"core": "carousel", "layered": "layered", "tapir": "tapir",
+            "raft": "raft"}
+
+#: The corpus: scenario seeds, and the chaos restart weight.
+CONFORM_SEEDS = (0, 1, 2)
+CHAOS_SEEDS = (0, 1, 2, 3)
+CHAOS_RESTART_WEIGHT = 4
 
 
-def default_paths() -> List[str]:
-    paths = [p for p in DEFAULT_SCAN_DIRS if Path(p).exists()]
-    if not paths:
-        raise FileNotFoundError(
-            "none of the default protolint scan directories exist "
-            f"({', '.join(DEFAULT_SCAN_DIRS)}); run from the repo root "
-            "or pass paths explicitly")
-    return paths
+def _protocol_classes() -> Iterator[Tuple[str, type]]:
+    """``(protocol, class)`` for every class the protocol packages'
+    modules define."""
+    for package, protocol in PACKAGES.items():
+        path = importlib.import_module(f"repro.{package}").__path__
+        for info in pkgutil.iter_modules(path, f"repro.{package}."):
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                if isinstance(obj, type) and obj.__module__ == info.name:
+                    yield protocol, obj
 
 
-# ---------------------------------------------------------------------------
-# Rule implementations
-# ---------------------------------------------------------------------------
-
-def _active_protocols(graph: MessageGraph,
-                      contracts: Dict[str, Dict[str, MessageContract]],
-                      ) -> List[str]:
-    """Contracted protocols that actually appear in the scanned sources."""
-    present = {d.protocol for d in graph.messages.values()}
-    return sorted(p for p in contracts if p in present)
-
-
-def _first_def_path(graph: MessageGraph, protocol: str) -> str:
-    paths = sorted(d.path for d in graph.messages.values()
-                   if d.protocol == protocol)
-    return paths[0]
+def messages() -> Dict[str, Dict[str, type]]:
+    """protocol -> name -> every ``Message`` subclass its package
+    defines."""
+    found: Dict[str, Dict[str, type]] = defaultdict(dict)
+    for protocol, cls in _protocol_classes():
+        if issubclass(cls, Message):
+            found[protocol][cls.__name__] = cls
+    return {protocol: dict(sorted(names.items()))
+            for protocol, names in sorted(found.items())}
 
 
-def _check_dead_letter(graph: MessageGraph,
-                       contracts: Dict[str, Dict[str, MessageContract]],
-                       ) -> List[Finding]:
-    rule = RULES["PL001"]
+def tables() -> List[Tuple[type, str, type, str]]:
+    """``(class, table, message type, method)`` for every entry of a
+    ``*HANDLERS`` table a protocol class declares in its own body."""
+    entries = [(cls, table, msg_type, method)
+               for __, cls in _protocol_classes()
+               for table, declared in vars(cls).items()
+               if table.endswith("HANDLERS")
+               for msg_type, method in declared.items()]
+    return sorted(entries, key=lambda e: (e[0].__name__, e[1],
+                                          e[2].__name__))
+
+
+def _finding(code: str, message: str,
+             cls: Optional[type] = None) -> Finding:
+    """A finding at ``cls``'s ``class`` statement, or at
+    :data:`PROTOCOLS` when ``cls`` is ``None`` (a contract entry)."""
+    path = sys.modules[cls.__module__ if cls else __name__].__file__
+    anchor = re.compile(rf"class {cls.__name__}\b" if cls
+                        else r"PROTOCOLS\b")
+    line = next((number for number, text
+                 in enumerate(linecache.getlines(path), 1)
+                 if anchor.match(text)), 1)
+    return Finding(RULES[code], os.path.relpath(path), line, 1, message)
+
+
+def check_tables(contracts: Dict[str, Dict[str, MessageContract]],
+                 catalog: Dict[str, Dict[str, type]],
+                 entries: List[Tuple[type, str, type, str]]
+                 ) -> List[Finding]:
+    """PL001 and PL002: set differences between the handler-table
+    ``entries``, the ``Message`` subclasses and the contracts."""
     findings: List[Finding] = []
-    for protocol in _active_protocols(graph, contracts):
-        contract = contracts[protocol]
-        defined = {name: d for name, d in graph.messages.items()
-                   if d.protocol == protocol}
-        for name, definition in defined.items():
+    handled: Dict[str, Set[str]] = defaultdict(set)
+    for cls, __, msg_type, __ in entries:
+        handled[msg_type.__name__].add(cls.__name__)
+    for protocol in sorted(set(contracts) | set(catalog)):
+        contract = contracts.get(protocol, {})
+        defined = catalog.get(protocol, {})
+        for name, cls in defined.items():
             if name not in contract:
-                findings.append(Finding(
-                    rule=rule, path=definition.path, line=definition.line,
-                    col=1,
-                    message=(f"message {name} is not declared in the "
-                             f"{protocol} contract")))
+                findings.append(_finding(
+                    "PL001", f"message {name} is not declared in the "
+                    f"{protocol} contract", cls))
                 continue
-            handlers = graph.handler_classes(name)
             for receiver in contract[name].receivers:
-                if receiver not in handlers:
-                    findings.append(Finding(
-                        rule=rule, path=definition.path,
-                        line=definition.line, col=1,
-                        message=(f"{name} is declared to be received by "
-                                 f"{receiver}, but {receiver} has no "
-                                 f"handler entry for it (dead letter)")))
-        # The contract-side check only makes sense when the protocol's
-        # canonical message module is in scope — otherwise any partial
-        # scan would report every contract entry as missing.
-        has_catalog = any(
-            Path(path).name == "messages.py" and
-            protocol_of(path) == protocol for path in graph.sources)
-        if not has_catalog:
-            continue
-        for name in contract:
-            if name not in defined:
-                findings.append(Finding(
-                    rule=rule, path=_first_def_path(graph, protocol),
-                    line=1, col=1,
-                    message=(f"the {protocol} contract declares message "
-                             f"{name}, but no Message subclass with that "
-                             f"name was found")))
-    return findings
-
-
-def _check_dead_handler(graph: MessageGraph,
-                        contracts: Dict[str, Dict[str, MessageContract]],
-                        ) -> List[Finding]:
-    rule = RULES["PL002"]
-    findings: List[Finding] = []
-    active = set(_active_protocols(graph, contracts))
-    for branch in graph.branches:
-        definition = graph.messages.get(branch.msg_type)
-        if definition is None or definition.protocol not in active:
-            continue
-        contract = contracts[definition.protocol].get(branch.msg_type)
-        if contract is None:
-            continue  # PL001 reports the missing contract entry
-        if branch.cls not in contract.receivers:
-            findings.append(Finding(
-                rule=rule, path=branch.path, line=branch.line, col=1,
-                message=(f"{branch.cls} handles {branch.msg_type}, but is "
-                         f"not a declared receiver "
-                         f"({', '.join(contract.receivers)})")))
-    for protocol in sorted(active):
-        for name in sorted(contracts[protocol]):
-            if name not in graph.messages:
-                continue
-            branches = graph.branches_of(name)
-            if branches and not graph.sends_of(name):
-                first = min(branches, key=lambda b: (b.path, b.line))
-                findings.append(Finding(
-                    rule=rule, path=first.path, line=first.line, col=1,
-                    message=(f"handler entry for {name}, but {name} is "
-                             f"never sent anywhere (dead handler)")))
-    return findings
-
-
-def _check_never_sent(graph: MessageGraph,
-                      contracts: Dict[str, Dict[str, MessageContract]],
-                      ) -> List[Finding]:
-    rule = RULES["PL003"]
-    findings: List[Finding] = []
-    active = set(_active_protocols(graph, contracts))
-    for name in sorted(graph.messages):
-        definition = graph.messages[name]
-        if definition.protocol not in active:
-            continue
-        if name not in contracts[definition.protocol]:
-            continue  # PL001 reports it
-        if graph.sends_of(name):
-            continue
-        constructs = graph.constructs_of(name)
-        if constructs:
-            first = min(constructs, key=lambda c: (c.path, c.line))
-            findings.append(Finding(
-                rule=rule, path=first.path, line=first.line, col=first.col,
-                message=(f"{name} is constructed but never sent")))
-        else:
-            findings.append(Finding(
-                rule=rule, path=definition.path, line=definition.line,
-                col=1,
-                message=(f"{name} is never constructed (dead message "
-                         f"type)")))
-    return findings
-
-
-def _handler_reach(graph: MessageGraph, protocol: str, name: str,
-                   contract: MessageContract
-                   ) -> Optional[Tuple[HandlerBranch, Reachability]]:
-    """The first of the receivers' handler entries for ``name`` and the
-    call-graph closure from the methods they name; ``None`` when the
-    receivers have no entry."""
-    branches = [b for b in graph.branches_of(name)
-                if b.cls in contract.receivers]
-    if not branches:
-        return None
-    first = min(branches, key=lambda b: (b.path, b.line))
-    return first, graph.reachable(protocol, [b.target for b in branches])
-
-
-def _check_missing_reply(graph: MessageGraph,
-                         contracts: Dict[str, Dict[str, MessageContract]],
-                         ) -> List[Finding]:
-    rule = RULES["PL004"]
-    findings: List[Finding] = []
-    for protocol in _active_protocols(graph, contracts):
-        for name, contract in sorted(contracts[protocol].items()):
-            if not contract.replies or name not in graph.messages:
-                continue
-            found = _handler_reach(graph, protocol, name, contract)
-            if found is None:
-                continue  # PL001 reports the missing entry
-            first, reach = found
-            if not reach.sends.intersection(contract.replies):
-                findings.append(Finding(
-                    rule=rule, path=first.path, line=first.line, col=1,
-                    message=(f"no handler path for {name} sends any of "
-                             f"its declared replies "
-                             f"({', '.join(contract.replies)})")))
-    return findings
-
-
-def _check_retry_coverage(graph: MessageGraph,
-                          contracts: Dict[str, Dict[str, MessageContract]],
-                          ) -> List[Finding]:
-    rule = RULES["PL005"]
-    findings: List[Finding] = []
-    for protocol in _active_protocols(graph, contracts):
-        for name, contract in sorted(contracts[protocol].items()):
-            if not contract.retried:
-                continue
-            for cls in graph.sender_classes(name):
-                info = graph.classes.get(cls)
-                if info is None or info.has_retry_machinery:
-                    continue
-                sites = [s for s in graph.sends_of(name) if s.cls == cls]
-                first = min(sites, key=lambda s: (s.path, s.line))
-                findings.append(Finding(
-                    rule=rule, path=first.path, line=first.line,
-                    col=first.col,
-                    message=(f"{name} is declared retried, but {cls} "
-                             f"sends it with no timer/RetryPolicy "
-                             f"machinery in the class")))
-    return findings
-
-
-def _check_handler_mutation(graph: MessageGraph,
-                            contracts: Dict[str, Dict[str, MessageContract]],
-                            ) -> List[Finding]:
-    rule = RULES["PL006"]
-    findings: List[Finding] = []
-    for protocol in _active_protocols(graph, contracts):
-        for name, contract in sorted(contracts[protocol].items()):
-            if not contract.dedup or name not in graph.messages:
-                continue
-            found = _handler_reach(graph, protocol, name, contract)
-            if found is None:
-                continue
-            first, reach = found
-            if reach.mutations and not reach.guards:
-                where = min(reach.mutations)
-                findings.append(Finding(
-                    rule=rule, path=first.path, line=first.line, col=1,
-                    message=(f"handlers for {name} mutate per-txn state "
-                             f"(e.g. {where[0]}:{where[1]}) with no "
-                             f"duplicate-delivery guard on any path; "
-                             f"{name} is contract-marked dedup")))
-    return findings
-
-
-def _check_field_mismatch(graph: MessageGraph) -> List[Finding]:
-    rule = RULES["PL007"]
-    findings: List[Finding] = []
-    for site in graph.constructs:
-        if site.has_star:
-            continue
-        definition = graph.dataclasses[site.msg_type]
-        names = [f.name for f in definition.fields]
-        unknown = sorted(set(site.kwargs) - set(names))
-        if unknown:
-            findings.append(Finding(
-                rule=rule, path=site.path, line=site.line, col=site.col,
-                message=(f"{site.msg_type}(...) passes unknown field(s) "
-                         f"{', '.join(unknown)} (defined at "
-                         f"{definition.path}:{definition.line})")))
-        if site.n_pos > len(names):
-            findings.append(Finding(
-                rule=rule, path=site.path, line=site.line, col=site.col,
-                message=(f"{site.msg_type}(...) passes {site.n_pos} "
-                         f"positional arguments, but only "
-                         f"{len(names)} fields are defined")))
-            continue
-        covered = set(names[:site.n_pos]) | set(site.kwargs)
-        missing = [f for f in definition.required_fields()
-                   if f not in covered]
-        if missing:
-            findings.append(Finding(
-                rule=rule, path=site.path, line=site.line, col=site.col,
-                message=(f"{site.msg_type}(...) omits required field(s) "
-                         f"{', '.join(missing)} (defined at "
-                         f"{definition.path}:{definition.line})")))
+                if receiver not in handled[name]:
+                    findings.append(_finding(
+                        "PL001", f"{name} is declared to be received by "
+                        f"{receiver}, but {receiver} has no handler entry "
+                        f"for it (dead letter)", cls))
+        for name in sorted(set(contract) - set(defined)):
+            findings.append(_finding(
+                "PL001", f"the {protocol} contract declares message "
+                f"{name}, but no Message subclass with that name exists"))
+    receivers = {name: entry.receivers for contract in contracts.values()
+                 for name, entry in contract.items()}
+    for cls, table, msg_type, __ in entries:
+        declared = receivers.get(msg_type.__name__)
+        if declared is not None and cls.__name__ not in declared:
+            findings.append(_finding(
+                "PL002", f"{cls.__name__}.{table} handles "
+                f"{msg_type.__name__}, but {cls.__name__} is not a "
+                f"declared receiver ({', '.join(declared)})", cls))
     return findings
 
 
 # ---------------------------------------------------------------------------
-# Top-level lint API
+# The observed corpus
 # ---------------------------------------------------------------------------
 
-def lint_graph(graph: MessageGraph,
-               contracts: Optional[Dict[str, Dict[str, MessageContract]]]
-               = None,
-               keep_suppressed: bool = False) -> List[Finding]:
-    """All protolint findings for an extracted graph."""
-    if contracts is None:
-        contracts = PROTOCOLS
+@dataclass
+class Corpus:
+    """What the traced corpus sent."""
+
+    #: ``(parent type or None, sending node class, sent type,
+    #: destination node class)`` -> sends; and message type -> sends.
+    edges: Counter = field(default_factory=Counter)
+    sent: Counter = field(default_factory=Counter)
+    #: Contracted requests some delivery answered with a declared reply.
+    answered: Set[str] = field(default_factory=set)
+    #: system -> ``(sending node class, type)`` -> sends, and system ->
+    #: committed transactions, over the fault-free conform runs only.
+    conform_sends: Dict[str, Counter] = field(
+        default_factory=lambda: defaultdict(Counter))
+    conform_committed: Counter = field(default_factory=Counter)
+
+    def record(self, tracer, nodes: Dict[str, object],
+               requests_of: Dict[str, Tuple[str, ...]]) -> Counter:
+        """Fold one traced run in; ``requests_of`` maps each reply type
+        to the requests it answers.  Returns the run's sends by
+        ``(sending node class, type)``."""
+        anns = list(tracer.orphan_messages)
+        for txn in tracer.transactions():
+            anns.extend(txn.messages)
+        cls = {node_id: type(node).__name__
+               for node_id, node in nodes.items()}
+        requests = {q for qs in requests_of.values() for q in qs}
+        delivered: Dict[Tuple, float] = {}
+        for ann in anns:
+            if ann.tid is not None and ann.msg_type in requests:
+                key = (ann.tid, ann.dst, ann.msg_type)
+                delivered[key] = min(delivered.get(key, math.inf),
+                                     ann.recv_ms)
+        sends: Counter = Counter()
+        for ann in anns:
+            parent = ann.parent
+            self.edges[(parent.msg_type if parent else None, cls[ann.src],
+                        ann.msg_type, cls[ann.dst])] += 1
+            sends[(cls[ann.src], ann.msg_type)] += 1
+            self.sent[ann.msg_type] += 1
+            wanted = set(requests_of.get(ann.msg_type, ())) - self.answered
+            for request in sorted(wanted):
+                at = delivered.get((ann.tid, ann.src, request))
+                if at is not None and at <= ann.send_ms:
+                    self.answered.add(request)
+            while wanted - self.answered and parent is not None:
+                if parent.msg_type in wanted and parent.dst == ann.src:
+                    self.answered.add(parent.msg_type)
+                parent = parent.parent
+        return sends
+
+
+def observe() -> Corpus:
+    """Run the corpus (module docstring) and fold every traced send into
+    a :class:`Corpus`; about 4 s on one core."""
+    from repro.chaos.runner import ChaosOptions, chaos_scenario
+    from repro.runtime.conformance import conform_scenario
+    from repro.scenario import run
+    from repro.trace.harness import run_traced
+
+    requests_of: Dict[str, Tuple[str, ...]] = defaultdict(tuple)
+    for contract in PROTOCOLS.values():
+        for request, entry in sorted(contract.items()):
+            for reply in entry.replies:
+                requests_of[reply] += (request,)
+    corpus = Corpus()
+    chaos = ChaosOptions(restart_weight=CHAOS_RESTART_WEIGHT, trace=True)
+    for system in systems.SYSTEMS:
+        for scenario in ([replace(conform_scenario(system, seed), trace=True)
+                          for seed in CONFORM_SEEDS]
+                         + [chaos_scenario(system, seed, chaos)
+                            for seed in CHAOS_SEEDS]):
+            result = run(scenario)
+            # A run keeps no deployment; an identical one names the
+            # classes of its node ids.
+            nodes = systems.build(system, scenario.deployment,
+                                  scenario.timing).network.nodes
+            sends = corpus.record(result.tracer, nodes, requests_of)
+            if scenario.nemesis is None:
+                corpus.conform_sends[system].update(sends)
+                corpus.conform_committed[system] += result.committed
+    for system, options in (("carousel-basic", {"read_only": True}),
+                            ("tapir", {"force_slow_path": True})):
+        traced = run_traced(system, **options)
+        corpus.record(traced.tracer, traced.cluster.network.nodes,
+                      requests_of)
+    return corpus
+
+
+@lru_cache(maxsize=None)
+def corpus() -> Corpus:
+    """The corpus of the tree as imported, observed once per process."""
+    return observe()
+
+
+def check_corpus(contracts: Dict[str, Dict[str, MessageContract]],
+                 catalog: Dict[str, Dict[str, type]],
+                 observed: Corpus) -> List[Finding]:
+    """PL003 and PL004 over an observed corpus."""
+    sent = observed.sent
     findings: List[Finding] = []
-    findings.extend(_check_dead_letter(graph, contracts))
-    findings.extend(_check_dead_handler(graph, contracts))
-    findings.extend(_check_never_sent(graph, contracts))
-    findings.extend(_check_missing_reply(graph, contracts))
-    findings.extend(_check_retry_coverage(graph, contracts))
-    findings.extend(_check_handler_mutation(graph, contracts))
-    findings.extend(_check_field_mismatch(graph))
-    if keep_suppressed:
-        return findings
-    suppressions = {path: parse_suppressions(text, tool="protolint")
-                    for path, text in graph.sources.items()}
-    return [f for f in findings
-            if not is_suppressed(f, suppressions.get(f.path, {}))]
-
-
-def lint_sources(sources: Dict[str, str],
-                 contracts: Optional[Dict[str, Dict[str, MessageContract]]]
-                 = None,
-                 keep_suppressed: bool = False) -> List[Finding]:
-    return lint_graph(build_graph(sources), contracts, keep_suppressed)
-
-
-def lint_paths(paths: Optional[Sequence[str]] = None,
-               contracts: Optional[Dict[str, Dict[str, MessageContract]]]
-               = None,
-               plant: Optional[str] = None,
-               keep_suppressed: bool = False) -> List[Finding]:
-    """Lint files/directories; the main entry point for the CLI."""
-    sources = collect_sources(list(paths) if paths else default_paths())
-    if plant is not None:
-        sources = apply_plant(sources, plant)
-    return lint_sources(sources, contracts, keep_suppressed)
+    for protocol, contract in sorted(contracts.items()):
+        for name, entry in sorted(contract.items()):
+            cls = catalog.get(protocol, {}).get(name)
+            if cls is None:
+                continue  # PL001 reports it
+            if not sent[name]:
+                findings.append(_finding(
+                    "PL003", f"{name} was never sent in the corpus "
+                    f"(unexercised)", cls))
+            elif entry.replies and name not in observed.answered:
+                findings.append(_finding(
+                    "PL004", f"{name} was sent {sent[name]} time(s), and "
+                    f"no delivery produced any of its declared replies "
+                    f"({', '.join(entry.replies)})", cls))
+    return findings
 
 
 # ---------------------------------------------------------------------------
 # Planted bugs (self-check fixtures, mirroring ``repro chaos --plant-bug``)
 # ---------------------------------------------------------------------------
 
-_DEAD_HANDLER_ANCHOR = '        ClientHeartbeat: "on_heartbeat",\n'
-
-_MISSING_REPLY_ANCHOR = (
-    "        self.send(msg.src, TapirReadReply(\n"
-    "            tid=msg.tid, partition_id=self.partition_id, "
-    "values=values))\n")
+class PlantError(ValueError):
+    """A plant that cannot be applied: unknown, or its target drifted."""
 
 
-def _plant_dead_handler(sources: Dict[str, str]) -> Dict[str, str]:
+@contextmanager
+def _dead_handler() -> Iterator[None]:
     """Delete ClientHeartbeat from the Carousel server's coordinator
     table."""
-    return _replace_in(sources, "core/server.py",
-                       _DEAD_HANDLER_ANCHOR, "")
+    from repro.core.messages import ClientHeartbeat
+    from repro.core.server import CarouselServer
+
+    table = CarouselServer.COORDINATOR_HANDLERS
+    if ClientHeartbeat not in table:
+        raise PlantError("CarouselServer.COORDINATOR_HANDLERS has no "
+                         "ClientHeartbeat entry to delete")
+    with mock.patch.dict(table):
+        del table[ClientHeartbeat]
+        yield
 
 
-def _plant_missing_reply(sources: Dict[str, str]) -> Dict[str, str]:
-    """Drop the TAPIR replica's read reply."""
-    return _replace_in(sources, "tapir/replica.py", _MISSING_REPLY_ANCHOR,
-                       "        _ = values  # planted: reply dropped\n")
+@contextmanager
+def _missing_reply() -> Iterator[None]:
+    """Drop every WritebackAck a Carousel participant sends."""
+    from repro.core.messages import WritebackAck
+    from repro.core.participant import PartitionComponent
+
+    send = getattr(PartitionComponent, "_send", None)
+    if send is None:
+        raise PlantError("PartitionComponent has no _send to patch")
+
+    def dropping(self, dst: str, msg: Message) -> None:
+        if type(msg) is not WritebackAck:
+            send(self, dst, msg)
+
+    with mock.patch.object(PartitionComponent, "_send", dropping):
+        yield
 
 
-PLANT_BUGS = {
-    "dead-handler": _plant_dead_handler,
-    "missing-reply": _plant_missing_reply,
-}
+PLANT_BUGS = {"dead-handler": _dead_handler, "missing-reply": _missing_reply}
 
 
-class PlantError(ValueError):
-    """A plant that cannot be applied: unknown, or its anchor drifted."""
-
-
-def _replace_in(sources: Dict[str, str], suffix: str, anchor: str,
-                replacement: str) -> Dict[str, str]:
-    for path in sorted(sources):
-        if Path(path).as_posix().endswith(suffix):
-            if anchor not in sources[path]:
-                raise PlantError(
-                    f"plant anchor not found in {path}; the source has "
-                    f"drifted — update the plant in protolint.py")
-            planted = dict(sources)
-            planted[path] = sources[path].replace(anchor, replacement, 1)
-            return planted
-    raise PlantError(f"no scanned file matches {suffix!r} to plant into")
-
-
-def apply_plant(sources: Dict[str, str], plant: str) -> Dict[str, str]:
-    """Return a copy of ``sources`` with the named bug planted."""
-    try:
-        transform = PLANT_BUGS[plant]
-    except KeyError:
-        raise PlantError(
-            f"unknown plant {plant!r}; choose from "
-            f"{', '.join(sorted(PLANT_BUGS))}") from None
-    return transform(sources)
+def lint(plant: Optional[str] = None) -> List[Finding]:
+    """All protolint findings for the tree, with ``plant`` (a
+    :data:`PLANT_BUGS` name) active throughout."""
+    if plant is not None and plant not in PLANT_BUGS:
+        raise PlantError(f"unknown plant {plant!r}; choose from "
+                         f"{', '.join(sorted(PLANT_BUGS))}")
+    with PLANT_BUGS[plant]() if plant else nullcontext():
+        catalog = messages()
+        findings = check_tables(PROTOCOLS, catalog, tables())
+        if any(f.rule.code == "PL001" for f in findings):
+            return findings
+        observed = observe() if plant else corpus()
+        return findings + check_corpus(PROTOCOLS, catalog, observed)
 
 
 # ---------------------------------------------------------------------------
@@ -546,52 +415,71 @@ CATALOG_BEGIN = "<!-- protolint:catalog:begin -->"
 CATALOG_END = "<!-- protolint:catalog:end -->"
 
 
-def render_catalog(graph: MessageGraph) -> str:
-    """Deterministic role -> sends/handles inventory, as markdown.
-
-    Derived purely from the extracted graph (send sites and handler
-    tables), so it cannot drift from the code; CI diffs it against
-    PROTOCOL.md's marked section byte-for-byte.
-    """
+def render_catalog(observed: Corpus) -> str:
+    """Deterministic markdown inventory of the observed corpus: per
+    protocol, which node classes send and receive each type and what
+    each send was caused by; then messages per committed transaction."""
+    catalog = messages()
+    sent = observed.sent
+    total = sum(len(names) for names in catalog.values())
     lines: List[str] = [
-        "Generated by `python -m repro protolint --catalog`. Do not edit",
-        "by hand; regenerate with `--write-docs` after protocol changes.",
+        "Generated by `python -m repro protolint --catalog` from the "
+        "traced corpus.",
+        "Do not edit by hand; regenerate with `--write-docs` after "
+        "protocol changes.",
         "",
+        f"{total} message types across {len(catalog)} protocol(s); the "
+        f"corpus sent {sum(1 for n in sent if sent[n])} of them.",
+        "`—` as a cause is a send with no message on its causal chain: "
+        "a client submit, or a timer armed outside any delivery.",
     ]
-    protocols = sorted({d.protocol for d in graph.messages.values()})
-    total = sum(1 for d in graph.messages.values()
-                if d.protocol in protocols)
-    lines.append(f"{total} message types across "
-                 f"{len(protocols)} protocol(s).")
-    for protocol in protocols:
-        names = sorted(n for n, d in graph.messages.items()
-                       if d.protocol == protocol)
-        roles: set = set()
-        for name in names:
-            roles.update(graph.sender_classes(name))
-            roles.update(graph.handler_classes(name))
+    for protocol, names in catalog.items():
+        sends: Dict[str, Set[str]] = defaultdict(set)
+        receives: Dict[str, Set[str]] = defaultdict(set)
+        causes: Dict[Tuple[str, str], Set[str]] = defaultdict(set)
+        for (parent, at, name, to) in observed.edges:
+            if name in names:
+                sends[at].add(name)
+                receives[to].add(name)
+                causes[(parent or "—", at)].add(name)
         lines.extend(["", f"#### {protocol}", "",
-                      "| role | sends | handles |",
+                      "| node | sends | receives |", "| --- | --- | --- |"])
+        for node in sorted(set(sends) | set(receives)):
+            row = [", ".join(sorted(sends[node])) or "—",
+                   ", ".join(sorted(receives[node])) or "—"]
+            lines.append(f"| {node} | {row[0]} | {row[1]} |")
+        lines.extend(["", "| on receiving | at | sends |",
                       "| --- | --- | --- |"])
-        for role in sorted(roles):
-            sends = sorted(n for n in names
-                           if role in graph.sender_classes(n))
-            handles = sorted(n for n in names
-                             if role in graph.handler_classes(n))
-            lines.append(f"| {role} "
-                         f"| {', '.join(sends) or '—'} "
-                         f"| {', '.join(handles) or '—'} |")
+        for (parent, at), sent_types in sorted(causes.items()):
+            lines.append(f"| {parent} | {at} | "
+                         f"{', '.join(sorted(sent_types))} |")
+    from repro.runtime.conformance import TIME_DRIVEN
+
+    lines.extend([
+        "", "#### Messages per committed transaction", "",
+        f"Fault-free conform runs only (seeds "
+        f"{', '.join(map(str, CONFORM_SEEDS))}: one transaction at a time, "
+        "so the clock-driven types — Raft heartbeats and elections, client "
+        "heartbeats — count the idle gaps too; the total leaves them out).",
+        "", "| system | sender | message | per committed txn |",
+        "| --- | --- | --- | --- |"])
+    for system, counts in sorted(observed.conform_sends.items()):
+        committed = observed.conform_committed[system] or 1
+        for (sender, name), count in sorted(counts.items()):
+            lines.append(f"| {system} | {sender} | {name} | "
+                         f"{count / committed:.2f} |")
+        driven = sum(count for (__, name), count in counts.items()
+                     if name not in TIME_DRIVEN)
+        lines.append(f"| {system} | all | request-driven | "
+                     f"{driven / committed:.2f} |")
     return "\n".join(lines) + "\n"
 
 
 def extract_doc_catalog(doc_text: str) -> Optional[str]:
     """The catalog section between the markers in a docs file."""
-    try:
-        head, rest = doc_text.split(CATALOG_BEGIN + "\n", 1)
-        body, _tail = rest.split(CATALOG_END, 1)
-    except ValueError:
-        return None
-    return body
+    __, begin, rest = doc_text.partition(CATALOG_BEGIN + "\n")
+    body, end, __ = rest.partition(CATALOG_END)
+    return body if begin and end else None
 
 
 def embed_catalog(doc_text: str, catalog: str) -> str:

@@ -73,6 +73,27 @@ def planted_lost_commit_bug():
         coordinator_mod.CoordinatorComponent._persist_decision = original
 
 
+@contextmanager
+def planted_retry_removed_bug():
+    """Make every client's retransmission timer a no-op.
+
+    With this patch, ``TxnClient._retry`` neither resends the current
+    phase nor re-arms, so a request or reply the nemesis drops leaves its
+    transaction waiting forever.  Caught by the liveness oracle on every
+    system: the dynamic twin of a static "retried message has no retry
+    path" check.
+    """
+    from repro.client import TxnClient
+
+    original = TxnClient._retry
+    TxnClient._retry = lambda self, txn: None
+    try:
+        yield
+    finally:
+        TxnClient._retry = original
+
+
 #: Name -> context-manager factory, for the CLI's ``--plant-bug``.
 PLANTABLE_BUGS = {"writeback-dup": planted_writeback_bug,
-                  "lost-commit": planted_lost_commit_bug}
+                  "lost-commit": planted_lost_commit_bug,
+                  "retry-removed": planted_retry_removed_bug}

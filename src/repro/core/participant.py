@@ -36,6 +36,7 @@ from repro.core.occ import (
 )
 from repro.core.records import CommitRecord, PrepareRecord
 from repro.raft.node import RaftMember
+from repro.sim.node import Handlers
 from repro.trace.tracer import SPAN_PREPARE
 from repro.store.kvstore import VersionedKVStore
 from repro.txn import TID
@@ -50,6 +51,7 @@ class PartitionComponent:
     def __init__(self, server, partition_id: str,
                  store: Optional[VersionedKVStore] = None):
         self.server = server
+        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self))
         self.partition_id = partition_id
         self.store = store or VersionedKVStore()
         self.pending = PendingList()
@@ -403,4 +405,4 @@ class PartitionComponent:
                 read_versions=record.read_versions))
         buffered, self._buffered = self._buffered, []
         for msg in buffered:
-            self.server.dispatch(msg, self.server.PARTITION_HANDLERS, self)
+            self.handlers[type(msg)](msg)

@@ -32,6 +32,7 @@ from repro.core.records import (
 )
 from repro.raft.node import RaftHost, RaftMember
 from repro.sim.message import Message
+from repro.sim.node import Handlers
 from repro.store.directory import DirectoryService
 from repro.store.kvstore import VersionedKVStore
 
@@ -74,6 +75,10 @@ class CarouselServer(RaftHost):
     def _reset_roles(self) -> None:
         self.partitions: Dict[str, PartitionComponent] = {}
         self.coordinator = CoordinatorComponent(self)
+        self.handlers = Handlers(
+            self, (self.HANDLERS, self),
+            (dict.fromkeys(self.PARTITION_HANDLERS, "_to_partition"), self),
+            (self.COORDINATOR_HANDLERS, self.coordinator))
 
     def service_time_for(self, msg) -> float:
         """CPU cost: base plus the modeled pending-list scan (see DESIGN.md)."""
@@ -138,11 +143,7 @@ class CarouselServer(RaftHost):
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    def handle_app_message(self, msg: Message) -> None:
-        """Route a non-Raft message to the partition or coordinator role."""
-        if type(msg) not in self.PARTITION_HANDLERS:
-            self.dispatch(msg, self.COORDINATOR_HANDLERS, self.coordinator)
-            return
+    def _to_partition(self, msg: Message) -> None:
         component = self.partitions.get(msg.partition_id)
         if component is not None:  # else stale addressing; sender retries
-            self.dispatch(msg, self.PARTITION_HANDLERS, component)
+            component.handlers[type(msg)](msg)

@@ -29,6 +29,7 @@ from repro.layered.messages import (
     LayeredWritebackAck,
 )
 from repro.raft.node import RaftHost, RaftMember
+from repro.sim.node import Handlers
 from repro.store.kvstore import VersionedKVStore
 from repro.trace.tracer import SPAN_PREPARE, SPAN_WRITEBACK
 from repro.txn import REASON_COMMITTED, REASON_CONFLICT, \
@@ -44,6 +45,7 @@ class _LayeredPartition:
 
     def __init__(self, server: "LayeredServer", partition_id: str):
         self.server = server
+        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self))
         self.partition_id = partition_id
         self.store = VersionedKVStore()
         self.pending = PendingList()
@@ -217,6 +219,10 @@ class LayeredServer(RaftHost):
         self.raft_config = raft_config
         #: Writeback retransmission schedule.
         self.retry_policy = retry_policy
+        self.handlers = Handlers(
+            self, (self.HANDLERS, self),
+            (dict.fromkeys(self.PARTITION_HANDLERS, "_to_partition"), self),
+            (self.COORDINATOR_HANDLERS, self))
         self.attach_wal()
         self._reset_roles()
 
@@ -282,14 +288,10 @@ class LayeredServer(RaftHost):
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def handle_app_message(self, msg) -> None:
-        """Route layered-protocol messages to the right role."""
-        if type(msg) not in self.PARTITION_HANDLERS:
-            self.dispatch(msg, self.COORDINATOR_HANDLERS, self)
-            return
+    def _to_partition(self, msg) -> None:
         partition = self.partitions.get(msg.partition_id)
         if partition is not None:  # else stale addressing; sender retries
-            self.dispatch(msg, self.PARTITION_HANDLERS, partition)
+            partition.handlers[type(msg)](msg)
 
     # ------------------------------------------------------------------
     # Coordinator role (2PC driver)

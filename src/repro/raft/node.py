@@ -43,7 +43,7 @@ from repro.raft.messages import (
     RequestVoteReply,
 )
 from repro.sim.message import Message
-from repro.sim.node import Node, goto
+from repro.sim.node import Handlers, Node, goto
 from repro.wal.records import RaftAppendRecord, RaftTermRecord
 
 FOLLOWER = "follower"
@@ -114,6 +114,7 @@ class RaftMember:
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("duplicate member ids")
         self.host = host
+        self.handlers = Handlers(host, (self.HANDLERS, self))
         self.group_id = group_id
         self.member_ids = list(member_ids)
         self._peers = [m for m in self.member_ids if m != host.node_id]
@@ -620,8 +621,9 @@ class RaftHost(Node):
     """A network node hosting one or more Raft group members.
 
     Raft messages (:attr:`HANDLERS`) are routed to the member with the
-    matching ``group_id`` and run through its table; everything else goes
-    to :meth:`handle_app_message`, which protocol servers override.
+    matching ``group_id`` and run through its table; protocol servers
+    bind their own tables into :attr:`handlers` beside them, and a type
+    the host has no entry for goes to :meth:`handle_app_message`.
     """
 
     HANDLERS = {
@@ -658,19 +660,19 @@ class RaftHost(Node):
             member.start()
 
     def handle_message(self, msg: Message) -> None:
-        if type(msg) in self.HANDLERS:
-            self.dispatch(msg, self.HANDLERS, self)
+        if type(msg) in self.handlers:
+            self.handlers[type(msg)](msg)
         else:
             self.handle_app_message(msg)
 
     def _to_member(self, msg: Message) -> None:
         member = self.members.get(msg.group_id)
         if member is not None:
-            self.dispatch(msg, member.HANDLERS, member)
+            member.handlers[type(msg)](msg)
 
     def handle_app_message(self, msg: Message) -> None:
-        """Handle a non-Raft message.  Servers override; a bare host
-        has no handler for one (``TypeError``)."""
+        """Handle a message :attr:`handlers` has no entry for: a
+        ``TypeError`` unless a test host overrides it."""
         super().handle_message(msg)
 
     def on_crash(self) -> None:

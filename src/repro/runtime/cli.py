@@ -27,13 +27,10 @@ from repro.runtime.conformance import ROUNDS, format_result, run_conformance
 
 def cmd_conform(args) -> int:
     """In-process differential conformance over systems x seeds."""
-    from repro.runtime.conformance import _message_graph
-
-    graph = _message_graph()
     failures = 0
     for system in args.systems:
         for seed in args.seeds:
-            result = run_conformance(system, seed, args.rounds, graph=graph)
+            result = run_conformance(system, seed, args.rounds)
             print(format_result(result))
             if not result.ok:
                 failures += 1

@@ -9,9 +9,10 @@ the two judged runs (:class:`~repro.scenario.Run`) are compared:
   must independently pass :func:`repro.scenario.judge` (liveness,
   decision-consistency and value-parity, :mod:`repro.chaos.oracles`);
 * **traffic** — per-message-type send counts are reconciled against the
-  static message graph (:mod:`repro.analysis.msggraph`): every observed
-  type must be a declared message of the system's protocols, and the
-  counts of request-driven types must match exactly across backends.
+  protocols' ``Message`` subclasses
+  (:func:`repro.analysis.protolint.messages`): every observed type must
+  be a message of one of the system's protocols, and the counts of
+  request-driven types must match exactly across backends.
   Time-driven types (Raft heartbeats/elections, client failure-detector
   heartbeats) are exempt from count equality — wall clocks and virtual
   clocks legitimately tick differently — but still protocol-checked.
@@ -30,11 +31,10 @@ processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List
 
 from repro import systems
-from repro.analysis.msggraph import build_graph_from_paths
+from repro.analysis.protolint import messages
 from repro.bench.cluster import DeploymentSpec
 from repro.core.backoff import RetryPolicy
 from repro.raft.node import RaftConfig
@@ -119,36 +119,31 @@ class ConformanceResult:
         return not self.violations
 
 
-def _message_graph():
-    root = Path(__file__).resolve().parents[1]  # src/repro
-    return build_graph_from_paths([str(root)])
-
-
 def reconcile_counts(system: str, counts_des: Dict[str, int],
-                     counts_aio: Dict[str, int],
-                     graph=None) -> List[str]:
-    """Check both backends' traffic against the static message graph.
+                     counts_aio: Dict[str, int]) -> List[str]:
+    """Check both backends' traffic against the protocols' messages.
 
-    Every observed type must be a declared wire message of one of the
+    Every observed type must be a ``Message`` subclass of one of the
     system's protocols, and request-driven types must match
     count-for-count across backends (:data:`TIME_DRIVEN` types only
     need protocol membership).
     """
-    if graph is None:
-        graph = _message_graph()
+    protocol_of = {name: protocol
+                   for protocol, names in messages().items()
+                   for name in names}
     allowed = systems.get(system).protocols
     violations: List[str] = []
     for backend, counts in (("des", counts_des), ("aio", counts_aio)):
         for name in sorted(counts):
-            definition = graph.messages.get(name)
-            if definition is None:
+            protocol = protocol_of.get(name)
+            if protocol is None:
                 violations.append(
-                    f"{backend}: sent {name!r}, which is not a message "
-                    "type in the static graph")
-            elif definition.protocol not in allowed:
+                    f"{backend}: sent {name!r}, which is not a protocol "
+                    "message type")
+            elif protocol not in allowed:
                 violations.append(
                     f"{backend}: sent {name!r} from protocol "
-                    f"{definition.protocol!r}, outside {system}'s "
+                    f"{protocol!r}, outside {system}'s "
                     f"protocols {sorted(allowed)}")
     des_types = {n for n in counts_des if n not in TIME_DRIVEN}
     aio_types = {n for n in counts_aio if n not in TIME_DRIVEN}
@@ -160,7 +155,7 @@ def reconcile_counts(system: str, counts_des: Dict[str, int],
     return violations
 
 
-def compare(des: Run, aio: Run, graph=None) -> ConformanceResult:
+def compare(des: Run, aio: Run) -> ConformanceResult:
     """Hold a DES run and an asyncio run of one plan to each other."""
     system = des.scenario.system
     result = ConformanceResult(
@@ -200,16 +195,16 @@ def compare(des: Run, aio: Run, graph=None) -> ConformanceResult:
         violations += [f"{backend}: {v}" for v in judged.violations]
 
     violations += reconcile_counts(system, result.counts_des,
-                                   result.counts_aio, graph=graph)
+                                   result.counts_aio)
     return result
 
 
-def run_conformance(system: str, seed: int, rounds: int = ROUNDS,
-                    graph=None) -> ConformanceResult:
+def run_conformance(system: str, seed: int,
+                    rounds: int = ROUNDS) -> ConformanceResult:
     """One full differential run of ``system`` at ``seed``."""
     des = run(conform_scenario(system, seed, rounds, DES))
     aio = run(conform_scenario(system, seed, rounds, AIO))
-    return compare(des, aio, graph=graph)
+    return compare(des, aio)
 
 
 def format_result(result: ConformanceResult) -> str:

@@ -13,8 +13,8 @@ Two concerns live here because they share the wire codec:
   multi-process cluster (``python -m repro cluster``): address-table
   distribution, snapshot request/reply, readiness, shutdown.  Control
   dataclasses are deliberately **not** ``Message`` subclasses: they are
-  runtime plumbing, not protocol traffic, so the static message graph
-  (:mod:`repro.analysis.msggraph`) and ``PROTOCOL.md`` stay untouched.
+  runtime plumbing, not protocol traffic, so protolint's contracts
+  (:mod:`repro.analysis.protolint`) and ``PROTOCOL.md`` stay untouched.
   On the wire they are framed like messages but open with ``{"c":``
   instead of ``{"t":``.
 """
@@ -32,6 +32,7 @@ from repro.runtime.wire import (
     WireError,
     decode_value,
     encode_value,
+    parse_frame,
     register_extra,
 )
 
@@ -91,15 +92,16 @@ def is_control(data: bytes) -> bool:
     return data.startswith(_CONTROL_PREFIX)
 
 
-def decode_control(data: bytes) -> Any:
-    """Inverse of :func:`encode_control`."""
-    try:
-        envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed control frame: {exc}") from None
-    if not isinstance(envelope, dict) or "c" not in envelope:
+def _build_control(envelope: dict) -> Any:
+    if "c" not in envelope:
         raise WireError("control frame has no type")
     return decode_value({"__dc": envelope["c"], "f": envelope.get("f", {})})
+
+
+def decode_control(data: bytes) -> Any:
+    """Inverse of :func:`encode_control`; a malformed frame is a
+    :class:`WireError`."""
+    return parse_frame(data, _build_control)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ array          ``list``
 The type registry is built by importing the protocol message modules and
 collecting every dataclass they define; the round-trip property suite
 (``tests/property/test_wire_roundtrip.py``) cross-checks the registry
-against the static message graph (:mod:`repro.analysis.msggraph`) so a
-newly added message type cannot silently miss wire coverage.
+against the ``Message`` subclasses protolint reads
+(:func:`repro.analysis.protolint.messages`) so a newly added message type
+cannot silently miss wire coverage.  Decoding is total: any malformed
+frame raises :class:`WireError` and nothing else.
 """
 
 from __future__ import annotations
@@ -41,21 +43,23 @@ import importlib
 import json
 import math
 import struct
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.sim.message import Message
 
 #: Modules whose dataclasses go on the wire: the four protocols' message
 #: modules plus the payload dataclasses they embed (transaction ids,
 #: partition key sets, Raft log entries and the commands they carry —
-#: including the new-leader no-op from ``repro.raft.node`` — and the
-#: replicated command records).
+#: including the new-leader no-op from ``repro.raft.node`` — the
+#: replicated command records, and the pending-list entries a Carousel
+#: Raft vote carries for §4.3.3 leader recovery).
 PAYLOAD_MODULES = (
     "repro.txn",
     "repro.raft.log",
     "repro.raft.node",
     "repro.raft.messages",
     "repro.core.messages",
+    "repro.core.occ",
     "repro.core.records",
     "repro.layered.messages",
     "repro.tapir.messages",
@@ -216,16 +220,29 @@ def encode_message(msg: Message) -> bytes:
                       allow_nan=False).encode("utf-8")
 
 
-def decode_message(data: bytes) -> Message:
-    """Inverse of :func:`encode_message`."""
+def parse_frame(data: bytes, build: Callable[[dict], Any]) -> Any:
+    """``build(envelope)`` for one JSON frame.  Every way a frame can be
+    malformed — bad UTF-8 or JSON, a non-object envelope, an unknown tag,
+    wrong or missing fields, nesting past the recursion limit — raises
+    :class:`WireError`, the one error a transport reader drops a frame
+    for."""
     try:
         envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"malformed frame: {exc}") from None
-    if not isinstance(envelope, dict) or "t" not in envelope:
+        if not isinstance(envelope, dict):
+            raise WireError("frame is not a JSON object")
+        return build(envelope)
+    except WireError:
+        raise
+    except Exception as exc:  # the peer's bytes, not a bug here
+        raise WireError(f"malformed frame: {type(exc).__name__}: "
+                        f"{exc}") from None
+
+
+def _build_message(envelope: dict) -> Message:
+    if "t" not in envelope:
         raise WireError("frame has no message type")
     cls = registry().get(envelope["t"])
-    if cls is None:
+    if cls is None or not issubclass(cls, Message):
         raise WireError(f"unknown wire message type {envelope['t']!r}")
     msg = cls(**{name: decode_value(v)
                  for name, v in envelope.get("p", {}).items()})
@@ -233,6 +250,11 @@ def decode_message(data: bytes) -> Message:
     msg.dst = envelope.get("dst")
     msg.sent_at = envelope.get("at")
     return msg
+
+
+def decode_message(data: bytes) -> Message:
+    """Inverse of :func:`encode_message`."""
+    return parse_frame(data, _build_message)
 
 
 def frame(data: bytes) -> bytes:

@@ -2,8 +2,9 @@
 
 A :class:`Node` is an event-driven state machine attached to a network.  It
 receives messages through :meth:`handle_message`, which runs the method its
-:attr:`~Node.HANDLERS` table names for the message type, sends with
-:meth:`send`, and sets timers with :meth:`set_timer`.  A class whose state
+:attr:`~Node.HANDLERS` table names for the message type (bound once, as
+:class:`Handlers`), sends with :meth:`send`, and sets timers with
+:meth:`set_timer`.  A class whose state
 is a small machine declares it the same way, in a ``TRANSITIONS`` table
 that :func:`goto` checks on every state change.
 
@@ -20,7 +21,7 @@ paper identifies for TAPIR's collapse in §6.4.1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
@@ -39,6 +40,25 @@ def goto(owner: object, current: str, new: str) -> str:
     return new
 
 
+class Handlers(dict):
+    """``*HANDLERS`` tables bound to their targets: message type -> bound
+    method.  Built once per receiver at construction, so a handler patched
+    onto its class before then (``repro.chaos.bugs``) is what runs; a type
+    with no entry raises ``TypeError`` naming the receiving node's class.
+    """
+
+    def __init__(self, node: "Node", *bindings: Tuple[Dict[type, str],
+                                                      object]):
+        super().__init__((msg_type, getattr(target, name))
+                         for table, target in bindings
+                         for msg_type, name in table.items())
+        self.node_class = type(node).__name__
+
+    def __missing__(self, msg_type: type):
+        raise TypeError(f"{self.node_class} has no handler for "
+                        f"{msg_type.__name__}")
+
+
 class Node:
     """A simulated process: data server, coordinator group member, or client.
 
@@ -46,9 +66,8 @@ class Node:
     :meth:`on_recover` to reset volatile state.
     """
 
-    #: Message type -> name of the method that handles it.  Names, not
-    #: functions: :meth:`dispatch` looks the method up on every delivery,
-    #: so a handler patched onto its class (``repro.chaos.bugs``) runs.
+    #: Message type -> name of the method that handles it; bound into
+    #: :attr:`handlers` at construction.
     HANDLERS: Dict[type, str] = {}
 
     def __init__(self, node_id: str, dc: str, kernel: Kernel,
@@ -70,6 +89,7 @@ class Node:
         #: (clients, bare test hosts).  Subclasses that support restart
         #: call :meth:`attach_wal`.
         self.wal: Optional[WriteAheadLog] = None
+        self.handlers = Handlers(self, (self.HANDLERS, self))
         network.register(self)
 
     def attach_wal(self) -> None:
@@ -111,18 +131,9 @@ class Node:
         self.handle_message(msg)
 
     def handle_message(self, msg: Message) -> None:
-        """Handle a delivered message through :attr:`HANDLERS`."""
-        self.dispatch(msg, self.HANDLERS, self)
-
-    def dispatch(self, msg: Message, handlers: Dict[type, str],
-                 target: object) -> None:
-        """Call the method of ``target`` that ``handlers`` names for
-        ``msg``'s exact type (a table key is never subclassed)."""
-        name = handlers.get(type(msg))
-        if name is None:
-            raise TypeError(f"{type(self).__name__} has no handler for "
-                            f"{type(msg).__name__}")
-        getattr(target, name)(msg)
+        """Run the handler bound for ``msg``'s exact type (a table key is
+        never subclassed)."""
+        self.handlers[type(msg)](msg)
 
     @property
     def queue_delay_ms(self) -> float:

@@ -74,8 +74,8 @@ class System:
     #: ``(spec, timing, runtime) -> cluster``: the deployment class with
     #: ``timing`` mapped onto its own config.
     cluster: Callable[[DeploymentSpec, Timing, Any], Any]
-    #: Static-graph protocols (:mod:`repro.analysis.msggraph`) this
-    #: system's traffic may use.
+    #: Protocols (:data:`repro.analysis.protolint.PROTOCOLS`, each a
+    #: package's ``Message`` subclasses) this system's traffic may use.
     protocols: FrozenSet[str]
     #: WANRT claims, first matching row wins.
     wanrt: Tuple[WanrtClaim, ...]

@@ -4,25 +4,29 @@ The asyncio/TCP backend ships the simulator's own ``Message`` dataclasses
 (:mod:`repro.runtime.wire`), so the codec must round-trip *every* message
 type of all four protocols, bit-for-bit at the field level.  Strategies
 here are derived from the dataclasses' own type annotations, and the
-registry is cross-checked against the static message graph
-(:mod:`repro.analysis.msggraph`): a newly added message type that the
-codec cannot encode fails this suite instead of failing in production.
+registry is cross-checked against the ``Message`` subclasses the
+protocol packages define (:func:`repro.analysis.protolint.messages`): a
+newly added message type that the codec cannot encode fails this suite
+instead of failing in production.
 """
 
 import dataclasses
 import math
+import random
 import typing
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
-from repro.analysis.msggraph import build_graph_from_paths
+from repro.analysis.protolint import messages
 from repro.core.messages import PartitionSets
+from repro.core.occ import PendingTxn
+from repro.core.records import PrepareRecord
 from repro.raft.log import LogEntry
+from repro.raft.messages import AppendEntries, RequestVote
 from repro.runtime import wire
+from repro.runtime.harness import decode_control
 from repro.sim.message import Message
 from repro.txn import TID
 
@@ -100,19 +104,18 @@ _envelope = st.tuples(st.text(min_size=1, max_size=8),
 
 
 # ----------------------------------------------------------------------
-# Coverage: the registry must match the static message graph
+# Coverage: the registry must match the protocols' messages
 # ----------------------------------------------------------------------
 
 def test_registry_covers_every_graph_message():
-    """Every message type protolint sees must be wire-encodable (and
+    """Every message type protolint checks must be wire-encodable (and
     vice versa), so adding a message without wire coverage is caught."""
-    root = Path(repro.__file__).resolve().parent
-    graph = build_graph_from_paths([str(root)])
-    graph_names = set(graph.messages)
+    protocol_names = {name for names in messages().values()
+                      for name in names}
     wire_names = set(wire.message_type_names())
-    assert wire_names == graph_names, (
-        f"only on wire: {sorted(wire_names - graph_names)}; "
-        f"only in graph: {sorted(graph_names - wire_names)}")
+    assert wire_names == protocol_names, (
+        f"only on wire: {sorted(wire_names - protocol_names)}; "
+        f"only in the protocols: {sorted(protocol_names - wire_names)}")
 
 
 def test_registry_spans_all_four_protocols():
@@ -197,3 +200,73 @@ def test_exactly_the_advertised_message_count():
     assert len(wire.message_type_names()) == 33
     assert all(issubclass(wire.registry()[n], Message)
                for n in wire.message_type_names())
+
+
+def test_pending_list_vote_payload_roundtrips():
+    """A §4.3.3 vote carries the candidate's pending list, so CPC leader
+    recovery needs ``PendingTxn`` on the wire."""
+    pending = (PendingTxn(tid=TID("c1", 4), read_keys=frozenset({"a", "b"}),
+                          write_keys=frozenset({"b"}),
+                          read_versions=(("a", 2), ("b", 0)), term=2,
+                          coordinator_id="s0", provisional=True),)
+    vote = RequestVote(group_id="p0", term=3, candidate_id="s1",
+                       last_log_index=7, last_log_term=2,
+                       pending_payload=pending)
+    assert wire.roundtrip(vote) == vote
+
+
+# ----------------------------------------------------------------------
+# Malformed frames: every one is a WireError, nothing else escapes
+# ----------------------------------------------------------------------
+
+def _replicating_append() -> bytes:
+    entries = [LogEntry(term=2, index=i, command=PrepareRecord(
+        tid=TID("c1", i), partition_id="p0", decision="prepared",
+        read_keys=("a", "b"), write_keys=("b",),
+        read_versions=(("a", 3), ("b", 1)), term=2, coordinator_id="s0",
+        coord_group_id="p1")) for i in range(1, 4)]
+    return wire.encode_message(AppendEntries(
+        group_id="p0", term=2, leader_id="s0", prev_log_index=0,
+        prev_log_term=0, entries=entries, leader_commit=1))
+
+
+def _mangled(data: bytes, rng: random.Random):
+    """Truncations and single-bit flips of ``data``."""
+    for _ in range(200):
+        yield data[:rng.randrange(len(data))]
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        yield bytes(flipped)
+
+
+@pytest.mark.parametrize("decode", [wire.decode_message, decode_control],
+                         ids=["message", "control"])
+def test_mangled_frames_decode_or_raise_wire_error(decode):
+    data = _replicating_append()
+    if decode is decode_control:
+        data = b'{"c":"CtlShutdown","f":' + data + b"}"
+    for frame in _mangled(data, random.Random(0)):
+        try:
+            decode(frame)
+        except wire.WireError:
+            pass
+
+
+@pytest.mark.parametrize("frame", [
+    b'{"t":"ReadReply","p":{"bogus":1}}',
+    b'{"t":"TID","p":{"client_id":"c","seq":1}}',
+    b'{"t":"ReadReply","p":{"values":{"__d":[[1]]}}}',
+    b'{"t":"ReadReply","p":{"values":{"__d":[[[1],2]]}}}',
+    b'{"t":["ReadReply"]}',
+    b'{"c":"CtlShutdown","f":{"bogus":1}}',
+    b'{"c":"CtlShutdown","f":[]}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'"just a string"',
+], ids=["unknown-field", "not-a-message", "short-pair", "unhashable-key",
+        "unhashable-tag", "control-unknown-field", "control-fields-list",
+        "deep-nesting", "not-an-object"])
+def test_malformed_frame_is_wire_error(frame):
+    decode = decode_control if frame.startswith(b'{"c"') \
+        else wire.decode_message
+    with pytest.raises(wire.WireError):
+        decode(frame)

@@ -13,6 +13,7 @@ import pytest
 from repro.core.messages import ReadReply
 from repro.runtime.aio import AioRuntime, proc_for
 from repro.runtime.harness import CtlPeers, CtlShutdown
+from repro.runtime.wire import encode_message, frame
 from repro.sim.topology import ec2_five_regions
 from repro.txn import TID
 
@@ -119,6 +120,30 @@ def test_crashed_nodes_drop_traffic():
             assert a.network.node("c1").inbox == []
             assert b.network.messages_dropped == 1  # sender-side drop
             assert a.network.messages_dropped == 1  # receiver-side drop
+        finally:
+            await a.close()
+            await b.close()
+
+    asyncio.run(scenario())
+
+
+def test_malformed_frame_is_dropped_and_the_connection_reads_on():
+    async def scenario():
+        a, b = await _pair()
+        try:
+            reader, writer = await asyncio.open_connection(
+                b.network.host, b.network.port)
+            good = _reply(TID("c1", 5))
+            good.src, good.dst = "c1", "s1"
+            writer.write(frame(b'{"t":"ReadReply","p":{"bogus":1}}')
+                         + frame(encode_message(good)))
+            await writer.drain()
+            inbox = b.network.node("s1").inbox
+            await _settle(lambda: inbox)
+            assert b.network.messages_dropped == 1
+            assert [(m.tid, m.values) for m in inbox] == \
+                [(good.tid, good.values)]
+            writer.close()
         finally:
             await a.close()
             await b.close()

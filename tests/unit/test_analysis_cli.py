@@ -1,5 +1,5 @@
-"""analysis CLI tests: exit codes, JSON schema, github format, and the
-suppression round-trip for both linters.
+"""analysis CLI tests: exit codes, JSON schema, github format, and
+detlint's suppression round-trip.
 
 These drive :func:`repro.analysis.cli.main` exactly as ``python -m repro
 lint|protolint`` does (via the dispatch in :mod:`repro.cli`), asserting
@@ -53,9 +53,9 @@ def test_unknown_command_is_usage_error(capsys):
 def test_repro_cli_routes_protolint(capsys):
     assert repro_main(["protolint", "--list-rules"]) == 0
     rules = capsys.readouterr().out.splitlines()
-    assert len(rules) == 7
+    assert len(rules) == 4
     assert rules[0].startswith("PL001[dead-letter]")
-    assert rules[-1].startswith("PL007[field-mismatch]")
+    assert rules[-1].startswith("PL004[missing-reply]")
 
 
 def test_repro_cli_routes_lint(capsys, clean_file):
@@ -87,13 +87,15 @@ def test_protolint_invalid_plant_is_usage_error(capsys):
 
 def test_protolint_drifted_plant_anchor_is_exit_2(monkeypatch, capsys):
     # Exit 1 would read as "bug caught" although nothing was planted.
-    from repro.analysis import protolint
-    monkeypatch.setattr(protolint, "_DEAD_HANDLER_ANCHOR", "no such line\n")
+    from repro.core.messages import ClientHeartbeat
+    from repro.core.server import CarouselServer
+    monkeypatch.delitem(CarouselServer.COORDINATOR_HANDLERS,
+                        ClientHeartbeat)
     assert analysis_main(["protolint", "--plant-bug", "dead-handler"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot plant dead-handler" in captured.err
-    assert "anchor not found" in captured.err
+    assert "no ClientHeartbeat entry" in captured.err
 
 
 # ----------------------------------------------------------------------
@@ -167,32 +169,6 @@ def test_lint_suppression_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert analysis_main(["lint", "--keep-suppressed", str(target)]) == 1
     assert "DL003" in capsys.readouterr().out
-
-
-def test_protolint_suppression_round_trip(tmp_path, capsys):
-    (tmp_path / "core").mkdir()
-    (tmp_path / "core" / "mod.py").write_text(textwrap.dedent("""
-        from dataclasses import dataclass
-
-        @dataclass
-        class Lonely(Message):
-            tid: int = 0
-    """))
-    # Lonely is not in the carousel contract -> PL001.
-    path = str(tmp_path / "core")
-    assert analysis_main(["protolint", path]) == 1
-    capsys.readouterr()
-    (tmp_path / "core" / "mod.py").write_text(textwrap.dedent("""
-        from dataclasses import dataclass
-
-        @dataclass
-        class Lonely(Message):  # protolint: ignore[PL001]
-            tid: int = 0
-    """))
-    assert analysis_main(["protolint", path]) == 0
-    capsys.readouterr()
-    assert analysis_main(["protolint", "--keep-suppressed", path]) == 1
-    assert "PL001" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

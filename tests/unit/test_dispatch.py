@@ -2,12 +2,12 @@
 protolint reads.
 
 Every receiving class states ``{MessageType: "method_name"}`` in its class
-body; :meth:`repro.sim.node.Node.dispatch` looks the method up by name on
-each delivery, and :mod:`repro.analysis.msggraph` reads the same literals
-without importing anything.  These tests pin the three properties that
-make one table serve both: each entry runs its method (patched on the
-class, as the chaos plants patch it), an unknown type is an error, and no
-key can be shadowed by a subclass ``type(msg)`` would miss.
+body; :class:`repro.sim.node.Handlers` binds the methods once per receiver
+at construction, and :func:`repro.analysis.protolint.tables` reads the
+same imported tables.  These tests pin the three properties that make one
+table serve both: each entry runs its method (patched on the class before
+construction, as the chaos plants patch it), an unknown type is an
+error, and no key can be shadowed by a subclass ``type(msg)`` would miss.
 """
 
 import importlib
@@ -17,8 +17,7 @@ import pytest
 
 import repro
 from repro import systems
-from repro.analysis.msggraph import build_graph_from_paths
-from repro.analysis.protolint import PROTOCOLS, default_paths
+from repro.analysis import protolint
 from repro.bench.cluster import DeploymentSpec
 from repro.core.client import CarouselClient
 from repro.core.server import CarouselServer
@@ -98,11 +97,14 @@ def message(msg_type, fields):
     ids=[f"{c.__name__}.{t}[{m.__name__}]" for c, t, m, _ in ENTRIES])
 def test_each_entry_runs_its_named_method_once(clusters, monkeypatch, cls,
                                                table, msg_type, method):
-    node, target, fields = receiver(cls, table,
-                                    clusters[RECEIVERS[cls]])
+    __, target, __ = receiver(cls, table, clusters[RECEIVERS[cls]])
     calls = []
     monkeypatch.setattr(type(target), method,
                         lambda self, msg: calls.append((self, msg)))
+    # Tables bind at construction: the patch runs in a cluster built
+    # after it, as a chaos plant does.
+    node, target, fields = receiver(
+        cls, table, systems.build(RECEIVERS[cls], DeploymentSpec()))
     msg = message(msg_type, fields)
     node.handle_message(msg)
     assert calls == [(target, msg)]
@@ -121,7 +123,7 @@ def test_unregistered_type_raises_naming_node_and_message(clusters, cls):
         deliver = node.handle_message
         if cls is RaftMember:  # reached only through its host's routing
             def deliver(msg):
-                node.dispatch(msg, RaftMember.HANDLERS, target)
+                target.handlers[type(msg)](msg)
     with pytest.raises(TypeError) as err:
         deliver(Unregistered())
     assert f"{type(node).__name__} has no handler for Unregistered" \
@@ -137,14 +139,14 @@ def test_no_table_key_is_subclassed_anywhere_in_repro():
 
 
 def test_graph_reads_the_tables_that_run():
-    """msggraph's branches are exactly the imported tables, and every
+    """protolint's entries are exactly the tables that run, and every
     contracted receiver declares one."""
-    graph = build_graph_from_paths(default_paths())
-    read = {(b.cls, b.table, b.msg_type, b.target) for b in graph.branches}
+    read = {(cls.__name__, table, msg_type.__name__, method)
+            for cls, table, msg_type, method in protolint.tables()}
     run = {(cls.__name__, table, msg_type.__name__, method)
            for cls, table, msg_type, method in ENTRIES}
     assert read == run
-    receivers = {r for contracts in PROTOCOLS.values()
+    receivers = {r for contracts in protolint.PROTOCOLS.values()
                  for contract in contracts.values()
                  for r in contract.receivers}
     assert receivers == {cls.__name__ for cls in RECEIVERS}

@@ -1,7 +1,7 @@
 """Contract tests for the :mod:`repro.systems` table.
 
 Every row's facts are checked against a live deployment built on the DES
-runtime and against protolint's static message graph, the three timing
+runtime and against the protocols' ``Message`` subclasses, the three timing
 profiles are pinned to the numbers the per-harness builders used to set,
 and the litmus from DESIGN.md §2 is exercised: a fifth row (a renamed
 copy of TAPIR's) works in every harness with no other edit.
@@ -10,6 +10,7 @@ copy of TAPIR's) works in every harness with no other edit.
 import pytest
 
 from repro import systems
+from repro.analysis.protolint import messages
 from repro.bench.cluster import DeploymentSpec
 from repro.chaos.runner import (CHAOS_TIMING, ChaosOptions, ClusterAdapter,
                                 run_chaos)
@@ -17,7 +18,7 @@ from repro.client import ClientTxn, TxnClient
 from repro.core.backoff import RetryPolicy
 from repro.core.config import CarouselConfig
 from repro.raft.node import RaftConfig
-from repro.runtime.conformance import CONFORM_TIMING, _message_graph
+from repro.runtime.conformance import CONFORM_TIMING
 from repro.runtime.des import DesRuntime
 from repro.runtime.harness import snapshot_cluster
 from repro.sim.topology import uniform_topology
@@ -30,8 +31,10 @@ KEY = "contract-key"
 
 
 @pytest.fixture(scope="module")
-def graph():
-    return _message_graph()
+def protocol_of():
+    """Message name -> the protocol whose package defines it."""
+    return {name: protocol for protocol, names in messages().items()
+            for name in names}
 
 
 def _deploy(system, timing=None):
@@ -88,10 +91,10 @@ class TestRowAgreesWithLiveCluster:
             assert (record.value, record.version) == (1, 2)
             assert resolved[result.tid] == "commit"
 
-    def test_protocol_set(self, system, graph):
+    def test_protocol_set(self, system, protocol_of):
         entry = systems.get(system)
         _, sent = _commit_one(_deploy(system))
-        used = {graph.messages[name].protocol for name in sent}
+        used = {protocol_of[name] for name in sent}
         assert used == entry.protocols
         assert entry.leaderless == ("AppendEntries" not in sent)
 
