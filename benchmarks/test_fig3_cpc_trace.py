@@ -7,18 +7,22 @@ coordinator falls back to the slow path's replicated prepare result —
 which was running in parallel all along.
 """
 
-from repro.bench.traces import message_types, render_trace, \
-    trace_transaction
 from repro.core.config import FAST
+from repro.scenario import run
+from repro.trace.scenarios import figure_sends, render_figure, \
+    traced_scenario
+
+
+def _fig3(shape):
+    return run(traced_scenario("carousel-fast", shape))
 
 
 def test_fig3a_fast_path_no_conflicts(benchmark):
-    trace = benchmark.pedantic(
-        lambda: trace_transaction(mode=FAST, seed=42), rounds=1,
-        iterations=1)
+    result = benchmark.pedantic(lambda: _fig3("fig2"), rounds=1,
+                                iterations=1)
     print()
-    print(render_trace(trace, "Figure 3(a): CPC without conflicts"))
-    types = message_types(trace)
+    print(render_figure(result, "Figure 3(a): CPC without conflicts"))
+    types = [m.msg_type for m in figure_sends(result)]
 
     # Prepare requests go to every replica of both partitions (2 x 3).
     assert types.count("ReadPrepareRequest") == 6
@@ -69,13 +73,11 @@ def test_fig3a_fast_path_decides_partitions(benchmark):
 
 
 def test_fig3b_conflicts_fall_back_to_slow_path(benchmark):
-    trace = benchmark.pedantic(
-        lambda: trace_transaction(mode=FAST, seed=42,
-                                  conflicting_writer=True),
-        rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: _fig3("rival"), rounds=1,
+                                iterations=1)
     print()
-    print(render_trace(trace, "Figure 3(b): CPC with conflicts"))
-    types = message_types(trace)
+    print(render_figure(result, "Figure 3(b): CPC with conflicts"))
+    types = [m.msg_type for m in figure_sends(result)]
     # Both transactions spray fast votes; with conflicting prepares the
     # votes disagree across replicas, so slow-path prepare results are
     # what decides (§4.2).  Structurally: fast votes present, and at least

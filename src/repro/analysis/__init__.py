@@ -9,9 +9,9 @@ those rules from review guidance into tooling:
   nondeterminism bug classes this codebase has actually had (hash-ordered
   ``set`` iteration in send loops, wall-clock reads, stray RNGs, ...).
 * :mod:`repro.analysis.divergence` — a dual-process harness that runs the
-  same scenario twice under different ``PYTHONHASHSEED`` values, records a
-  compact digest stream of kernel activity, and localizes the *first*
-  diverging event with its causal context.
+  same traced scenario twice under different ``PYTHONHASHSEED`` values,
+  diffs the tracers' send logs (:mod:`repro.analysis.digest`), and
+  localizes the *first* diverging send with its causal context.
 * :mod:`repro.analysis.protolint` — protocol conformance: the declared
   ``*HANDLERS`` tables, ``Message`` subclasses and per-protocol contracts
   checked against each other, then against a traced DES corpus of the
@@ -26,7 +26,6 @@ gates on clean lint + protolint runs plus planted-bug self-checks.
 """
 
 from repro.analysis.detlint import RULES, Rule, lint_paths, lint_source
-from repro.analysis.digest import DigestRecorder
 from repro.analysis.divergence import DivergenceReport, run_divergence
 from repro.analysis.findings import (Finding, format_findings,
                                      format_github)
@@ -35,7 +34,6 @@ from repro.analysis.protolint import (MessageContract, PROTOCOLS,
 from repro.analysis.protolint import lint as lint_protocols
 
 __all__ = [
-    "DigestRecorder",
     "DivergenceReport",
     "Finding",
     "MessageContract",

@@ -175,7 +175,7 @@ def _build_divergence_parser() -> argparse.ArgumentParser:
         prog="python -m repro divergence",
         description="Run the same scenario twice under different "
                     "PYTHONHASHSEED values and localize the first "
-                    "divergent kernel event.")
+                    "divergent send.")
     parser.add_argument("--system", type=systems.canonical,
                         choices=systems.SYSTEMS, default="carousel-basic")
     parser.add_argument("--seed", type=int, default=42,
@@ -187,16 +187,13 @@ def _build_divergence_parser() -> argparse.ArgumentParser:
                         help="PYTHONHASHSEED values for the two runs")
     parser.add_argument("--context", type=int, default=6,
                         help="common records to show before a divergence")
-    parser.add_argument("--wide", action="store_true",
-                        help="use the all-partitions fan-out scenario")
     parser.add_argument("--plant-set-bug", action="store_true",
                         help="reintroduce PR 1's coordinator set-iteration "
                              "bug to demonstrate localization")
-    # Internal: run one digest-recorded scenario in this process.
+    # Internal: run one traced scenario in this process, log to --out.
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--digest-out", default=None,
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--out", default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -205,17 +202,16 @@ def cmd_divergence(argv: List[str]) -> int:
 
     args = _build_divergence_parser().parse_args(argv)
     if args.child:
-        if args.digest_out is None:
-            print("--child requires --digest-out", file=sys.stderr)
+        if args.out is None:
+            print("--child requires --out", file=sys.stderr)
             return 2
-        run_child(args.system, args.seed, args.txns, args.digest_out,
-                  plant_set_bug=args.plant_set_bug, wide=args.wide)
+        run_child(args.system, args.seed, args.txns, args.out,
+                  plant_set_bug=args.plant_set_bug)
         return 0
     report = run_divergence(
         args.system, seed=args.seed, n_txns=args.txns,
         hash_seeds=(args.hash_seeds[0], args.hash_seeds[1]),
-        plant_set_bug=args.plant_set_bug,
-        wide=args.wide or None, context=args.context)
+        plant_set_bug=args.plant_set_bug, context=args.context)
     print(report.render())
     return 1 if report.diverged else 0
 

@@ -1,88 +1,58 @@
-"""Compact digest stream of kernel activity, for cross-process diffing.
+"""The divergence bisector's compared log: a traced run, one line a send.
 
-A :class:`DigestRecorder` attaches to a kernel (``kernel.digest = rec``)
-and records one line per executed event and one line per network send:
+:func:`send_log` renders a :class:`~repro.trace.tracer.Tracer`'s send
+log (:meth:`~repro.trace.tracer.Tracer.sends`) and ends it with the
+run's op counters:
 
-* ``E t=<ms> seq=<n>`` — the kernel fired event ``seq`` at virtual time
-  ``t`` (covers timers and internal callbacks, which consume RNG even
-  though they send nothing).
-* ``S t=<ms> seq=<n> <src>-><dst> <type> bytes=<n> tid=<tid> msg=<id>
-  parent=<id>`` — a message send: the scheduled delivery event's seq,
-  endpoints, payload type, wire bytes, and — when a tracer is attached —
-  the owning transaction and the message's causal parent from
-  :mod:`repro.trace`.
+* ``S t=<ms> at=<ms> <src>-><dst> <type> bytes=<n> tid=<tid> msg=<id>
+  parent=<id>`` — one send: when it left and when it arrives, its
+  endpoints, payload type and wire bytes, the owning transaction, and
+  the message's causal parent (``None`` at a chain's root);
+* ``C <name>=<value>`` — one kernel or transport counter, so a
+  divergence that changes no send (a timer, an RNG draw) still shows.
 
 Two runs of the same scenario under the same kernel seed must produce
-byte-identical digest streams regardless of ``PYTHONHASHSEED``; the first
-differing line localizes a determinism bug to the exact event where hash
-order (or some other process-environment input) leaked into the
-simulation.  The stream is deliberately *compact* — no payload contents —
-so full benchmark runs stay diffable in memory.
+identical logs regardless of ``PYTHONHASHSEED``; the first differing
+line localizes a determinism bug to the send where hash order (or some
+other process-environment input) leaked into the simulation.  The log
+is deliberately compact — no payload contents.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, Dict, List
 
 
-class DigestRecorder:
-    """Collects digest lines; attach via ``kernel.digest = recorder``.
+def send_log(tracer: Any, counters: Dict[str, int]) -> List[str]:
+    """The ``S`` line of every send ``tracer`` recorded, in send order,
+    then a ``C`` line per counter in ``counters``."""
+    lines = []
+    for ann in tracer.sends():
+        parent = None if ann.parent is None else ann.parent.msg_id
+        lines.append(
+            f"S t={ann.send_ms:.6f} at={ann.recv_ms:.6f} "
+            f"{ann.src}->{ann.dst} {ann.msg_type} bytes={ann.size_bytes} "
+            f"tid={ann.tid} msg={ann.msg_id} parent={parent}")
+    lines.extend(f"C {name}={value}"
+                 for name, value in sorted(counters.items()))
+    return lines
 
-    Parameters
-    ----------
-    record_events:
-        Also record ``E`` lines for every executed kernel event.  Disable
-        to digest only message sends (roughly halves the stream for
-        send-heavy runs).
-    """
 
-    __slots__ = ("records", "record_events")
+def write_log(path: str, lines: List[str]) -> None:
+    """Write a log, one record per line."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def __init__(self, record_events: bool = True):
-        self.records: List[str] = []
-        self.record_events = record_events
 
-    # -- hooks (called by kernel / network) -----------------------------
-    def on_event(self, time: float, seq: int) -> None:
-        """Kernel hook: event ``seq`` is about to execute at ``time``."""
-        if self.record_events:
-            self.records.append(f"E t={time:.6f} seq={seq}")
-
-    def on_send(self, time: float, seq: int, src: str, dst: str,
-                msg_type: str, size_bytes: int,
-                ctx: Optional[Any] = None) -> None:
-        """Network hook: a message was sent; ``seq`` is its delivery
-        event, ``ctx`` the tracer-derived :class:`~repro.trace.tracer.
-        TraceCtx` (``None`` when tracing is off)."""
-        tid = msg_id = parent = None
-        if ctx is not None:
-            tid = ctx.tid
-            ann = ctx.last_msg
-            if ann is not None:
-                msg_id = ann.msg_id
-                if ann.parent is not None:
-                    parent = ann.parent.msg_id
-        self.records.append(
-            f"S t={time:.6f} seq={seq} {src}->{dst} {msg_type} "
-            f"bytes={size_bytes} tid={tid} msg={msg_id} parent={parent}")
-
-    # -- persistence ----------------------------------------------------
-    def write(self, path: str) -> None:
-        """Write the digest stream, one record per line."""
-        Path(path).write_text("\n".join(self.records) + "\n",
-                              encoding="utf-8")
-
-    @staticmethod
-    def read(path: str) -> List[str]:
-        """Read a digest stream written by :meth:`write`."""
-        text = Path(path).read_text(encoding="utf-8")
-        return [line for line in text.splitlines() if line]
+def read_log(path: str) -> List[str]:
+    """Read a log written by :func:`write_log`."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [line for line in text.splitlines() if line]
 
 
 def parse_send_fields(record: str) -> dict:
     """Parse the ``key=value`` fields of an ``S`` record (plus ``route``
-    and ``type``); returns ``{}`` for non-send records."""
+    and ``type``); returns ``{}`` for any other record."""
     if not record.startswith("S "):
         return {}
     parts = record.split()

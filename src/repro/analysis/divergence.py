@@ -6,14 +6,16 @@ only show across *process boundaries* (``PYTHONHASHSEED`` re-randomizes
 ``str`` hashing per process).  This module turns that afternoon of printf
 into one command:
 
-1. Run the same scenario twice, in two fresh child processes, with two
-   different ``PYTHONHASHSEED`` values but the same kernel seed.
-2. Each child records a compact :mod:`~repro.analysis.digest` stream of
-   kernel events and message sends.
-3. Diff the streams and report the **first** diverging record, with the
+1. Run the same traced scenario — the all-partitions fan-out of
+   :mod:`repro.trace.scenarios`, the widest coordinator loops — twice,
+   in two fresh child processes, with two different ``PYTHONHASHSEED``
+   values but the same kernel seed.
+2. Each child writes its tracer's send log and its op counters
+   (:func:`~repro.analysis.digest.send_log`).
+3. Diff the logs and report the **first** diverging record, with the
    trailing common records and the divergent message's causal chain
    (reconstructed from the :mod:`repro.trace` parent links carried in the
-   digest).
+   log).
 
 ``--plant-set-bug`` installs a deliberately buggy coordinator writeback
 loop — the exact set-iteration bug class PR 1 fixed by hand — so the
@@ -27,11 +29,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
 
-from repro.analysis.digest import DigestRecorder, parse_send_fields
+from repro.analysis.digest import (parse_send_fields, read_log, send_log,
+                                   write_log)
 
 #: Child run timeout (real seconds); trace scenarios finish in ~1 s.
 _CHILD_TIMEOUT_S = 300
@@ -61,10 +66,10 @@ class DivergenceReport:
         head = (f"divergence check: system={self.system} seed={self.seed} "
                 f"txns={self.n_txns} PYTHONHASHSEED="
                 f"{self.hash_seeds[0]} vs {self.hash_seeds[1]}\n"
-                f"  run A: {self.n_records[0]} digest records; "
+                f"  run A: {self.n_records[0]} log records; "
                 f"run B: {self.n_records[1]}")
         if not self.diverged:
-            return head + "\n  no divergence: digest streams identical"
+            return head + "\n  no divergence: logs identical"
         lines = [head, f"  DIVERGENCE at record {self.first_index}:",
                  f"    A: {self.record_a}",
                  f"    B: {self.record_b}"]
@@ -78,75 +83,29 @@ class DivergenceReport:
 
 
 # ----------------------------------------------------------------------
-# Child side: one scenario run, digest written to a file
+# Child side: one scenario run, log written to a file
 # ----------------------------------------------------------------------
 def run_child(system: str, seed: int, n_txns: int, out_path: str,
-              plant_set_bug: bool = False, wide: bool = False) -> None:
-    """Run one digest-recorded scenario in *this* process.
+              plant_set_bug: bool = False) -> None:
+    """Run the traced fan-out scenario in *this* process and write its
+    log to ``out_path``.
 
     Invoked by the parent through ``python -m repro divergence --child``
     so that each run gets a fresh interpreter (and hash seed).
     """
-    if plant_set_bug:
-        _plant_set_iteration_bug()
-    digest = DigestRecorder()
-    if wide or plant_set_bug:
-        _run_wide_scenario(system, seed, n_txns, digest)
-    else:
-        from repro.trace.harness import run_traced
-        run_traced(system, seed=seed, n_txns=n_txns, digest_sink=digest)
-    digest.write(out_path)
+    from repro.scenario import run
+    from repro.trace.scenarios import traced_scenario
+
+    result = run(traced_scenario(system, "fan-out", seed, n_txns),
+                 _set_iteration_bug if plant_set_bug else None)
+    write_log(out_path, send_log(result.tracer, result.op_counters))
 
 
-def _run_wide_scenario(system: str, seed: int, n_txns: int,
-                       digest: DigestRecorder) -> None:
-    """A transaction touching *every* partition (widest possible fan-out,
-    so ordering bugs in coordinator loops have the most room to show)."""
-    from repro import systems
-    from repro.bench.cluster import DeploymentSpec
-    from repro.trace.tracer import Tracer
-    from repro.txn import TransactionSpec
-
-    cluster = systems.build(
-        system, DeploymentSpec(seed=seed, jitter_fraction=0.0))
-    cluster.kernel.digest = digest
-    tracer = Tracer(cluster.kernel)
-    cluster.run(500)  # settle bootstrap
-
-    keys: List[str] = []
-    covered: set = set()  # membership only; iteration never escapes
-    for i in range(5000):
-        key = f"wide{i}"
-        pid = cluster.ring.partition_for(key)
-        if pid not in covered:
-            covered.add(pid)
-            keys.append(key)
-        if len(covered) == len(cluster.partition_ids):
-            break
-    cluster.populate({k: "v0" for k in keys})
-
-    client = cluster.client(cluster.client_dcs()[0])
-    for i in range(n_txns):
-        spec = TransactionSpec(
-            read_keys=tuple(keys), write_keys=tuple(keys),
-            compute_writes=lambda r: {k: f"w{i}" for k in r},
-            txn_type="wide")
-        done: List[Any] = []
-        client.submit(spec, done.append)
-        deadline = cluster.kernel.now + 30_000
-        while not done and cluster.kernel.now < deadline:
-            cluster.run(50)
-        if not done:
-            raise RuntimeError(f"wide transaction {i + 1} stalled")
-    cluster.run(2_000)  # drain writebacks
-    tracer.detach()
-
-
-def _plant_set_iteration_bug() -> None:
+@contextmanager
+def _set_iteration_bug() -> Iterator[None]:
     """Reintroduce PR 1's coordinator writeback bug: fan out over the raw
     ``set`` instead of ``sorted(...)``.  Fixture for the bisector's e2e
     test and the ``--plant-set-bug`` demo; never active otherwise."""
-    from repro.core import coordinator as coord_mod
     from repro.core.coordinator import COMMIT, CoordinatorComponent
     from repro.core.messages import Writeback
 
@@ -170,13 +129,13 @@ def _plant_set_iteration_bug() -> None:
         state.writeback_timer = self.server.set_timer(
             self.config.retry_policy.base_ms, self._retry_writebacks, state)
 
-    coord_mod._ORIGINAL_SEND_WRITEBACKS = \
-        CoordinatorComponent._send_writebacks
-    CoordinatorComponent._send_writebacks = buggy_send_writebacks
+    with mock.patch.object(CoordinatorComponent, "_send_writebacks",
+                           buggy_send_writebacks):
+        yield
 
 
 # ----------------------------------------------------------------------
-# Parent side: spawn two children, diff their digests
+# Parent side: spawn two children, diff their logs
 # ----------------------------------------------------------------------
 def _child_env(hash_seed: int) -> Dict[str, str]:
     import repro
@@ -189,15 +148,12 @@ def _child_env(hash_seed: int) -> Dict[str, str]:
 
 
 def _spawn_child(system: str, seed: int, n_txns: int, out_path: str,
-                 hash_seed: int, plant_set_bug: bool,
-                 wide: bool) -> None:
+                 hash_seed: int, plant_set_bug: bool) -> None:
     cmd = [sys.executable, "-m", "repro", "divergence", "--child",
            "--system", system, "--seed", str(seed),
-           "--txns", str(n_txns), "--digest-out", out_path]
+           "--txns", str(n_txns), "--out", out_path]
     if plant_set_bug:
         cmd.append("--plant-set-bug")
-    if wide:
-        cmd.append("--wide")
     proc = subprocess.run(cmd, env=_child_env(hash_seed),
                           capture_output=True, text=True,
                           timeout=_CHILD_TIMEOUT_S)
@@ -210,14 +166,13 @@ def _spawn_child(system: str, seed: int, n_txns: int, out_path: str,
 def _causal_chain(records: Sequence[str], index: int,
                   max_depth: int = 10) -> List[str]:
     """The parent-link chain of the divergent record (or of the nearest
-    preceding send), reconstructed from digest ``msg=``/``parent=``
+    preceding send), reconstructed from the log's ``msg=``/``parent=``
     fields.  Root first."""
     by_msg_id: Dict[str, str] = {}
     for rec in records[:index + 1]:
         fields = parse_send_fields(rec)
-        msg_id = fields.get("msg")
-        if msg_id and msg_id != "None":
-            by_msg_id[msg_id] = rec
+        if fields:
+            by_msg_id[fields["msg"]] = rec
     start = None
     for i in range(min(index, len(records) - 1), -1, -1):
         if records[i].startswith("S "):
@@ -260,21 +215,17 @@ def run_divergence(system: str = "basic", seed: int = 42,
                    n_txns: int = 2,
                    hash_seeds: Tuple[int, int] = (1, 2),
                    plant_set_bug: bool = False,
-                   wide: Optional[bool] = None,
                    context: int = 6) -> DivergenceReport:
     """Run the scenario twice under different ``PYTHONHASHSEED`` values
-    and localize the first divergent digest record (if any)."""
-    if wide is None:
-        wide = plant_set_bug
+    and localize the first divergent log record (if any)."""
     with tempfile.TemporaryDirectory(prefix="repro-divergence-") as tmp:
         paths = []
         for hs in hash_seeds:
-            out = str(Path(tmp) / f"digest-{hs}.txt")
-            _spawn_child(system, seed, n_txns, out, hs,
-                         plant_set_bug, wide)
+            out = str(Path(tmp) / f"log-{hs}.txt")
+            _spawn_child(system, seed, n_txns, out, hs, plant_set_bug)
             paths.append(out)
-        run_a = DigestRecorder.read(paths[0])
-        run_b = DigestRecorder.read(paths[1])
+        run_a = read_log(paths[0])
+        run_b = read_log(paths[1])
 
     first, ctx = compare_digests(run_a, run_b, context=context)
     report = DivergenceReport(

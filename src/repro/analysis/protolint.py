@@ -250,9 +250,7 @@ class Corpus:
         """Fold one traced run in; ``requests_of`` maps each reply type
         to the requests it answers.  Returns the run's sends by
         ``(sending node class, type)``."""
-        anns = list(tracer.orphan_messages)
-        for txn in tracer.transactions():
-            anns.extend(txn.messages)
+        anns = tracer.sends()
         cls = {node_id: type(node).__name__
                for node_id, node in nodes.items()}
         requests = {q for qs in requests_of.values() for q in qs}
@@ -287,34 +285,34 @@ def observe() -> Corpus:
     from repro.chaos.runner import ChaosOptions, chaos_scenario
     from repro.runtime.conformance import conform_scenario
     from repro.scenario import run
-    from repro.trace.harness import run_traced
+    from repro.trace.scenarios import traced_scenario
 
     requests_of: Dict[str, Tuple[str, ...]] = defaultdict(tuple)
     for contract in PROTOCOLS.values():
         for request, entry in sorted(contract.items()):
             for reply in entry.replies:
                 requests_of[reply] += (request,)
+    def record(scenario) -> Tuple[Counter, int]:
+        result = run(scenario)
+        # A run keeps no deployment; an identical one names the classes
+        # of its node ids.
+        nodes = systems.build(scenario.system, scenario.deployment,
+                              scenario.timing).network.nodes
+        return (corpus.record(result.tracer, nodes, requests_of),
+                result.committed)
+
     corpus = Corpus()
     chaos = ChaosOptions(restart_weight=CHAOS_RESTART_WEIGHT, trace=True)
     for system in systems.SYSTEMS:
-        for scenario in ([replace(conform_scenario(system, seed), trace=True)
-                          for seed in CONFORM_SEEDS]
-                         + [chaos_scenario(system, seed, chaos)
-                            for seed in CHAOS_SEEDS]):
-            result = run(scenario)
-            # A run keeps no deployment; an identical one names the
-            # classes of its node ids.
-            nodes = systems.build(system, scenario.deployment,
-                                  scenario.timing).network.nodes
-            sends = corpus.record(result.tracer, nodes, requests_of)
-            if scenario.nemesis is None:
-                corpus.conform_sends[system].update(sends)
-                corpus.conform_committed[system] += result.committed
-    for system, options in (("carousel-basic", {"read_only": True}),
-                            ("tapir", {"force_slow_path": True})):
-        traced = run_traced(system, **options)
-        corpus.record(traced.tracer, traced.cluster.network.nodes,
-                      requests_of)
+        for seed in CONFORM_SEEDS:
+            sends, committed = record(
+                replace(conform_scenario(system, seed), trace=True))
+            corpus.conform_sends[system].update(sends)
+            corpus.conform_committed[system] += committed
+        for seed in CHAOS_SEEDS:
+            record(chaos_scenario(system, seed, chaos))
+    record(traced_scenario("carousel-basic", "read-only"))
+    record(traced_scenario("tapir", "slow-path"))
     return corpus
 
 

@@ -41,8 +41,6 @@ from repro.bench.report import (
     render_latency_table,
     render_throughput_sweep,
 )
-from repro.bench.traces import render_trace, trace_transaction
-from repro.core.config import BASIC, FAST
 
 
 def _emit_json(path: Optional[str], payload: dict) -> None:
@@ -76,35 +74,53 @@ def cmd_table2(args) -> None:
     _emit_json(args.json, {t: c / total for t, c in counts.items()})
 
 
+def _figure(system: str, shape: str, title: str) -> str:
+    from repro.scenario import run
+    from repro.trace.scenarios import render_figure, traced_scenario
+    return render_figure(run(traced_scenario(system, shape)), title)
+
+
 def cmd_trace_basic(args) -> None:
-    trace = trace_transaction(mode=BASIC, seed=42)
-    print(render_trace(trace, "Figure 2: Carousel basic protocol"))
+    print(_figure("carousel-basic", "fig2",
+                  "Figure 2: Carousel basic protocol"))
 
 
 def cmd_trace(args) -> None:
+    from repro.scenario import run
     from repro.trace.export import render_timeline, to_chrome_trace
-    from repro.trace.harness import run_traced
     from repro.trace.invariants import check_transaction
+    from repro.trace.scenarios import traced_scenario, traced_transactions
 
     if args.txn_id < 1:
         raise SystemExit("--txn-id must be >= 1")
-    run = run_traced(args.system, n_txns=args.txn_id,
-                     read_only=args.read_only,
-                     force_slow_path=args.slow_path)
-    txn = run.txn_traces[args.txn_id - 1]
+    shape = None
+    if args.slow_path:
+        if args.read_only or not systems.get(args.system).leaderless:
+            print(f"--slow-path: {args.system} has no slow path to force "
+                  "(only leaderless systems do; not with --read-only)",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        shape = "slow-path"
+    elif args.read_only:
+        shape = "read-only"
+    result = run(traced_scenario(args.system, shape, txns=args.txn_id))
+    txn = traced_transactions(result)[args.txn_id - 1]
     print(render_timeline(txn))
     print()
     print(check_transaction(txn))
-    _emit_json(args.json, to_chrome_trace(run.tracer))
+    for violation in result.violations:
+        print(violation)
+    _emit_json(args.json, to_chrome_trace(result.tracer))
+    if not result.ok:
+        raise SystemExit(1)
 
 
 def cmd_trace_cpc(args) -> None:
-    trace = trace_transaction(mode=FAST, seed=42)
-    print(render_trace(trace, "Figure 3(a): CPC without conflicts"))
+    print(_figure("carousel-fast", "fig2",
+                  "Figure 3(a): CPC without conflicts"))
     print()
-    trace_b = trace_transaction(mode=FAST, seed=42,
-                                conflicting_writer=True)
-    print(render_trace(trace_b, "Figure 3(b): CPC with conflicts"))
+    print(_figure("carousel-fast", "rival",
+                  "Figure 3(b): CPC with conflicts"))
 
 
 def _ops_table(ops_by_label: Dict[str, Dict[str, int]]) -> str:
@@ -271,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--read-only", action="store_true",
                         help="(trace) trace a read-only transaction")
     parser.add_argument("--slow-path", action="store_true",
-                        help="(trace) force TAPIR's IR slow path")
+                        help="(trace) force TAPIR's IR slow path with a "
+                             "rival writer (leaderless systems only)")
     return parser
 
 

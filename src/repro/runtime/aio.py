@@ -83,7 +83,7 @@ class AioKernel:
 
     Exposes the same interface as :class:`repro.sim.kernel.Kernel`
     (:data:`repro.runtime.api.KERNEL_ATTRS`): millisecond clock, seeded
-    RNG, cancellable one-shot timers, tracer/digest hooks.
+    RNG, cancellable one-shot timers, the tracer hook.
     """
 
     def __init__(self, seed: int, loop: asyncio.AbstractEventLoop,
@@ -95,7 +95,6 @@ class AioKernel:
         #: same deployment seed draw independent election jitter.
         self.random = random.Random(f"{label}:{seed}")
         self.tracer = NULL_TRACER
-        self.digest = None
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0

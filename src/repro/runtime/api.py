@@ -5,8 +5,8 @@ client) binds to exactly two collaborator objects:
 
 * a **kernel** — virtual or wall clock (``now`` in milliseconds), one
   seeded ``random.Random``, one-shot timers (``schedule`` returning a
-  cancellable handle), ``spawn`` for run-soon callbacks, and the tracer/
-  digest observability hooks;
+  cancellable handle), ``spawn`` for run-soon callbacks, and the tracer
+  observability hook;
 * a **transport** (historically "network") — ``register`` for local
   nodes, ``send(src, dst_id, msg)``, the deployment ``topology`` (used by
   clients for nearest-leader decisions), and ``claim`` so deployment
@@ -33,10 +33,9 @@ BACKENDS = ("des", "asyncio")
 #: Attributes every runtime kernel must expose.  ``now`` is milliseconds
 #: since the run began (virtual for DES, wall-clock for asyncio);
 #: ``random`` is the single seeded RNG every protocol draw must use;
-#: ``tracer``/``digest`` are the observability hooks (a disabled tracer
-#: and ``None`` respectively when off).
+#: ``tracer`` is the observability hook (a disabled tracer when off).
 KERNEL_ATTRS = (
-    "now", "seed", "random", "tracer", "digest",
+    "now", "seed", "random", "tracer",
     "schedule", "schedule_at", "spawn",
     "events_scheduled", "events_executed", "events_cancelled",
 )
@@ -67,7 +66,6 @@ class RuntimeKernel(Protocol):
     seed: Any
     random: Any
     tracer: Any
-    digest: Any
 
     @property
     def now(self) -> float:

@@ -135,8 +135,8 @@ def judge(run: Run) -> Run:
                                run.ring.partitions)
 
     history = run.history
-    keys = sorted({key for __, __, row_keys in run.scenario.plan
-                   for key in row_keys})
+    keys = sorted({key for __, __, reads, __ in run.scenario.plan
+                   for key in reads})
     quiesced = view(run.snapshot)
     violations = check_liveness(run.clients, len(run.scenario.plan),
                                 history)
@@ -174,21 +174,23 @@ def _drive(scenario: Scenario, adapter: ClusterAdapter,
     clients = adapter.cluster.clients
     stop = scenario.stop
 
-    def submit(index: int, keys: Tuple[str, ...]) -> None:
-        clients[index].submit(increment_spec(keys, scenario.txn_type),
-                              lambda res: history.append((keys, res)))
+    def submit(index: int, reads: Tuple[str, ...],
+               increments: Tuple[str, ...]) -> None:
+        clients[index].submit(
+            increment_spec(reads, increments, scenario.txn_type),
+            lambda res: history.append((increments, res)))
 
-    for at, index, keys in scenario.plan:
+    for at, index, reads, increments in scenario.plan:
         if at is not None:
-            kernel.schedule_at(at, submit, index, keys)
+            kernel.schedule_at(at, submit, index, reads, increments)
     if heal is not None:
         yield horizon
         heal()
-    for at, index, keys in scenario.plan:
+    for at, index, reads, increments in scenario.plan:
         if at is not None:
             continue
         answered = len(history) + 1
-        kernel.spawn(submit, index, keys)
+        kernel.spawn(submit, index, reads, increments)
         deadline = kernel.now + stop.txn_timeout_ms
         while len(history) < answered and kernel.now < deadline:
             yield min(kernel.now + stop.poll_ms, deadline)

@@ -157,11 +157,6 @@ class Kernel:
         #: The attached tracer; the shared disabled instance by default, so
         #: tracing costs one ``tracer.enabled`` check when off.
         self.tracer = NULL_TRACER
-        #: Optional event-digest sink (see :mod:`repro.analysis.digest`):
-        #: when set, every executed event and every network send is
-        #: recorded to a compact stream for cross-process determinism
-        #: diffing.  ``None`` (the default) costs one check per event.
-        self.digest = None
 
     @property
     def now(self) -> float:
@@ -238,8 +233,6 @@ class Kernel:
                 break
             event._owner = None
             self._now = event.time
-            if self.digest is not None:
-                self.digest.on_event(event.time, event.seq)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.current = event.ctx

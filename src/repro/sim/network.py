@@ -357,11 +357,6 @@ class Network:
             if tracer.enabled:
                 event.ctx = tracer.on_send(msg, src, dst,
                                            arrival - kernel._now)
-            digest = kernel.digest
-            if digest is not None:
-                digest.on_send(kernel._now, event.seq, src.node_id,
-                               dst_id, msg.type_name, msg.size_bytes(),
-                               event.ctx)
             return
 
         # Sizing walks the whole payload, so only pay for it while the
@@ -410,8 +405,8 @@ class Network:
 
         self._schedule_delivery(src, dst, msg, arrival)
         if duplicate is not None:
-            # The duplicate is a second wire copy: traced, digested, and
-            # delivered independently of the original.
+            # The duplicate is a second wire copy: traced and delivered
+            # independently of the original.
             self._schedule_delivery(src, dst, msg, duplicate)
 
     def _fifo_arrival(self, src_id: str, dst_id: str, delay: float) -> float:
@@ -439,11 +434,6 @@ class Network:
             # The delivery event carries a child context: the sender's
             # causal chain extended by this hop (cross-DC hops deepen it).
             event.ctx = tracer.on_send(msg, src, dst, delay)
-        digest = kernel.digest
-        if digest is not None:
-            digest.on_send(kernel.now, event.seq, src.node_id,
-                           dst.node_id, msg.type_name, msg.size_bytes(),
-                           event.ctx)
 
     def _deliver(self, msg: Message, dst: "Node") -> None:
         if dst.crashed or (self._partitioned and

@@ -3,13 +3,14 @@
 See :mod:`repro.trace.tracer` for the tracer and data model,
 :mod:`repro.trace.invariants` for the paper's WANRT claims as executable
 checks, :mod:`repro.trace.export` for Chrome ``trace_event`` / plain-text
-output, and :mod:`repro.trace.harness` for the single-transaction trace
-runner behind ``python -m repro trace``.
+output, and :mod:`repro.trace.scenarios` for the traced scenarios behind
+Figures 2–3 and ``python -m repro trace`` — every trace is a
+:class:`repro.scenario.Scenario` run with ``trace=True``.
 
-This package init deliberately does *not* import the harness: the kernel
-imports :mod:`repro.trace.tracer` (for the disabled default tracer), and
-the harness imports the bench clusters, which import the kernel — the
-harness must therefore be imported lazily by its callers.
+This package init deliberately does *not* import the scenarios: the
+kernel imports :mod:`repro.trace.tracer` (for the disabled default
+tracer), and the scenarios import the clusters, which import the kernel
+— callers import :mod:`repro.trace.scenarios` themselves.
 """
 
 from repro.trace.export import (chrome_trace_json, render_timeline,

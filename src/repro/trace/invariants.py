@@ -11,7 +11,8 @@ trips on a committing transaction's critical path (§1, §4):
 * TAPIR: fast path 1 WANRT beyond the read round; slow path ≥ 2.
 
 :func:`check_transaction` classifies a traced transaction by its spans
-and asserts its measured critical-path WANRT against the claim.
+and asserts its measured critical-path WANRT against the claim; an
+aborted transaction is reported with no claim applied.
 """
 
 from __future__ import annotations
@@ -37,8 +38,14 @@ class InvariantReport:
     expected_max: float
     ok: bool
     detail: str = ""
+    #: ``False`` for an aborted transaction: the claims describe commits.
+    claimed: bool = True
 
     def __str__(self) -> str:
+        if not self.claimed:
+            return (f"[no claim] {self.variant}: measured "
+                    f"{self.measured_wanrt:g} WANRT, no claim applies — "
+                    f"{self.detail}")
         verdict = "ok" if self.ok else "VIOLATION"
         if math.isinf(self.expected_max):
             expected = f">={self.expected_min:g}"
@@ -86,7 +93,8 @@ def check_transaction(txn: TxnTrace) -> InvariantReport:
 
     Also cross-validates the context counter against an independent walk
     of the critical-path message chain.  Raises
-    :class:`InvariantViolation` on any mismatch.
+    :class:`InvariantViolation` on any mismatch.  An aborted transaction
+    is reported with its variant and measured WANRT and no claim applied.
     """
     if txn.committed is None:
         raise InvariantViolation(f"txn {txn.tid} never completed")
@@ -97,6 +105,12 @@ def check_transaction(txn: TxnTrace) -> InvariantReport:
             f"but the critical-path walk finds {path_hops}")
     variant, lo, hi = classify(txn)
     measured = txn.sequential_wanrt()
+    if not txn.committed:
+        return InvariantReport(
+            variant=variant, measured_wanrt=measured, expected_min=lo,
+            expected_max=hi, ok=True, claimed=False,
+            detail=f"txn {txn.tid} aborted ({txn.reason}), "
+                   f"{path_hops} WAN hops")
     ok = (lo - 1e-9) <= measured <= (hi + 1e-9)
     report = InvariantReport(
         variant=variant, measured_wanrt=measured,

@@ -441,3 +441,11 @@ class Tracer(NullTracer):
     def get(self, tid: Any) -> Optional[TxnTrace]:
         """The trace for ``tid``, or ``None``."""
         return self.txns.get(tid)
+
+    def sends(self) -> List[MessageAnn]:
+        """Every annotated send, transactions' and orphans', in send
+        order."""
+        anns = list(self.orphan_messages)
+        for trace in self.txns.values():
+            anns.extend(trace.messages)
+        return sorted(anns, key=lambda ann: ann.msg_id)

@@ -1,9 +1,10 @@
 """Seeded increment plans: the workload every oracle can account for.
 
-Each transaction increments every key it names (:func:`increment_spec`)
-and keys start absent, so after a run each key's value and version must
-both equal the number of committed transactions that wrote it — the
-exact accounting :mod:`repro.chaos.oracles` checks.  A plan is drawn
+Each transaction reads the keys its row names and increments a subset
+of them (:func:`increment_spec`) and keys start absent, so after a run
+each key's value and version must both equal the number of committed
+transactions that incremented it — the exact accounting
+:mod:`repro.chaos.oracles` checks.  A plan is drawn
 from a string-seeded RNG of its own, independent of the kernel and
 nemesis streams, so it is identical on either runtime and whatever
 nemesis events a replay keeps.
@@ -17,9 +18,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.txn import TransactionSpec
 
 #: One transaction of a plan: when to submit it (``None``: after the
-#: previous row's response), which client submits it, the keys it
-#: increments.
-PlanRow = Tuple[Optional[float], int, Tuple[str, ...]]
+#: previous row's response), which client submits it, the keys it reads
+#: and the keys it increments (a read-only row increments nothing).
+PlanRow = Tuple[Optional[float], int, Tuple[str, ...], Tuple[str, ...]]
 
 #: Fraction of transactions incrementing two keys (cross-partition 2PC).
 PAIR_FRACTION = 0.4
@@ -45,16 +46,18 @@ def increment_plan(stream: str, rounds: int, n_clients: int,
             picked = tuple(sorted(rng.sample(list(keys), 2)))
         else:
             picked = (keys[rng.randrange(len(keys))],)
-        plan.append((at, client, picked))
+        plan.append((at, client, picked, picked))
     if window is not None:
         plan.sort()
     return plan
 
 
-def increment_spec(keys: Tuple[str, ...], txn_type: str) -> TransactionSpec:
-    """Read-modify-write increment of each key (the oracle workload)."""
-    def compute(reads: Dict[str, Any]) -> Dict[str, Any]:
-        return {k: (reads.get(k) or 0) + 1 for k in keys}
+def increment_spec(reads: Tuple[str, ...], increments: Tuple[str, ...],
+                   txn_type: str) -> TransactionSpec:
+    """Read ``reads`` and increment each of ``increments`` (the oracle
+    workload)."""
+    def compute(values: Dict[str, Any]) -> Dict[str, Any]:
+        return {k: (values.get(k) or 0) + 1 for k in increments}
 
-    return TransactionSpec(read_keys=keys, write_keys=keys,
+    return TransactionSpec(read_keys=reads, write_keys=increments,
                            compute_writes=compute, txn_type=txn_type)

@@ -1,50 +1,53 @@
 """End-to-end WANRT invariants: trace each system, check the paper's claims.
 
-These tests drive the same harness as ``python -m repro trace`` on the
-Figure 2 scenario (client in us-west, two partitions) and assert the
-sequential wide-area round-trip counts the paper claims for each protocol
-variant, plus the tracer's own guarantees: determinism of the export and
-non-interference with the simulation.
+These tests run the same traced scenarios as ``python -m repro trace``
+(:mod:`repro.trace.scenarios`: client in us-west, two partitions) and
+assert the sequential wide-area round-trip counts the paper claims for
+each protocol variant, plus the tracer's own guarantees: determinism of
+the export and non-interference with the simulation.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro import systems
-from repro.bench.cluster import DeploymentSpec
+from repro.scenario import run
 from repro.sim.kernel import Kernel
 from repro.trace.export import chrome_trace_json
-from repro.trace.harness import _pick_keys, run_traced
 from repro.trace.invariants import check_transaction
-from repro.trace.tracer import NULL_TRACER, Tracer
-from repro.txn import TransactionSpec
+from repro.trace.scenarios import traced_scenario, traced_transactions
+from repro.trace.tracer import Tracer
 
 
-def _traced(system, **kwargs):
-    run = run_traced(system, **kwargs)
-    assert run.txn_traces, f"no transaction traced for {system}"
-    return run.txn_traces[0]
+def _traced(system, shape=None):
+    result = run(traced_scenario(system, shape))
+    assert result.ok, [str(v) for v in result.violations]
+    txns = traced_transactions(result)
+    assert txns, f"no transaction traced for {system}"
+    return txns[0]
 
 
-# (label, run_traced kwargs, expected variant, expected WANRT)
+# (label, shape, expected variant, expected WANRT, latency ms)
 SCENARIOS = [
-    ("basic", dict(), "carousel-basic", 2.0),
-    ("fast", dict(), "carousel-fast", 1.0),
-    ("basic-read-only", dict(read_only=True), "carousel-read-only", 1.0),
-    ("layered", dict(), "layered", 4.0),
-    ("tapir-fast", dict(), "tapir-fast", 1.0),
-    ("tapir-slow", dict(force_slow_path=True), "tapir-slow", 3.0),
+    ("basic", None, "carousel-basic", 2.0, 322.25),
+    ("fast", None, "carousel-fast", 1.0, 161.25),
+    ("basic-read-only", "read-only", "carousel-read-only", 1.0, 161.0),
+    ("layered", None, "layered", 4.0, 556.5),
+    ("tapir-fast", None, "tapir-fast", 1.0, 166.5),
+    ("tapir-slow", "slow-path", "tapir-slow", 3.0, 513.0),
 ]
 
 
-@pytest.mark.parametrize("label,kwargs,variant,wanrt",
+@pytest.mark.parametrize("label,shape,variant,wanrt,latency",
                          SCENARIOS, ids=[s[0] for s in SCENARIOS])
-def test_sequential_wanrt_matches_paper_claim(label, kwargs, variant, wanrt):
+def test_sequential_wanrt_matches_paper_claim(label, shape, variant, wanrt,
+                                              latency):
     system = label.split("-")[0]
-    txn = _traced(system, **kwargs)
+    txn = _traced(system, shape)
     assert txn.committed is True
     assert txn.sequential_wanrt() == wanrt
+    assert txn.latency_ms() == latency
     report = check_transaction(txn)  # raises InvariantViolation on breach
     assert report.ok
     assert report.variant == variant
@@ -74,36 +77,21 @@ def test_every_traced_message_belongs_to_the_txn():
 
 
 def test_chrome_export_is_deterministic_across_runs():
-    first = chrome_trace_json(run_traced("fast").tracer)
-    second = chrome_trace_json(run_traced("fast").tracer)
+    first = chrome_trace_json(run(traced_scenario("fast")).tracer)
+    second = chrome_trace_json(run(traced_scenario("fast")).tracer)
     assert first == second
 
 
 def test_tracing_does_not_perturb_virtual_time():
-    """A traced run and an untraced run of the same seed commit the same
-    transaction with byte-identical virtual-time results."""
-    traced = run_traced("basic", seed=7)
-    assert len(traced.results) == 1
-
-    cluster = systems.build(
-        "basic", DeploymentSpec(seed=7, jitter_fraction=0.0))
-    cluster.run(500)
-    keys = _pick_keys(cluster, "us-west")
-    cluster.populate({k: "v0" for k in keys})
-    assert cluster.kernel.tracer is NULL_TRACER
-    done = []
-    spec = TransactionSpec(read_keys=keys, write_keys=keys,
-                           compute_writes=lambda r: {k: "t0" for k in r},
-                           txn_type="traced")
-    cluster.client("us-west").submit(spec, done.append)
-    deadline = cluster.kernel.now + 30_000
-    while not done and cluster.kernel.now < deadline:
-        cluster.run(50)
-    cluster.run(2_000)
-
-    assert len(done) == 1
-    assert done[0].committed == traced.results[0].committed
-    assert done[0].latency_ms == traced.results[0].latency_ms
+    """A traced run and an untraced run of the same scenario commit the
+    same transaction with byte-identical virtual-time results."""
+    scenario = traced_scenario("basic", seed=7)
+    traced = run(scenario)
+    untraced = run(replace(scenario, trace=False))
+    assert untraced.tracer is None
+    assert len(traced.history) == 1
+    assert traced.history == untraced.history
+    assert traced.op_counters == untraced.op_counters
 
 
 def _drain_events(kernel, n):

@@ -41,9 +41,10 @@ class TestPlan:
 
     def test_plan_rows_are_valid(self):
         keys = ["wk0", "wk1"]
-        for at, client, picked in increment_plan("conform:0", _ROUNDS, 3,
-                                                 keys):
+        for at, client, picked, increments in increment_plan(
+                "conform:0", _ROUNDS, 3, keys):
             assert at is None  # sequential
+            assert increments == picked
             assert 0 <= client < 3
             assert 1 <= len(picked) <= 2
             assert set(picked) <= set(keys)

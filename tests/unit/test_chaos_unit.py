@@ -12,7 +12,7 @@ from repro.bench.cluster import (
     DeploymentSpec,
     LayeredCluster,
 )
-from repro.analysis.digest import DigestRecorder
+from repro.analysis.digest import send_log
 from repro.chaos.minimize import minimize_schedule
 from repro.chaos.nemesis import (
     KIND_CRASH,
@@ -39,6 +39,7 @@ from repro.sim.kernel import Kernel
 from repro.sim.network import LinkFaults, Network
 from repro.sim.stats import link_fault_summary
 from repro.sim.topology import uniform_topology
+from repro.trace.tracer import Tracer
 from repro.txn import TID, TransactionSpec
 
 from tests.support import RaftCluster
@@ -158,11 +159,16 @@ class TestNemesisSchedule:
         assert actions.count("heal") == 1
 
 
+def _log(cluster):
+    """The traced send log plus the kernel's op counters."""
+    return send_log(cluster.kernel.tracer, cluster.kernel.op_counters())
+
+
 class TestLinkFaultDeterminism:
     def run_faulty_raft(self, seed):
         """A Raft cluster whose n0<->n1 link drops/dups/delays traffic."""
         cluster = RaftCluster(n=3, seed=seed)
-        cluster.kernel.digest = DigestRecorder()
+        Tracer(cluster.kernel)
         faults = LinkFaults(drop_prob=0.3, dup_prob=0.3, delay_prob=0.2,
                             delay_ms=15.0)
         cluster.network.set_link_faults("n0", "n1", faults)
@@ -185,7 +191,7 @@ class TestLinkFaultDeterminism:
         b = self.run_faulty_raft(seed=3)
         assert link_fault_summary(a.network) == link_fault_summary(b.network)
         assert a.network.messages_dropped == b.network.messages_dropped
-        assert a.kernel.digest.records == b.kernel.digest.records
+        assert _log(a) == _log(b)
         # The adversary actually did something.
         rows = link_fault_summary(a.network)
         assert sum(row[4] + row[5] for row in rows) > 0
@@ -196,16 +202,16 @@ class TestLinkFaultDeterminism:
         # separate from the kernel RNG and zero-probability faults draw
         # deterministically without changing delivery.
         plain = RaftCluster(n=3, seed=9)
-        plain.kernel.digest = DigestRecorder()
+        Tracer(plain.kernel)
         plain.start()
         plain.run(2000)
         clean = RaftCluster(n=3, seed=9)
-        clean.kernel.digest = DigestRecorder()
+        Tracer(clean.kernel)
         clean.network.set_link_faults("n0", "n1", LinkFaults())
         clean.network.clear_all_link_faults()
         clean.start()
         clean.run(2000)
-        assert plain.kernel.digest.records == clean.kernel.digest.records
+        assert _log(plain) == _log(clean)
 
 
 class TestMinimize:

@@ -132,8 +132,7 @@ def ann(msg_type, src, dst, parent=None, tid=None, at=0.0):
 def record(*anns):
     """Fold ``anns`` (one traced run of server ``s``, follower ``f`` and
     client ``c``) into a fresh corpus; return its answered requests."""
-    tracer = SimpleNamespace(orphan_messages=list(anns),
-                             transactions=lambda: [])
+    tracer = SimpleNamespace(sends=lambda: list(anns))
     nodes = {"s": Server(), "f": Server(), "c": Client()}
     folded = Corpus()
     folded.record(tracer, nodes, {"Rep": ("Req",)})

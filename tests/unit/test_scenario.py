@@ -55,13 +55,15 @@ CONFORM_PLANS = {
 @pytest.mark.parametrize("seed", sorted(CHAOS_PLANS))
 def test_chaos_plan_matches_the_old_builder(seed):
     plan = chaos_scenario("fast", seed, ChaosOptions(rounds=6)).plan
-    assert list(plan) == CHAOS_PLANS[seed]
+    # Each row now names the keys it reads and those it increments.
+    assert list(plan) == [(at, client, keys, keys)
+                          for at, client, keys in CHAOS_PLANS[seed]]
 
 
 @pytest.mark.parametrize("seed", sorted(CONFORM_PLANS))
 def test_conform_plan_matches_the_old_builder(seed):
     plan = conform_scenario("fast", seed, rounds=6).plan
-    assert list(plan) == [(None, client, keys)
+    assert list(plan) == [(None, client, keys, keys)
                           for client, keys in CONFORM_PLANS[seed]]
 
 

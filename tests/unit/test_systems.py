@@ -21,10 +21,11 @@ from repro.raft.node import RaftConfig
 from repro.runtime.conformance import CONFORM_TIMING
 from repro.runtime.des import DesRuntime
 from repro.runtime.harness import snapshot_cluster
+from repro.scenario import run
 from repro.sim.topology import uniform_topology
 from repro.tapir.config import TapirConfig
-from repro.trace.harness import run_traced
 from repro.trace.invariants import check_transaction
+from repro.trace.scenarios import traced_scenario, traced_transactions
 from repro.txn import TransactionSpec
 
 KEY = "contract-key"
@@ -173,8 +174,10 @@ def test_fifth_row_works_in_every_harness(fifth_system):
                          drain_ms=7000.0)
     chaos = run_chaos(fifth_system, seed=1, opts=quick)
     assert chaos.ok, [str(v) for v in chaos.violations]
-    traced = run_traced(fifth_system)                     # traceable
-    assert check_transaction(traced.txn_traces[0]).variant == "tapir-fast"
+    traced = run(traced_scenario(fifth_system))           # traceable
+    assert traced.ok, [str(v) for v in traced.violations]
+    assert check_transaction(traced_transactions(traced)[0]).variant \
+        == "tapir-fast"
 
 
 # ----------------------------------------------------------------------
