@@ -126,15 +126,13 @@ class LintConfig:
     # from outside the kernel (wall-clock stats, os.getpid for unique
     # temp-file names) and likewise never feeds anything back into a
     # simulation — every worker runs a fresh, fully-seeded kernel.
-    # wal/ exports WAL images as host-side debugging artifacts whose
-    # export timestamp is never read back into the DES (the log itself
-    # runs purely on virtual time).  runtime/ is the asyncio/TCP
+    # runtime/ is the asyncio/TCP
     # backend: the wall clock *is* its kernel.now and sockets are its
     # network, so time sources there are the design, not a leak — the
     # differential conformance harness (runtime/conformance.py) is what
     # keeps its behaviour honest against the DES.
     wallclock_allowed: Tuple[str, ...] = ("bench/", "perf/", "sweep/",
-                                          "wal/", "runtime/")
+                                          "runtime/")
     # chaos/ generates nemesis schedules and workload plans from RNGs
     # string-seeded by the run seed before the simulation starts, the
     # same pattern as workloads/.  runtime/ string-seeds one RNG per

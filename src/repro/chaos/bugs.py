@@ -18,8 +18,9 @@ def planted_writeback_bug():
     """Revert the Carousel participant's writeback idempotence.
 
     With this patch, a duplicate ``Writeback`` for an already-resolved
-    transaction re-applies the writes *directly* to the leader's store
-    (bypassing Raft) instead of just re-acking.  Any duplicate delivery
+    transaction — still in ``resolved``, or forgotten below its client's
+    low-water mark — re-applies the writes *directly* to the leader's
+    store (bypassing Raft) instead of just re-acking.  Any duplicate delivery
     — a network-duplicated writeback, or a retransmission after a lost
     ``WritebackAck`` — then bumps the leader's version past its
     followers', which the ``replica-divergence`` and ``value-parity``
@@ -31,7 +32,7 @@ def planted_writeback_bug():
 
     def buggy(self, msg):
         if (not self.recovering and self.is_leader
-                and msg.tid in self.resolved
+                and self.settled(msg.tid)
                 and msg.decision == participant_mod.COMMIT):
             for key, value in msg.writes.items():
                 self.store.write(key, value, self.store.version(key) + 1)

@@ -91,6 +91,15 @@ class TxnClient(Node):
         self._counter += 1
         return TID(self.node_id, self._counter)
 
+    @property
+    def low_water(self) -> int:
+        """The lowest seq this client has not finished: servers may forget
+        every transaction of this client below it (the requests that
+        register a transaction carry it)."""
+        for tid in self._active:  # registration order is seq order
+            return tid.seq
+        return self._counter + 1
+
     def submit(self, spec: TransactionSpec,
                on_complete: Optional[CompletionCallback] = None
                ) -> Optional[TID]:

@@ -135,10 +135,11 @@ class CarouselClient(TxnClient):
     # Sending
     # ------------------------------------------------------------------
     def _send_read_prepare(self, txn: _ClientTxn) -> None:
+        low_water = self.low_water
         self.send(txn.coordinator_id, CoordPrepareRequest(
             tid=txn.tid, client_id=self.node_id,
             group_id=txn.coord_group_id,
-            participants=dict(txn.participants)))
+            participants=dict(txn.participants), low_water=low_water))
         fast = self.config.fast_path_enabled
         local_reads = self.config.local_reads_enabled
         nearest_reads = fast and self.config.read_nearest_replica
@@ -172,7 +173,8 @@ class CarouselClient(TxnClient):
                     coord_group_id=txn.coord_group_id,
                     read_keys=sets.read_keys,
                     write_keys=sets.write_keys,
-                    want_read=want_read, fast_path=fast))
+                    want_read=want_read, fast_path=fast,
+                    low_water=low_water))
 
     def _send_read_only(self, txn: _ClientTxn) -> None:
         # Ordered: participants insertion order is sorted(pids); see

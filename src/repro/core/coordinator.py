@@ -12,6 +12,17 @@ accepts a prepare decision from CPC's fast path only when a supermajority
 (⌈3f/2⌉+1) of that partition's replicas — including its leader — voted the
 same decision with the leader's data versions and term.  Otherwise it waits
 for the slow path's :class:`~repro.core.messages.PrepareResult`.
+
+State is bounded by the transactions in flight, not by history.  The
+leader copies its client's low-water mark into each
+:class:`~repro.core.records.CoordSetsRecord`, capped by the lowest
+transaction of that client it still drives in that group; applying the
+record forgets the client's ``finished`` outcomes below the mark and,
+on followers, the mirrored states the leader has finished — so a
+successor still re-drives every writeback its predecessor had not
+finished.  A transaction below the mark that is no longer tracked here
+is forgotten: its client has the outcome, so messages about it are
+stale and dropped.
 """
 
 from __future__ import annotations
@@ -46,9 +57,10 @@ from repro.txn import (
     REASON_STALE_READ,
     REASON_TIMEOUT,
     TID,
+    ClientMarks,
 )
 from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
-                               fold_decisions)
+                               restore_decisions)
 
 COMMIT = "commit"
 
@@ -125,6 +137,12 @@ class CoordinatorComponent:
         self.states: Dict[TID, CoordTxnState] = {}
         #: Outcomes of finished transactions, for late/duplicate messages.
         self.finished: Dict[TID, str] = {}
+        #: Low-water marks per ``(group_id, client_id)``, as that
+        #: coordinating group's records carried them, and the tids held
+        #: above them.  Scope ``("", client_id)`` takes every group's
+        #: mark: it holds states no group has claimed yet (strays from
+        #: votes) and tells a stale message from a new one.
+        self.marks = ClientMarks()
         self.fast_path_decisions = 0
         self.slow_path_decisions = 0
 
@@ -141,6 +159,25 @@ class CoordinatorComponent:
     def _state(self, tid: TID) -> Optional[CoordTxnState]:
         return self.states.get(tid)
 
+    def _new_state(self, tid: TID, group_id: str = "",
+                   **fields) -> CoordTxnState:
+        state = CoordTxnState(tid=tid, group_id=group_id, **fields)
+        self.states[tid] = state
+        self.marks.hold(tid, (group_id, tid.client_id))
+        return state
+
+    def _claim(self, state: CoordTxnState, group_id: str) -> None:
+        """``state`` belongs to ``group_id``: hold it under that group."""
+        state.group_id = group_id
+        self.marks.hold(state.tid, (group_id, state.tid.client_id))
+
+    def _forgotten(self, tid: TID) -> bool:
+        """Below the highest mark any group carried for its client and no
+        longer tracked here: the client has its outcome, so any message
+        about it is stale."""
+        return self.marks.forgotten(tid, self.states, self.finished,
+                                    scope=("", tid.client_id))
+
     def _send(self, dst: str, msg) -> None:
         self.server.send(dst, msg)
 
@@ -156,12 +193,11 @@ class CoordinatorComponent:
         if msg.tid in self.finished:
             self._reply_finished(msg.src, msg.tid)
             return
-        if not self._is_leader_of(msg.group_id):
+        if self._forgotten(msg.tid) or not self._is_leader_of(msg.group_id):
             return  # stale directory; the client will retry
         state = self.states.get(msg.tid)
         if state is None:
-            state = CoordTxnState(tid=msg.tid)
-            self.states[msg.tid] = state
+            state = self._new_state(msg.tid, msg.group_id)
         if state.sets_replicated or state.participants:
             # Duplicate registration.  If the transaction was already
             # decided (e.g. a heartbeat-timeout abort whose TxnReply was
@@ -170,16 +206,33 @@ class CoordinatorComponent:
                 self._reply(state, force=True)
             return
         state.client_id = msg.client_id
-        state.group_id = msg.group_id
+        self._claim(state, msg.group_id)
         state.participants = dict(msg.participants)
         state.last_heartbeat_ms = self.server.kernel.now
         self._arm_heartbeat_monitor(state)
         record = CoordSetsRecord(
             tid=msg.tid, client_id=msg.client_id,
-            participants=tuple(sorted(msg.participants.items())))
+            participants=tuple(sorted(msg.participants.items())),
+            low_water=self._low_water(msg.client_id, msg.group_id,
+                                      msg.low_water))
         member = self._member_for(msg.group_id)
         member.propose(record,
                        on_committed=lambda __: self._maybe_decide(state))
+
+    def _low_water(self, client_id: str, group_id: str,
+                   client_mark: int) -> int:
+        """The mark a new record of ``group_id`` carries: the client's,
+        capped by the lowest of its transactions this leader still drives
+        in the group, so followers forget only what is finished.  A new
+        leader whose log has not re-applied yet may not mirror all of
+        those, so its records carry no mark until it has."""
+        if not self._member_for(group_id).term_start_applied:
+            return 0
+        mark = client_mark
+        for tid in self.marks.held((group_id, client_id)):
+            if tid in self.states:
+                mark = min(mark, tid.seq)
+        return mark
 
     def on_commit_request(self, msg: CommitRequest) -> None:
         """Handle the client's commit or abort request (§4.1.2)."""
@@ -238,13 +291,12 @@ class CoordinatorComponent:
     # ------------------------------------------------------------------
     def on_fast_vote(self, msg: FastVote) -> None:
         """Accumulate a CPC fast-path vote and evaluate the quorum (§4.2)."""
-        if msg.tid in self.finished:
+        if msg.tid in self.finished or self._forgotten(msg.tid):
             return
         state = self._state(msg.tid)
         if state is None:
             # Votes can arrive before the client's CoordPrepareRequest.
-            state = CoordTxnState(tid=msg.tid)
-            self.states[msg.tid] = state
+            state = self._new_state(msg.tid)
         votes = state.fast_votes.setdefault(msg.partition_id, {})
         votes.setdefault(msg.replica_id,
                          (msg.decision, msg.read_versions, msg.term,
@@ -288,12 +340,11 @@ class CoordinatorComponent:
 
     def on_prepare_result(self, msg: PrepareResult) -> None:
         """Record a slow-path prepare decision from a participant leader."""
-        if msg.tid in self.finished:
+        if msg.tid in self.finished or self._forgotten(msg.tid):
             return
         state = self._state(msg.tid)
         if state is None:
-            state = CoordTxnState(tid=msg.tid)
-            self.states[msg.tid] = state
+            state = self._new_state(msg.tid)
         if msg.partition_id in state.decisions:
             return  # fast path (or an earlier result) already decided
         state.decisions[msg.partition_id] = (msg.decision, msg.read_versions)
@@ -492,18 +543,17 @@ class CoordinatorComponent:
         who leads the group now.  Returns a summary for the recovery
         trace point.
         """
-        finished, owed = fold_decisions(records)
+        finished, owed = restore_decisions(records, self.marks)
         self.finished.update(finished)
         for record in owed:
-            state = CoordTxnState(
-                tid=record.tid, client_id=record.client_id,
+            state = self._new_state(
+                record.tid, client_id=record.client_id,
                 group_id=record.group_id,
                 participants=dict(record.participants),
                 sets_replicated=True, commit_requested=True,
                 writes=dict(record.writes), write_data_replicated=True,
                 decision=record.decision, reason=record.reason,
                 replied=True, wal_recovered=True)
-            self.states[record.tid] = state
             self._send_writebacks(state)
         return f"redriven={len(owed)} finished={len(finished)}"
 
@@ -537,21 +587,27 @@ class CoordinatorComponent:
     def apply(self, command, group_id: str) -> None:
         """Mirror replicated coordinator state (runs on every group
         member)."""
+        tid = command.tid
+        state = self.states.get(tid)
+        if state is None and (tid in self.finished or self.marks.below(
+                tid, (group_id, tid.client_id))):
+            # Finished here (a record that applies after the decision's
+            # writebacks all acked), or forgotten by this group's mark: a
+            # state rebuilt from it would never finish.
+            return
         if isinstance(command, CoordSetsRecord):
-            state = self.states.get(command.tid)
             if state is None:
-                state = CoordTxnState(tid=command.tid)
-                self.states[command.tid] = state
+                state = self._new_state(tid, group_id)
+            elif state.group_id != group_id:
+                self._claim(state, group_id)
             state.client_id = command.client_id
-            state.group_id = group_id
             if not state.participants:
                 state.participants = dict(command.participants)
             state.sets_replicated = True
+            self._forget(group_id, command.client_id, command.low_water)
         elif isinstance(command, CoordWriteDataRecord):
-            state = self.states.get(command.tid)
             if state is None:
-                state = CoordTxnState(tid=command.tid, group_id=group_id)
-                self.states[command.tid] = state
+                state = self._new_state(tid, group_id=group_id)
             state.writes = dict(command.writes)
             state.client_read_versions = dict(command.read_versions)
             state.commit_requested = True
@@ -564,7 +620,6 @@ class CoordinatorComponent:
                 if state.decision is None and state.requery_timer is None:
                     self._arm_requery(state)
         elif isinstance(command, CoordDecisionRecord):
-            state = self.states.get(command.tid)
             if state is not None and state.decision is None:
                 state.decision = command.decision
                 state.reason = (REASON_COMMITTED
@@ -572,6 +627,29 @@ class CoordinatorComponent:
                                 else REASON_CONFLICT)
         else:  # pragma: no cover - routing bug
             raise TypeError(f"unexpected coordinator record {command!r}")
+
+    def _forget(self, group_id: str, client_id: str,
+                low_water: int) -> None:
+        """Apply a ``group_id`` record carrying ``client_id``'s mark:
+        forget the client's finished outcomes in the group below it and
+        the group's states below it, which the record's leader has
+        finished; then drop the strays below it (states no group claimed,
+        from votes for a transaction decided elsewhere)."""
+        for tid in self.marks.advance((group_id, client_id), low_water):
+            state = self.states.get(tid)
+            if state is None:
+                self.finished.pop(tid, None)
+            elif state.group_id == group_id:
+                self._drop(state)
+        for tid in self.marks.advance(("", client_id), low_water):
+            state = self.states.get(tid)
+            if state is not None and not state.group_id:
+                self._drop(state)
+
+    def _drop(self, state: CoordTxnState) -> None:
+        for name in ("heartbeat_timer", "writeback_timer", "requery_timer"):
+            self._cancel_timer(state, name)
+        del self.states[state.tid]
 
     # ------------------------------------------------------------------
     # Coordinator failover (§4.3)

@@ -18,7 +18,7 @@ from repro.sim.message import Message
 from repro.txn import TID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionSets:
     """A transaction's read and write keys within one partition."""
 
@@ -38,6 +38,8 @@ class CoordPrepareRequest(Message):
     client_id: str = ""
     group_id: str = ""  # the coordinating consensus group
     participants: Dict[str, PartitionSets] = field(default_factory=dict)
+    #: The client's lowest unfinished seq (its low-water mark).
+    low_water: int = 0
 
 
 @dataclass
@@ -59,6 +61,8 @@ class ReadPrepareRequest(Message):
     write_keys: Tuple[str, ...] = ()
     want_read: bool = True
     fast_path: bool = False
+    #: The client's lowest unfinished seq (its low-water mark).
+    low_water: int = 0
 
 
 @dataclass

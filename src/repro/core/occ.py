@@ -29,7 +29,7 @@ ABORT = "abort"
 PENDING_SCAN_COST_MS = 0.001
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingTxn:
     """One entry in a pending-transaction list."""
 

@@ -9,6 +9,13 @@ protocol.  The same component serves both roles:
   replicates them through Raft, and reports them to coordinators (§4.1);
 * as **participant follower** it applies replicated records and, under CPC,
   casts fast-path votes directly to coordinators (§4.2).
+
+State is bounded by the transactions in flight, not by history: each
+:class:`PrepareRecord` carries its client's low-water mark, and applying
+it forgets that client's resolved transactions below the mark (their
+``resolved`` and ``prepare_log`` entries) on every replica alike.  A
+transaction below the mark with no prepare record left is *settled*: a
+request or writeback for it is answered as already resolved.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from repro.raft.node import RaftMember
 from repro.sim.node import Handlers
 from repro.trace.tracer import SPAN_PREPARE
 from repro.store.kvstore import VersionedKVStore
-from repro.txn import TID
+from repro.txn import TID, ClientMarks, applied_outcome, applied_outcomes
 from repro.wal.records import OccPrepareWal
 
 COMMIT = "commit"
@@ -59,6 +66,8 @@ class PartitionComponent:
         self.resolved: Dict[TID, str] = {}
         #: Replicated prepare decisions: tid -> PrepareRecord.
         self.prepare_log: Dict[TID, PrepareRecord] = {}
+        #: Clients' applied low-water marks and the tids held above them.
+        self.marks = ClientMarks()
         self.member: Optional[RaftMember] = None
         #: Requests buffered while CPC leader recovery runs (§4.3.3 step 1).
         self.recovering = False
@@ -84,6 +93,23 @@ class PartitionComponent:
 
     def _send(self, dst: str, msg) -> None:
         self.server.send(dst, msg)
+
+    def settled(self, tid: TID) -> bool:
+        """Resolved here, or forgotten (:meth:`ClientMarks.settled`)."""
+        return self.marks.settled(tid, self.resolved, self.prepare_log)
+
+    def _settled_result(self, tid: TID, coordinator_id: str) -> None:
+        """Answer a prepare request for a settled ``tid`` with its
+        outcome, as a prepare decision."""
+        # A forgotten outcome is read back from the applied log (a
+        # successor coordinator recomputing a decision its failed
+        # predecessor already replied needs the real one); none there
+        # means it never prepared here, so it can only have aborted.
+        decision = self.resolved.get(tid) or \
+            applied_outcome(self.member, CommitRecord, tid) or ABORT
+        self._send(coordinator_id, PrepareResult(
+            tid=tid, partition_id=self.partition_id,
+            decision=PREPARED if decision == COMMIT else ABORT))
 
     # ------------------------------------------------------------------
     # Message entry points (called by the server's dispatcher)
@@ -131,7 +157,7 @@ class PartitionComponent:
         if not self.is_leader:
             return  # coordinator retries against the current leader
         tid = msg.tid
-        if tid in self.resolved:
+        if self.settled(tid):
             self._send(msg.src, WritebackAck(
                 tid=tid, partition_id=self.partition_id))
             return
@@ -157,10 +183,8 @@ class PartitionComponent:
         if not self.is_leader:
             return
         tid = msg.tid
-        if tid in self.resolved:
-            decision = PREPARED if self.resolved[tid] == COMMIT else ABORT
-            self._send(msg.coordinator_id, PrepareResult(
-                tid=tid, partition_id=self.partition_id, decision=decision))
+        if self.settled(tid):
+            self._settled_result(tid, msg.coordinator_id)
             return
         record = self.prepare_log.get(tid)
         if record is not None:
@@ -184,10 +208,8 @@ class PartitionComponent:
     def _leader_prepare(self, msg: ReadPrepareRequest) -> None:
         tid = msg.tid
         # Retransmission handling: reuse the recorded decision.
-        if tid in self.resolved:
-            decision = PREPARED if self.resolved[tid] == COMMIT else ABORT
-            self._send(msg.coordinator_id, PrepareResult(
-                tid=tid, partition_id=self.partition_id, decision=decision))
+        if self.settled(tid):
+            self._settled_result(tid, msg.coordinator_id)
             return
         if tid in self.prepare_log:
             record = self.prepare_log[tid]
@@ -223,13 +245,14 @@ class PartitionComponent:
                 coordinator_id=msg.coordinator_id, provisional=True)
             self._persist_provisional(entry)
             self.pending.add(entry)
+            self.marks.hold(tid)
 
         record = PrepareRecord(
             tid=tid, partition_id=self.partition_id, decision=decision,
             read_keys=tuple(msg.read_keys), write_keys=tuple(msg.write_keys),
             read_versions=versions, term=term,
             coordinator_id=msg.coordinator_id,
-            coord_group_id=msg.coord_group_id)
+            coord_group_id=msg.coord_group_id, low_water=msg.low_water)
         tracer = self.server.tracer
         span = None
         if tracer.enabled:
@@ -253,7 +276,7 @@ class PartitionComponent:
         """A follower's independent CPC vote, from purely local state
         (§4.2)."""
         tid = msg.tid
-        if tid in self.resolved:
+        if self.settled(tid):
             return
         tracer = self.server.tracer
         existing = self.pending.get(tid)
@@ -282,6 +305,7 @@ class PartitionComponent:
                 coordinator_id=msg.coordinator_id, provisional=True)
             self._persist_provisional(entry)
             self.pending.add(entry)
+            self.marks.hold(tid)
         self.fast_votes_cast += 1
         if tracer.enabled:
             tracer.point(tid, "fast-vote", self.server.node_id,
@@ -305,28 +329,50 @@ class PartitionComponent:
             raise TypeError(f"unexpected partition record {command!r}")
 
     def _apply_prepare(self, record: PrepareRecord) -> None:
-        self.prepare_log[record.tid] = record
-        if record.tid in self.resolved:
+        tid = record.tid
+        if self.marks.forgotten(tid, self.resolved, self.prepare_log):
+            # A late prepare of a transaction its client has finished.
+            self.pending.remove(tid)
             return
-        if record.decision == PREPARED:
-            self.pending.add(PendingTxn(
-                tid=record.tid, read_keys=frozenset(record.read_keys),
-                write_keys=frozenset(record.write_keys),
-                read_versions=record.read_versions, term=record.term,
-                coordinator_id=record.coordinator_id, provisional=False))
-        else:
-            self.pending.remove(record.tid)
+        resolved = tid in self.resolved
+        self.prepare_log[tid] = record
+        self.marks.hold(tid)
+        if not resolved:
+            if record.decision == PREPARED:
+                self.pending.add(PendingTxn(
+                    tid=tid, read_keys=frozenset(record.read_keys),
+                    write_keys=frozenset(record.write_keys),
+                    read_versions=record.read_versions, term=record.term,
+                    coordinator_id=record.coordinator_id,
+                    provisional=False))
+            else:
+                self.pending.remove(tid)
+        self.marks.forget_resolved(tid.client_id, record.low_water,
+                                   self.resolved, self.prepare_log,
+                                   self.pending)
 
     def _apply_commit(self, record: CommitRecord) -> None:
-        if record.tid in self.resolved:
+        tid = record.tid
+        if tid in self.resolved:
             return
-        self.resolved[record.tid] = record.decision
+        if self.marks.forgotten(tid, self.prepare_log):
+            # A duplicate writeback of a forgotten transaction re-applies
+            # nothing.
+            self.pending.remove(tid)
+            return
+        self.resolved[tid] = record.decision
+        self.marks.hold(tid)
         if record.decision == COMMIT:
             for key, value in record.writes:
                 # Versions advance identically on every replica because all
                 # replicas apply the same log in the same order.
                 self.store.write(key, value, self.store.version(key) + 1)
-        self.pending.remove(record.tid)
+        self.pending.remove(tid)
+
+    def applied_decisions(self) -> Dict[TID, str]:
+        """Every writeback outcome in the applied Raft log
+        (:func:`~repro.txn.applied_outcomes`)."""
+        return applied_outcomes(self.member, CommitRecord)
 
     def vote_payload(self):
         """Pending-transaction list piggybacked on Raft votes (§4.3.3)."""
@@ -366,7 +412,7 @@ class PartitionComponent:
                 continue
             if record.partition_id != self.partition_id:
                 continue
-            if record.tid in self.resolved or \
+            if self.settled(record.tid) or \
                     self.pending.get(record.tid) is not None:
                 continue
             self.pending.add(PendingTxn(
@@ -374,6 +420,7 @@ class PartitionComponent:
                 write_keys=frozenset(record.write_keys),
                 read_versions=record.read_versions, term=record.term,
                 coordinator_id=record.coordinator_id, provisional=True))
+            self.marks.hold(record.tid)
             restored += 1
         return restored
 

@@ -15,7 +15,7 @@ from repro.core.messages import PartitionSets
 from repro.txn import TID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrepareRecord:
     """Participant group: the leader's prepare decision for one
     transaction, with the read/write sets and versions backing it."""
@@ -29,9 +29,12 @@ class PrepareRecord:
     term: int
     coordinator_id: str
     coord_group_id: str
+    #: The client's low-water mark: applying this record forgets the
+    #: client's resolved transactions below it.
+    low_water: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     """Participant group: the writeback — final decision plus updates."""
 
@@ -41,16 +44,20 @@ class CommitRecord:
     writes: Tuple[Tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordSetsRecord:
     """Coordinating group: the transaction's participants and key sets."""
 
     tid: TID
     client_id: str
     participants: Tuple[Tuple[str, PartitionSets], ...]
+    #: The client's low-water mark capped by the leader's lowest
+    #: unfinished transaction of that client in this group: applying
+    #: this record forgets the client's finished transactions below it.
+    low_water: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordWriteDataRecord:
     """Coordinating group: the client's write values and read versions."""
 
@@ -59,7 +66,7 @@ class CoordWriteDataRecord:
     read_versions: Tuple[Tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordDecisionRecord:
     """Coordinating group: the final commit/abort decision (§4.1.3)."""
 

@@ -158,7 +158,7 @@ def _recover_at_barrier(component, vote_payloads: Dict[str, object]) -> None:
     slow_path = [entry for entry in slow_path if entry is not None]
     candidates = [c for c in candidates
                   if c.tid not in component.prepare_log
-                  and c.tid not in component.resolved]
+                  and not component.settled(c.tid)]
     accepted = filter_candidates(candidates, slow_path,
                                  component._current_versions)
 

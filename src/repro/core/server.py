@@ -35,6 +35,7 @@ from repro.sim.message import Message
 from repro.sim.node import Handlers
 from repro.store.directory import DirectoryService
 from repro.store.kvstore import VersionedKVStore
+from repro.wal.records import OccPrepareWal, forget_decisions
 
 #: Replicated commands owned by the coordinator role.
 _COORDINATOR_RECORDS = (CoordSetsRecord, CoordWriteDataRecord,
@@ -124,6 +125,16 @@ class CarouselServer(RaftHost):
                 .restore_pending_from_wal(records)
         return (f"pending-restored={restored} "
                 + self.coordinator.restore_from_wal(records))
+
+    def fold_wal_records(self, records):
+        """A WAL fold forgets what the GC forgot: decision/finish pairs
+        below the coordinator's marks (journaling the marks) and
+        provisional entries for transactions settled here."""
+        records = forget_decisions(records, self.coordinator.marks)
+        partitions = self.partitions
+        return [record for record in records
+                if type(record) is not OccPrepareWal
+                or not partitions[record.partition_id].settled(record.tid)]
 
     # ------------------------------------------------------------------
     # Raft plumbing

@@ -93,7 +93,8 @@ class LayeredClient(TxnClient):
             group_id=txn.coord_group_id,
             participants=dict(txn.participants),
             writes=dict(txn.writes),
-            read_versions=dict(txn.versions)))
+            read_versions=dict(txn.versions),
+            low_water=self.low_water))
 
     def _resend(self, txn: _LayeredTxn) -> None:
         if txn.phase == PHASE_READ:

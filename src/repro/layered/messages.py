@@ -36,6 +36,8 @@ class LayeredCommitRequest(Message):
     participants: Dict[str, PartitionSets] = field(default_factory=dict)
     writes: Dict[str, Any] = field(default_factory=dict)
     read_versions: Dict[str, int] = field(default_factory=dict)
+    #: The client's lowest unfinished seq (its low-water mark).
+    low_water: int = 0
 
 
 @dataclass
@@ -46,6 +48,8 @@ class LayeredPrepare(Message):
     partition_id: str = ""
     read_versions: Tuple[Tuple[str, int], ...] = ()
     write_keys: Tuple[str, ...] = ()
+    #: The client's low-water mark, forwarded from its commit request.
+    low_water: int = 0
 
 
 @dataclass
@@ -84,7 +88,7 @@ class LayeredWritebackAck(Message):
 
 # Replicated log records -------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredPrepareRecord:
     """Participant group: the leader's 2PC vote."""
 
@@ -94,9 +98,12 @@ class LayeredPrepareRecord:
     read_keys: Tuple[str, ...]
     write_keys: Tuple[str, ...]
     read_versions: Tuple[Tuple[str, int], ...]
+    #: The client's low-water mark: applying this record forgets the
+    #: client's resolved transactions below it.
+    low_water: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredCommitRecord:
     """Participant group: 2PC phase two — decision plus updates."""
 
@@ -106,10 +113,13 @@ class LayeredCommitRecord:
     writes: Tuple[Tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayeredDecisionRecord:
     """Coordinating group: the transaction's decision (replicated before
     the client learns it — the layered architecture's extra round trip)."""
 
     tid: TID
     decision: str
+    #: The client's low-water mark: applying this record forgets the
+    #: client's finished transactions below it.
+    low_water: int = 0

@@ -4,6 +4,12 @@ Each server hosts partition replicas (Raft groups) exactly like a Carousel
 data server, but the transaction flow is strictly sequential: reads are a
 separate round; 2PC prepares start only when the client's commit request
 arrives; every 2PC state change replicates before the protocol advances.
+
+State is bounded by the transactions in flight: the client's low-water
+mark rides on its commit request, the coordinator forwards it on each
+prepare and copies it into its decision record, and applying either
+record forgets that client's resolved (participant) or finished
+(coordinator) transactions below the mark.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from repro.sim.node import Handlers
 from repro.store.kvstore import VersionedKVStore
 from repro.trace.tracer import SPAN_PREPARE, SPAN_WRITEBACK
 from repro.txn import REASON_COMMITTED, REASON_CONFLICT, \
-    REASON_STALE_READ, TID
+    REASON_STALE_READ, TID, ClientMarks, applied_outcome, applied_outcomes
 from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
-                               fold_decisions)
+                               forget_decisions, restore_decisions)
 
 COMMIT = "commit"
 
@@ -51,6 +57,8 @@ class _LayeredPartition:
         self.pending = PendingList()
         self.resolved: Dict[TID, str] = {}
         self.prepare_decisions: Dict[TID, str] = {}
+        #: Clients' applied low-water marks and the tids held above them.
+        self.marks = ClientMarks()
         self.member: Optional[RaftMember] = None
 
     @property
@@ -70,6 +78,16 @@ class _LayeredPartition:
         """
         return self.member is not None and self.member.term_start_applied
 
+    def settled(self, tid: TID) -> bool:
+        """Resolved here, or forgotten (:meth:`ClientMarks.settled`)."""
+        return self.marks.settled(tid, self.resolved,
+                                  self.prepare_decisions)
+
+    def applied_decisions(self) -> Dict[TID, str]:
+        """Every writeback outcome in the applied Raft log
+        (:func:`~repro.txn.applied_outcomes`)."""
+        return applied_outcomes(self.member, LayeredCommitRecord)
+
     def on_read(self, msg: LayeredRead) -> None:
         if not self.serving:
             return
@@ -81,8 +99,12 @@ class _LayeredPartition:
         if not self.serving:
             return
         tid = msg.tid
-        if tid in self.resolved:
-            decision = PREPARED if self.resolved[tid] == COMMIT else ABORT
+        if self.settled(tid):
+            # A forgotten outcome is still in the applied log; none there
+            # means it never prepared here, so it can only have aborted.
+            outcome = self.resolved.get(tid) or applied_outcome(
+                self.member, LayeredCommitRecord, tid) or ABORT
+            decision = PREPARED if outcome == COMMIT else ABORT
             self.server.send(msg.src, LayeredPrepareAck(
                 tid=tid, partition_id=self.partition_id,
                 decision=decision))
@@ -108,10 +130,12 @@ class _LayeredPartition:
                 write_keys=frozenset(msg.write_keys),
                 read_versions=freeze_versions(read_versions),
                 term=self.member.current_term, coordinator_id=msg.src))
+            self.marks.hold(tid)
         record = LayeredPrepareRecord(
             tid=tid, partition_id=self.partition_id, decision=decision,
             read_keys=tuple(read_versions), write_keys=msg.write_keys,
-            read_versions=freeze_versions(read_versions))
+            read_versions=freeze_versions(read_versions),
+            low_water=msg.low_water)
         coordinator = msg.src
 
         def replicated(__):
@@ -125,7 +149,7 @@ class _LayeredPartition:
         if not self.serving:
             return
         tid = msg.tid
-        if tid in self.resolved:
+        if self.settled(tid):
             self.server.send(msg.src, LayeredWritebackAck(
                 tid=tid, partition_id=self.partition_id))
             return
@@ -143,27 +167,37 @@ class _LayeredPartition:
         self.member.propose_keyed(tid, record, replicated)
 
     def apply(self, command) -> None:
+        tid = command.tid
+        if self.marks.forgotten(tid, self.resolved, self.prepare_decisions):
+            # A late prepare, or a duplicate writeback, of a transaction
+            # its client has finished: nothing to record or re-apply.
+            self.pending.remove(tid)
+            return
         if isinstance(command, LayeredPrepareRecord):
-            self.prepare_decisions[command.tid] = command.decision
+            self.prepare_decisions[tid] = command.decision
+            self.marks.hold(tid)
             if command.decision == PREPARED:
                 # Mirror the pending list on every replica: a successor
                 # leader that cannot see prepared-but-undecided
                 # transactions would validate new ones against thin air
                 # and hand out conflicting prepares (lost updates).
-                if command.tid in self.resolved:
-                    return  # decided later in the log; nothing pending
-                self.pending.add(PendingTxn(
-                    tid=command.tid,
-                    read_keys=frozenset(command.read_keys),
-                    write_keys=frozenset(command.write_keys),
-                    read_versions=command.read_versions,
-                    term=0, coordinator_id=""))
+                if tid not in self.resolved:  # else decided later in the log
+                    self.pending.add(PendingTxn(
+                        tid=tid,
+                        read_keys=frozenset(command.read_keys),
+                        write_keys=frozenset(command.write_keys),
+                        read_versions=command.read_versions,
+                        term=0, coordinator_id=""))
             else:
-                self.pending.remove(command.tid)
+                self.pending.remove(tid)
+            self.marks.forget_resolved(tid.client_id, command.low_water,
+                                       self.resolved, self.prepare_decisions,
+                                       self.pending)
         elif isinstance(command, LayeredCommitRecord):
             if command.tid in self.resolved:
                 return
             self.resolved[command.tid] = command.decision
+            self.marks.hold(tid)
             if command.decision == COMMIT:
                 for key, value in command.writes:
                     self.store.write(key, value,
@@ -188,6 +222,8 @@ class _CoordState:
     writeback_acks: Set[str] = field(default_factory=set)
     writeback_timer: Any = None
     writeback_attempts: int = 0
+    #: The client's low-water mark, forwarded on prepares and decisions.
+    low_water: int = 0
     #: Tracing: open 2PC-prepare and writeback spans.
     trace_prepare_span: Any = None
     trace_writeback_span: Any = None
@@ -230,6 +266,10 @@ class LayeredServer(RaftHost):
         self.partitions: Dict[str, _LayeredPartition] = {}
         self.coord_states: Dict[TID, _CoordState] = {}
         self.finished: Dict[TID, str] = {}
+        #: Low-water marks per ``(group_id, client_id)``, as that
+        #: coordinating group's decision records carried them, and the
+        #: tids held above them.
+        self.marks = ClientMarks()
 
     def add_partition(self, partition_id: str, member_ids: List[str],
                       bootstrap_leader: Optional[str] = None
@@ -263,7 +303,7 @@ class LayeredServer(RaftHost):
         """Re-drive the writeback phase of every journaled-but-unfinished
         decision.  Partition pending lists rebuild through the Raft apply
         path as the commit index re-advances under a live leader."""
-        self.finished, owed = fold_decisions(records)
+        self.finished, owed = restore_decisions(records, self.marks)
         for record in owed:
             state = _CoordState(
                 tid=record.tid, client_id=record.client_id,
@@ -273,8 +313,14 @@ class LayeredServer(RaftHost):
                 decision=record.decision, decision_replicated=True,
                 replied=True)
             self.coord_states[record.tid] = state
+            self.marks.hold(record.tid, (record.group_id, record.client_id))
             self._send_writebacks(state)
         return f"redriven={len(owed)}"
+
+    def fold_wal_records(self, records):
+        """A WAL fold forgets the decision/finish pairs below the
+        coordinator's marks, journaling the marks."""
+        return forget_decisions(records, self.marks)
 
     def _apply(self, group_id: str, entry) -> None:
         command = entry.command
@@ -282,8 +328,24 @@ class LayeredServer(RaftHost):
             state = self.coord_states.get(command.tid)
             if state is not None:
                 state.decision_replicated = True
+            self._forget((group_id, command.tid.client_id),
+                         command.low_water)
             return
         self.partitions[group_id].apply(command)
+
+    def _forget(self, scope, low_water: int) -> None:
+        """Raise the mark of ``scope`` (a group and client): forget the
+        finished outcomes below it, and undecided states their client
+        finished through another leader; a decided state still owes its
+        writebacks."""
+        for tid in self.marks.advance(scope, low_water):
+            state = self.coord_states.get(tid)
+            if state is None:
+                self.finished.pop(tid, None)
+            elif state.decision is None:
+                del self.coord_states[tid]
+            else:
+                self.marks.hold(tid, scope)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -304,6 +366,9 @@ class LayeredServer(RaftHost):
                 reason=REASON_COMMITTED if decision == COMMIT
                 else REASON_CONFLICT))
             return
+        if self.marks.forgotten(msg.tid, self.coord_states, self.finished,
+                                scope=(msg.group_id, msg.client_id)):
+            return  # the client has its outcome: a stale retransmission
         state = self.coord_states.get(msg.tid)
         if state is not None:
             # Retransmission while 2PC is in progress: a prepare (or its
@@ -331,8 +396,10 @@ class LayeredServer(RaftHost):
         state = _CoordState(
             tid=msg.tid, client_id=msg.client_id, group_id=msg.group_id,
             participants=dict(msg.participants), writes=dict(msg.writes),
-            read_versions=dict(msg.read_versions))
+            read_versions=dict(msg.read_versions),
+            low_water=msg.low_water)
         self.coord_states[msg.tid] = state
+        self.marks.hold(msg.tid, (msg.group_id, msg.client_id))
         tracer = self.tracer
         if tracer.enabled:
             state.trace_prepare_span = tracer.span_begin(
@@ -348,7 +415,7 @@ class LayeredServer(RaftHost):
             leader = self.directory.lookup(pid).leader
             self.send(leader, LayeredPrepare(
                 tid=msg.tid, partition_id=pid, read_versions=versions,
-                write_keys=sets.write_keys))
+                write_keys=sets.write_keys, low_water=state.low_water))
 
     def _resend_prepares(self, state: _CoordState) -> None:
         """Retransmit 2PC prepares to partitions that have not voted;
@@ -363,7 +430,7 @@ class LayeredServer(RaftHost):
             leader = self.directory.lookup(pid).leader
             self.send(leader, LayeredPrepare(
                 tid=state.tid, partition_id=pid, read_versions=versions,
-                write_keys=sets.write_keys))
+                write_keys=sets.write_keys, low_water=state.low_water))
 
     def _on_prepare_ack(self, msg: LayeredPrepareAck) -> None:
         state = self.coord_states.get(msg.tid)
@@ -410,7 +477,8 @@ class LayeredServer(RaftHost):
         # Refused when leadership is already lost; the client's retry
         # lands here again (or at the new leader, which starts over).
         member.propose_keyed(key, LayeredDecisionRecord(
-            tid=state.tid, decision=decision), decision_replicated)
+            tid=state.tid, decision=decision, low_water=state.low_water),
+            decision_replicated)
 
     def _persist_decision(self, state: _CoordState) -> None:
         """Journal the 2PC outcome before the reply externalizes it."""

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.wal.records import install_at
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One replicated log entry."""
 
@@ -99,20 +101,8 @@ class RaftLog:
         return installed
 
     def install_at(self, entry: LogEntry) -> bool:
-        """WAL-replay install: truncate at ``entry.index``, then append.
-
-        Journaled installs replay in append order, so an entry that
-        re-occupies an index it previously held (a conflict splice)
-        subsumes the truncation.  An entry past the current tail — only
-        possible when a lossy sync window dropped an earlier install
-        record — is skipped (returns ``False``); the resulting shorter
-        log is repaired by the leader's normal consistency check.
-        """
-        if entry.index > len(self._entries) + 1:
-            return False
-        del self._entries[entry.index - 1:]
-        self._entries.append(entry)
-        return True
+        """WAL-replay install (:func:`repro.wal.records.install_at`)."""
+        return install_at(self._entries, entry)
 
     def all_entries(self) -> List[LogEntry]:
         """A copy of the whole log."""

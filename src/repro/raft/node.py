@@ -32,7 +32,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.raft.log import LogEntry, RaftLog
 from repro.trace.tracer import SPAN_RAFT, SPAN_RECOVERY
@@ -51,7 +51,7 @@ CANDIDATE = "candidate"
 LEADER = "leader"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RaftNoop:
     """No-op command a new leader commits to finalize its predecessors'
     entries."""
@@ -195,6 +195,15 @@ class RaftMember:
         """
         return self.state == LEADER and \
             self.last_applied >= self._term_start_index
+
+    def applied_commands(self, newest_first: bool = False
+                         ) -> Iterator[Any]:
+        """The commands of the applied log prefix, in apply order (or
+        the reverse)."""
+        indexes = range(self.last_applied, 0, -1) if newest_first \
+            else range(1, self.last_applied + 1)
+        for index in indexes:
+            yield self.log.entry_at(index).command
 
     def when_term_start_applied(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` once the serving barrier holds (immediately if it

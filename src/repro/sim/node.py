@@ -21,7 +21,7 @@ paper identifies for TAPIR's collapse in §6.4.1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
@@ -204,6 +204,12 @@ class Node:
         self.on_restart()
         self.crashed = False
         self.on_recover()
+
+    def fold_wal_records(self, records: List[object]) -> List[object]:
+        """Hook: the role records (all but Raft's) a WAL fold keeps, in
+        append order — servers drop what their transaction GC forgot.
+        Default: every one."""
+        return records
 
     def on_crash(self) -> None:
         """Hook for subclasses to clear volatile state. Default: no-op."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """One versioned record: the value and the version that wrote it."""
 

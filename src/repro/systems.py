@@ -82,7 +82,8 @@ class System:
     #: Name of the cluster attribute holding ``{node_id: server node}``.
     pool: str
     #: ``(node, pid) -> (store, {tid: "commit" | "abort"})``: one
-    #: replica's versioned store and a copy of its resolved outcomes.
+    #: replica's versioned store and its resolved outcomes, in apply
+    #: order (the first per transaction winning).
     replica_state: Callable[[Any, str], Tuple[Any, Dict[Any, str]]]
     #: Has a one-round fast commit path that needs a replica of every
     #: touched partition in the client's datacenter (CPC, TAPIR).
@@ -120,9 +121,11 @@ def _tapir(spec, timing, runtime):
 
 
 def _partition_state(server, pid):
-    """Carousel and layered servers keep one component per partition."""
+    """Carousel and layered servers keep one component per partition; its
+    outcomes are read from the applied Raft log, which keeps what the
+    transaction GC has since forgotten."""
     part = server.partitions[pid]
-    return part.store, dict(part.resolved)
+    return part.store, part.applied_decisions()
 
 
 def _tapir_state(replica, pid):

@@ -7,7 +7,9 @@ it fsynced — needs a durability boundary.  :class:`WriteAheadLog` is
 that boundary: protocol code appends records and fsyncs them; a crash
 truncates everything that was not durable at the instant of power loss
 (optionally leaving a torn tail of the in-flight sync window); a restart
-replays the surviving image into a freshly constructed node.
+replays the surviving image into a freshly constructed node.  The log
+folds its durable prefix as it grows, so an image holds the net effect
+of the history rather than all of it.
 
 Everything is deterministic and charged to virtual time: fsync latency
 is billed to the host node's CPU-queue model, never to the kernel's
@@ -19,6 +21,7 @@ from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     CoordDecisionWal,
     CoordFinishWal,
+    CoordMarkWal,
     OccPrepareWal,
     RaftAppendRecord,
     RaftTermRecord,
@@ -33,6 +36,7 @@ __all__ = [
     "RaftAppendRecord",
     "CoordDecisionWal",
     "CoordFinishWal",
+    "CoordMarkWal",
     "OccPrepareWal",
     "TapirPrepareWal",
     "TapirFinalizeWal",

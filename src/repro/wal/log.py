@@ -11,6 +11,18 @@ the in-flight sync window — modelling a partially persisted disk write —
 chosen by a dedicated string-seeded RNG that is drawn only at crash
 time, so fault-free runs never touch it.
 
+Folding.  Whenever the records appended since the last fold outnumber
+the records that fold kept (the geometric rule the kernel heap compacts
+by), the durable prefix is rewritten as its net effect: each group's
+:class:`RaftAppendRecord` installs become one chunk (the log those
+installs build), only the latest :class:`RaftTermRecord` per group
+stays, and the host's :meth:`~repro.sim.node.Node.fold_wal_records`
+drops the role records its transaction GC has forgotten.  Replaying a
+folded image rebuilds what replaying the unfolded one and then running
+the same GC rebuilds; durable records never need a stamp again, so only
+the unfolded tail keeps one.  A fold changes no counter and, because it
+only touches records already durable, no crash outcome.
+
 Determinism contract: the log never schedules kernel events and never
 draws from the kernel RNG.  Nonzero ``sync_latency_ms`` is charged to
 the host node's CPU-queue model (``_busy_until``), which delays
@@ -23,13 +35,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, Optional
+from array import array
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional
+
+from repro.wal.records import RaftAppendRecord, RaftTermRecord, install_at
 
 _NEVER = math.inf
 
 
 class WriteAheadLog:
-    """Append/fsync record journal with crash truncation and replay."""
+    """Append/fsync record journal with crash truncation, replay and
+    folding."""
 
     def __init__(
         self,
@@ -46,24 +63,34 @@ class WriteAheadLog:
         # crash() — never on the fault-free path, never the kernel RNG.
         self._torn_rng = random.Random(f"wal-torn:{owner_id}")  # detlint: ignore[unseeded-random]
         self._host = None  # sim.node.Node to bill fsync latency to
-        self._records: List[object] = []
-        self._durable_at: List[float] = []
+        # The folded prefix: per group, the latest term record and the
+        # log its installs build, then the role records the host kept.
+        self._terms: Dict[str, RaftTermRecord] = {}
+        self._chunks: Dict[str, List[object]] = {}
+        self._kept: List[object] = []
+        # The unfolded tail and its durability stamps.
+        self._tail: List[object] = []
+        self._durable_at = array("d")
+        self._since_fold = 0
+        self._folded_len = 0  # records in the folded prefix
         self.appends = 0
         self.syncs = 0
         self.crashes = 0
         self.records_lost = 0
+        self.folds = 0
 
     # -- wiring ------------------------------------------------------------
 
     def attach_host(self, node) -> None:
-        """Bill fsync latency to ``node``'s CPU queue and read its clock."""
+        """Bill fsync latency to ``node``'s CPU queue, read its clock, and
+        fold role records through its ``fold_wal_records``."""
         self._host = node
         self._clock = lambda: node.kernel.now
 
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._folded_len + len(self._tail)
 
     @property
     def unsynced(self) -> int:
@@ -74,20 +101,24 @@ class WriteAheadLog:
 
     def append(self, record, sync: bool = True) -> None:
         """Append ``record`` to the tail; fsync immediately by default."""
-        self._records.append(record)
+        self._tail.append(record)
         self._durable_at.append(_NEVER)
         self.appends += 1
         if sync:
             self.fsync()
+        self._since_fold += 1
+        if self._since_fold > self._folded_len:
+            self.fold()
 
     def fsync(self) -> int:
         """Issue every unsynced record to disk; return how many."""
         stamped = 0
         durable_at = self._clock() + self.sync_latency_ms
-        for i in range(len(self._durable_at) - 1, -1, -1):
-            if self._durable_at[i] != _NEVER:
+        stamps = self._durable_at
+        for i in range(len(stamps) - 1, -1, -1):
+            if stamps[i] != _NEVER:
                 break
-            self._durable_at[i] = durable_at
+            stamps[i] = durable_at
             stamped += 1
         if stamped:
             self.syncs += 1
@@ -100,6 +131,47 @@ class WriteAheadLog:
                 )
         return stamped
 
+    # -- folding -----------------------------------------------------------
+
+    def fold(self) -> int:
+        """Rewrite the durable prefix as its net effect; returns how many
+        tail records it absorbed."""
+        stamps = self._durable_at
+        # Stamps never decrease along the log (each fsync stamps the
+        # unsynced suffix with a later time), so the durable prefix ends
+        # at the first stamp past now.
+        durable = bisect_right(stamps, self._clock())
+        self._since_fold = 0
+        if not durable:
+            return 0
+        roles = self._kept
+        for record in self._tail[:durable]:
+            kind = type(record)
+            if kind is RaftAppendRecord:
+                chunk = self._chunks.get(record.group_id)
+                if chunk is None:
+                    chunk = self._chunks[record.group_id] = []
+                entries = record.entries
+                # Each record is one run of consecutive indexes (a splice
+                # installs a suffix), so one at the tail simply extends it.
+                if entries[0].index == len(chunk) + 1:
+                    chunk.extend(entries)
+                else:
+                    for entry in entries:
+                        install_at(chunk, entry)
+            elif kind is RaftTermRecord:
+                self._terms[record.group_id] = record
+            else:
+                roles.append(record)
+        if self._host is not None:
+            roles = self._host.fold_wal_records(roles)
+        self._kept = roles
+        self._folded_len = len(self._terms) + len(self._chunks) + len(roles)
+        del self._tail[:durable]
+        del stamps[:durable]
+        self.folds += 1
+        return durable
+
     # -- crash / replay ----------------------------------------------------
 
     def crash(self, now: Optional[float] = None) -> int:
@@ -109,31 +181,39 @@ class WriteAheadLog:
         lost.  Records whose fsync was still in flight (``durable_at``
         in the future) are lost wholesale, or — with ``torn_tail`` — cut
         at a deterministic prefix point drawn from the torn-tail RNG.
+        The folded prefix was durable when it was folded, so it survives
+        any crash at or after that instant.
         """
         if now is None:
             now = self._clock()
         self.crashes += 1
-        keep = len(self._records)
-        while keep > 0 and self._durable_at[keep - 1] > now:
+        stamps = self._durable_at
+        keep = len(self._tail)
+        while keep > 0 and stamps[keep - 1] > now:
             keep -= 1
         if self.torn_tail:
             # The in-flight window is the contiguous run of records with a
             # finite future stamp; a torn write persists some prefix of it.
             inflight_end = keep
-            while (
-                inflight_end < len(self._records)
-                and self._durable_at[inflight_end] != _NEVER
-            ):
+            while inflight_end < len(self._tail) and stamps[inflight_end] != _NEVER:
                 inflight_end += 1
             window = inflight_end - keep
             if window > 0:
                 keep += self._torn_rng.randint(0, window)
-        lost = len(self._records) - keep
-        del self._records[keep:]
-        del self._durable_at[keep:]
+        lost = len(self._tail) - keep
+        del self._tail[keep:]
+        del stamps[keep:]
         self.records_lost += lost
         return lost
 
     def replay(self) -> List[object]:
-        """The durable image, in append order."""
-        return list(self._records)
+        """The durable image, in append order: the folded prefix (term
+        records, one install chunk per group, the kept role records),
+        then the tail."""
+        records: List[object] = list(self._terms.values())
+        records.extend(RaftAppendRecord(group_id=group_id,
+                                        entries=tuple(chunk))
+                       for group_id, chunk in self._chunks.items() if chunk)
+        records.extend(self._kept)
+        records.extend(self._tail)
+        return records

@@ -173,3 +173,30 @@ class TestSupermajoritySizes:
                                                  (7, 6)])
     def test_sizes(self, group, expected):
         assert supermajority(group) == expected
+
+
+class TestRecordsAfterTheFact:
+    """A replicated record that applies after the leader finished its
+    transaction must not leave a state nobody will finish."""
+
+    def test_record_of_a_finished_transaction_rebuilds_no_state(self):
+        from repro.core.records import CoordWriteDataRecord
+        cluster = tiny_cluster()
+        coord = coordinator_of(cluster)
+        tid = TID("test-client", 7)
+        # An abort decided and finished before the write data applied.
+        coord.finished[tid] = ABORT
+        coord.apply(CoordWriteDataRecord(tid=tid, writes=(("k", 1),),
+                                         read_versions=()), "p0")
+        assert tid not in coord.states
+
+    def test_new_leader_carries_no_mark_before_its_log_reapplies(self):
+        # Its log may hold states of the client it has not mirrored yet;
+        # a mark it vouched for would forget them once they apply.
+        cluster = tiny_cluster()
+        coord = coordinator_of(cluster)
+        member = coord.server.member("p0")
+        assert coord._low_water("test-client", "p0", 9) == 9
+        member._term_start_index = member.last_applied + 1
+        assert not member.term_start_applied
+        assert coord._low_water("test-client", "p0", 9) == 0

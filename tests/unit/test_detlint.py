@@ -292,16 +292,16 @@ def test_wallclock_and_getpid_allowed_in_sweep():
     assert codes(src, path="src/repro/sweep/executor.py") == []
 
 
-def test_wallclock_allowed_in_wal():
-    # wal/image.py stamps exported images with wall-clock time; the
-    # stamp is an operator artifact that is never read back into the DES.
+def test_wallclock_flagged_in_wal():
+    # The WAL runs on virtual time only: its stamps decide what a crash
+    # keeps, so a wall-clock read there would make crashes host-dependent.
     src = """
     import time
 
-    def export(self):
+    def fsync(self):
         return time.time()
     """
-    assert codes(src, path="src/repro/wal/image.py") == []
+    assert codes(src, path="src/repro/wal/log.py") == ["DL003"]
 
 
 def test_wallclock_and_random_allowed_in_runtime():

@@ -8,7 +8,6 @@ from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.stats import restart_summary
 from repro.sim.topology import uniform_topology
-from repro.wal.image import image_document
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
                                RaftTermRecord, fold_decisions)
@@ -121,16 +120,6 @@ class TestCpuBilling:
         assert node._busy_until == 2.5
         wal.append(_decision("t2"))
         assert node._busy_until == 5.0       # back-to-back syncs queue up
-
-
-class TestImage:
-    def test_image_document_lists_surviving_records(self):
-        wal = WriteAheadLog("n1")
-        wal.append(_decision("t1"))
-        doc = image_document(wal)
-        assert doc["owner"] == "n1"
-        assert doc["counters"]["appends"] == 1
-        assert doc["records"][0]["type"] == "CoordDecisionWal"
 
 
 class TestFoldDecisions:
