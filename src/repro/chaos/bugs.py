@@ -47,31 +47,29 @@ def planted_writeback_bug():
 
 @contextmanager
 def planted_lost_commit_bug():
-    """Skip the Carousel coordinator's decision journaling.
+    """Skip the decision journal's fsync.
 
-    With this patch, a commit decision is externalized to the client
+    With this patch, a 2PC decision is externalized to the client
     without first being written to the coordinator's WAL.  A power-cycle
     of the coordinator then loses the decision: nothing re-drives the
     transaction's writebacks, and if a RAM-wiped restarted replica later
     wins the group's election, the mirrored coordinator state is gone
     everywhere.  Caught by the ``durability-lost-commit`` oracle (and,
-    depending on timing, decision-consistency/value-parity).  Only
-    affects the Carousel systems — and only under a nemesis schedule
-    that actually restarts the coordinator at the wrong moment, which is
-    the point: the oracle, not luck, must find it.
+    depending on timing, decision-consistency/value-parity).  Both
+    coordinators journal through :class:`~repro.wal.records.DecisionJournal`,
+    so it reaches the Carousel systems and the layered baseline — and
+    only under a nemesis schedule that actually restarts the coordinator
+    at the wrong moment, which is the point: the oracle, not luck, must
+    find it.
     """
-    from repro.core import coordinator as coordinator_mod
+    from repro.wal.records import DecisionJournal
 
-    original = coordinator_mod.CoordinatorComponent._persist_decision
-
-    def buggy(self, state):
-        return None
-
-    coordinator_mod.CoordinatorComponent._persist_decision = buggy
+    original = DecisionJournal.persist_decision
+    DecisionJournal.persist_decision = lambda self, *args: None
     try:
         yield
     finally:
-        coordinator_mod.CoordinatorComponent._persist_decision = original
+        DecisionJournal.persist_decision = original
 
 
 @contextmanager

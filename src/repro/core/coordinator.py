@@ -59,8 +59,7 @@ from repro.txn import (
     TID,
     ClientMarks,
 )
-from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
-                               restore_decisions)
+from repro.wal.records import DecisionJournal
 
 COMMIT = "commit"
 
@@ -132,8 +131,16 @@ class CoordinatorComponent:
     Raft apply path, ready to take over on leader failure.
     """
 
+    #: The replicated commands it mirrors, applied with their group.
+    RECORDS = {
+        CoordSetsRecord: "_apply_sets",
+        CoordWriteDataRecord: "_apply_write_data",
+        CoordDecisionRecord: "_apply_decision",
+    }
+
     def __init__(self, server):
         self.server = server
+        self.journal = DecisionJournal(server, self)
         self.states: Dict[TID, CoordTxnState] = {}
         #: Outcomes of finished transactions, for late/duplicate messages.
         self.finished: Dict[TID, str] = {}
@@ -436,7 +443,7 @@ class CoordinatorComponent:
         self._cancel_timer(state, "heartbeat_timer")
         # Fsync the decision BEFORE the reply externalizes it: a committed
         # answer the client has seen must survive a power cycle here.
-        self._persist_decision(state)
+        self.journal.persist_decision(state, reason)
         self._reply(state)
         member = self._member_for(state.group_id)
         if member is not None and member.is_leader:
@@ -513,49 +520,29 @@ class CoordinatorComponent:
         self._cancel_timer(state, "requery_timer")
         self.finished[state.tid] = state.decision or ABORT
         self.states.pop(state.tid, None)
-        wal = self.server.wal
-        if wal is not None and state.decision is not None:
-            wal.append(CoordFinishWal(tid=state.tid))
+        self.journal.finish(state)
 
     # ------------------------------------------------------------------
-    # Durability (decision WAL; §4.3 made crash-proof, not just fail-stop)
+    # Durability (the decision journal; §4.3 made crash-proof)
     # ------------------------------------------------------------------
-    def _persist_decision(self, state: CoordTxnState) -> None:
-        """Journal the 2PC outcome with everything needed to re-drive its
-        writeback phase from a cold start."""
-        wal = self.server.wal
-        if wal is None:
+    def redrive(self, record) -> None:
+        """Re-drive a journaled decision whose writebacks were owed when
+        this server power-cycled (:meth:`DecisionJournal.resume`): the
+        client already saw the reply, so the writes are owed to the
+        participant partitions no matter who leads the group now.  One
+        below its group's journaled mark is not: that group's leader
+        finished it, and :meth:`_forget` had dropped it here."""
+        if self.marks.below(record.tid, (record.group_id, record.client_id)):
             return
-        wal.append(CoordDecisionWal(
-            tid=state.tid, group_id=state.group_id,
-            client_id=state.client_id,
-            decision=state.decision or ABORT, reason=state.reason,
-            participants=tuple(sorted(state.participants.items())),
-            writes=tuple(sorted(state.writes.items()))))
-
-    def restore_from_wal(self, records) -> str:
-        """Rebuild decided-but-unfinished transactions after a power cycle.
-
-        Each journaled decision without a matching finish record is
-        re-instantiated (participants, writes, outcome) and its writeback
-        phase re-driven immediately — the client already saw the reply,
-        so the writes are owed to the participant partitions no matter
-        who leads the group now.  Returns a summary for the recovery
-        trace point.
-        """
-        finished, owed = restore_decisions(records, self.marks)
-        self.finished.update(finished)
-        for record in owed:
-            state = self._new_state(
-                record.tid, client_id=record.client_id,
-                group_id=record.group_id,
-                participants=dict(record.participants),
-                sets_replicated=True, commit_requested=True,
-                writes=dict(record.writes), write_data_replicated=True,
-                decision=record.decision, reason=record.reason,
-                replied=True, wal_recovered=True)
-            self._send_writebacks(state)
-        return f"redriven={len(owed)} finished={len(finished)}"
+        state = self._new_state(
+            record.tid, client_id=record.client_id,
+            group_id=record.group_id,
+            participants=dict(record.participants),
+            sets_replicated=True, commit_requested=True,
+            writes=dict(record.writes), write_data_replicated=True,
+            decision=record.decision, reason=record.reason,
+            replied=True, wal_recovered=True)
+        self._send_writebacks(state)
 
     # ------------------------------------------------------------------
     # Client-failure handling (§4.3.1)
@@ -584,49 +571,57 @@ class CoordinatorComponent:
     # ------------------------------------------------------------------
     # Raft integration
     # ------------------------------------------------------------------
-    def apply(self, command, group_id: str) -> None:
-        """Mirror replicated coordinator state (runs on every group
-        member)."""
+    def _stale(self, tid: TID, group_id: str) -> bool:
+        """Not mirrored here, and finished here (a record that applies
+        after the decision's writebacks all acked) or forgotten by this
+        group's mark: a state rebuilt from a record would never finish."""
+        return tid not in self.states and (
+            tid in self.finished
+            or self.marks.below(tid, (group_id, tid.client_id)))
+
+    def _apply_sets(self, command: CoordSetsRecord, group_id: str) -> None:
         tid = command.tid
-        state = self.states.get(tid)
-        if state is None and (tid in self.finished or self.marks.below(
-                tid, (group_id, tid.client_id))):
-            # Finished here (a record that applies after the decision's
-            # writebacks all acked), or forgotten by this group's mark: a
-            # state rebuilt from it would never finish.
+        if self._stale(tid, group_id):
             return
-        if isinstance(command, CoordSetsRecord):
-            if state is None:
-                state = self._new_state(tid, group_id)
-            elif state.group_id != group_id:
-                self._claim(state, group_id)
-            state.client_id = command.client_id
-            if not state.participants:
-                state.participants = dict(command.participants)
-            state.sets_replicated = True
-            self._forget(group_id, command.client_id, command.low_water)
-        elif isinstance(command, CoordWriteDataRecord):
-            if state is None:
-                state = self._new_state(tid, group_id=group_id)
-            state.writes = dict(command.writes)
-            state.client_read_versions = dict(command.read_versions)
-            state.commit_requested = True
-            state.write_data_replicated = True
-            # A successor coordinator may only learn of the commit request
-            # through this replay (the election-time adoption ran before
-            # the log was applied): drive the decision from here too.
-            if self._is_leader_of(group_id):
-                self._maybe_decide(state)
-                if state.decision is None and state.requery_timer is None:
-                    self._arm_requery(state)
-        elif isinstance(command, CoordDecisionRecord):
-            if state is not None and state.decision is None:
-                state.decision = command.decision
-                state.reason = (REASON_COMMITTED
-                                if command.decision == COMMIT
-                                else REASON_CONFLICT)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected coordinator record {command!r}")
+        state = self.states.get(tid)
+        if state is None:
+            state = self._new_state(tid, group_id)
+        elif state.group_id != group_id:
+            self._claim(state, group_id)
+        state.client_id = command.client_id
+        if not state.participants:
+            state.participants = dict(command.participants)
+        state.sets_replicated = True
+        self._forget(group_id, command.client_id, command.low_water)
+
+    def _apply_write_data(self, command: CoordWriteDataRecord,
+                          group_id: str) -> None:
+        tid = command.tid
+        if self._stale(tid, group_id):
+            return
+        state = self.states.get(tid)
+        if state is None:
+            state = self._new_state(tid, group_id=group_id)
+        state.writes = dict(command.writes)
+        state.client_read_versions = dict(command.read_versions)
+        state.commit_requested = True
+        state.write_data_replicated = True
+        # A successor coordinator may only learn of the commit request
+        # through this replay (the election-time adoption ran before
+        # the log was applied): drive the decision from here too.
+        if self._is_leader_of(group_id):
+            self._maybe_decide(state)
+            if state.decision is None and state.requery_timer is None:
+                self._arm_requery(state)
+
+    def _apply_decision(self, command: CoordDecisionRecord,
+                        group_id: str) -> None:
+        state = self.states.get(command.tid)
+        if state is not None and state.decision is None:
+            state.decision = command.decision
+            state.reason = (REASON_COMMITTED
+                            if command.decision == COMMIT
+                            else REASON_CONFLICT)
 
     def _forget(self, group_id: str, client_id: str,
                 low_water: int) -> None:

@@ -55,10 +55,19 @@ COMMIT = "commit"
 class PartitionComponent:
     """One server's replica of one partition."""
 
+    #: The replicated prepare and writeback records it applies, and the
+    #: provisional entries it journals.
+    RECORDS = {
+        PrepareRecord: "_apply_prepare",
+        CommitRecord: "_apply_commit",
+        OccPrepareWal: "_restore_provisional",
+    }
+
     def __init__(self, server, partition_id: str,
                  store: Optional[VersionedKVStore] = None):
         self.server = server
-        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self))
+        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self),
+                                 (self.RECORDS, self))
         self.partition_id = partition_id
         self.store = store or VersionedKVStore()
         self.pending = PendingList()
@@ -317,17 +326,8 @@ class PartitionComponent:
             decision=decision, read_versions=versions, term=term))
 
     # ------------------------------------------------------------------
-    # Raft integration
+    # Raft integration (state-machine apply, on every replica in log order)
     # ------------------------------------------------------------------
-    def apply(self, command) -> None:
-        """State-machine apply, invoked on every replica in log order."""
-        if isinstance(command, PrepareRecord):
-            self._apply_prepare(command)
-        elif isinstance(command, CommitRecord):
-            self._apply_commit(command)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected partition record {command!r}")
-
     def _apply_prepare(self, record: PrepareRecord) -> None:
         tid = record.tid
         if self.marks.forgotten(tid, self.resolved, self.prepare_log):
@@ -399,30 +399,35 @@ class PartitionComponent:
             read_versions=entry.read_versions, term=entry.term,
             coordinator_id=entry.coordinator_id))
 
-    def restore_pending_from_wal(self, records) -> int:
-        """Redo provisional pending entries after a power cycle.
+    def _restore_provisional(self, record: OccPrepareWal) -> None:
+        """Restart redo: re-add a journaled provisional pending entry.
 
         Undo happens the same way it does in steady state: as the Raft
         log re-applies, PrepareRecord/CommitRecord processing confirms or
-        removes each entry.  Returns how many entries were restored.
+        removes each entry.
         """
-        restored = 0
-        for record in records:
-            if not isinstance(record, OccPrepareWal):
-                continue
-            if record.partition_id != self.partition_id:
-                continue
-            if self.settled(record.tid) or \
-                    self.pending.get(record.tid) is not None:
-                continue
-            self.pending.add(PendingTxn(
-                tid=record.tid, read_keys=frozenset(record.read_keys),
-                write_keys=frozenset(record.write_keys),
-                read_versions=record.read_versions, term=record.term,
-                coordinator_id=record.coordinator_id, provisional=True))
-            self.marks.hold(record.tid)
-            restored += 1
-        return restored
+        if self.settled(record.tid) or \
+                self.pending.get(record.tid) is not None:
+            return
+        self.pending.add(PendingTxn(
+            tid=record.tid, read_keys=frozenset(record.read_keys),
+            write_keys=frozenset(record.write_keys),
+            read_versions=record.read_versions, term=record.term,
+            coordinator_id=record.coordinator_id, provisional=True))
+        self.marks.hold(record.tid)
+
+    def fold(self, records):
+        """A WAL fold's share: drop the provisional entries journaled for
+        transactions settled here."""
+        pid = self.partition_id
+        return [record for record in records
+                if type(record) is not OccPrepareWal
+                or record.partition_id != pid
+                or not self.settled(record.tid)]
+
+    def resume(self) -> None:
+        """Nothing to re-drive: the replay already re-added the
+        provisional entries, and the Raft log settles them."""
 
     def on_leadership(self, member: RaftMember, vote_payloads) -> None:
         """This server was just elected participant leader."""

@@ -25,21 +25,10 @@ from repro.core.messages import (
     WritebackAck,
 )
 from repro.core.participant import PartitionComponent
-from repro.core.records import (
-    CoordDecisionRecord,
-    CoordSetsRecord,
-    CoordWriteDataRecord,
-)
 from repro.raft.node import RaftHost, RaftMember
-from repro.sim.message import Message
-from repro.sim.node import Handlers
 from repro.store.directory import DirectoryService
 from repro.store.kvstore import VersionedKVStore
-from repro.wal.records import OccPrepareWal, forget_decisions
-
-#: Replicated commands owned by the coordinator role.
-_COORDINATOR_RECORDS = (CoordSetsRecord, CoordWriteDataRecord,
-                        CoordDecisionRecord)
+from repro.wal.records import DecisionJournal
 
 
 class CarouselServer(RaftHost):
@@ -76,10 +65,18 @@ class CarouselServer(RaftHost):
     def _reset_roles(self) -> None:
         self.partitions: Dict[str, PartitionComponent] = {}
         self.coordinator = CoordinatorComponent(self)
-        self.handlers = Handlers(
-            self, (self.HANDLERS, self),
-            (dict.fromkeys(self.PARTITION_HANDLERS, "_to_partition"), self),
-            (self.COORDINATOR_HANDLERS, self.coordinator))
+        self._bind(
+            (dict.fromkeys([*self.PARTITION_HANDLERS,
+                            *PartitionComponent.RECORDS], "_to_partition"),
+             self),
+            (self.COORDINATOR_HANDLERS, self.coordinator),
+            (CoordinatorComponent.RECORDS, self.coordinator),
+            (DecisionJournal.RECORDS, self.coordinator.journal))
+        super()._reset_roles()
+
+    def durable_roles(self):
+        """Each partition's replica, then the coordinator's journal."""
+        return [*self.partitions.values(), self.coordinator.journal]
 
     def service_time_for(self, msg) -> float:
         """CPU cost: base plus the modeled pending-list scan (see DESIGN.md)."""
@@ -114,47 +111,10 @@ class CarouselServer(RaftHost):
         self.partitions[partition_id] = component
         return component
 
-    def _restore_roles(self, records) -> str:
-        """Provisional OCC pending entries are re-added (their
-        confirmation or removal replays through the Raft apply path as
-        the commit index re-advances under a live leader); journaled
-        coordinator decisions re-drive their writeback phases."""
-        restored = 0
-        for partition_id in sorted(self.partitions):
-            restored += self.partitions[partition_id] \
-                .restore_pending_from_wal(records)
-        return (f"pending-restored={restored} "
-                + self.coordinator.restore_from_wal(records))
-
-    def fold_wal_records(self, records):
-        """A WAL fold forgets what the GC forgot: decision/finish pairs
-        below the coordinator's marks (journaling the marks) and
-        provisional entries for transactions settled here."""
-        records = forget_decisions(records, self.coordinator.marks)
-        partitions = self.partitions
-        return [record for record in records
-                if type(record) is not OccPrepareWal
-                or not partitions[record.partition_id].settled(record.tid)]
-
     # ------------------------------------------------------------------
     # Raft plumbing
     # ------------------------------------------------------------------
-    def _apply(self, group_id: str, entry) -> None:
-        command = entry.command
-        if isinstance(command, _COORDINATOR_RECORDS):
-            self.coordinator.apply(command, group_id)
-        else:
-            self.partitions[group_id].apply(command)
-
     def _on_leadership(self, group_id: str, member: RaftMember,
                        vote_payloads) -> None:
         self.partitions[group_id].on_leadership(member, vote_payloads)
         self.coordinator.on_leadership(group_id)
-
-    # ------------------------------------------------------------------
-    # Message dispatch
-    # ------------------------------------------------------------------
-    def _to_partition(self, msg: Message) -> None:
-        component = self.partitions.get(msg.partition_id)
-        if component is not None:  # else stale addressing; sender retries
-            component.handlers[type(msg)](msg)

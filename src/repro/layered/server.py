@@ -40,8 +40,7 @@ from repro.store.kvstore import VersionedKVStore
 from repro.trace.tracer import SPAN_PREPARE, SPAN_WRITEBACK
 from repro.txn import REASON_COMMITTED, REASON_CONFLICT, \
     REASON_STALE_READ, TID, ClientMarks, applied_outcome, applied_outcomes
-from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
-                               forget_decisions, restore_decisions)
+from repro.wal.records import DecisionJournal
 
 COMMIT = "commit"
 
@@ -49,9 +48,16 @@ COMMIT = "commit"
 class _LayeredPartition:
     """One replica of one partition (storage + 2PC participant role)."""
 
+    #: The replicated 2PC vote and writeback records it applies.
+    RECORDS = {
+        LayeredPrepareRecord: "_apply_prepare",
+        LayeredCommitRecord: "_apply_commit",
+    }
+
     def __init__(self, server: "LayeredServer", partition_id: str):
         self.server = server
-        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self))
+        self.handlers = Handlers(server, (server.PARTITION_HANDLERS, self),
+                                 (self.RECORDS, self))
         self.partition_id = partition_id
         self.store = VersionedKVStore()
         self.pending = PendingList()
@@ -166,45 +172,49 @@ class _LayeredPartition:
 
         self.member.propose_keyed(tid, record, replicated)
 
-    def apply(self, command) -> None:
-        tid = command.tid
+    def _forgotten(self, tid: TID) -> bool:
+        """A late prepare, or a duplicate writeback, of a transaction its
+        client has finished: nothing to record or re-apply."""
         if self.marks.forgotten(tid, self.resolved, self.prepare_decisions):
-            # A late prepare, or a duplicate writeback, of a transaction
-            # its client has finished: nothing to record or re-apply.
             self.pending.remove(tid)
+            return True
+        return False
+
+    def _apply_prepare(self, command: LayeredPrepareRecord) -> None:
+        tid = command.tid
+        if self._forgotten(tid):
             return
-        if isinstance(command, LayeredPrepareRecord):
-            self.prepare_decisions[tid] = command.decision
-            self.marks.hold(tid)
-            if command.decision == PREPARED:
-                # Mirror the pending list on every replica: a successor
-                # leader that cannot see prepared-but-undecided
-                # transactions would validate new ones against thin air
-                # and hand out conflicting prepares (lost updates).
-                if tid not in self.resolved:  # else decided later in the log
-                    self.pending.add(PendingTxn(
-                        tid=tid,
-                        read_keys=frozenset(command.read_keys),
-                        write_keys=frozenset(command.write_keys),
-                        read_versions=command.read_versions,
-                        term=0, coordinator_id=""))
-            else:
-                self.pending.remove(tid)
-            self.marks.forget_resolved(tid.client_id, command.low_water,
-                                       self.resolved, self.prepare_decisions,
-                                       self.pending)
-        elif isinstance(command, LayeredCommitRecord):
-            if command.tid in self.resolved:
-                return
-            self.resolved[command.tid] = command.decision
-            self.marks.hold(tid)
-            if command.decision == COMMIT:
-                for key, value in command.writes:
-                    self.store.write(key, value,
-                                     self.store.version(key) + 1)
-            self.pending.remove(command.tid)
-        else:  # pragma: no cover - routing bug
-            raise TypeError(f"unexpected layered record {command!r}")
+        self.prepare_decisions[tid] = command.decision
+        self.marks.hold(tid)
+        if command.decision == PREPARED:
+            # Mirror the pending list on every replica: a successor
+            # leader that cannot see prepared-but-undecided
+            # transactions would validate new ones against thin air
+            # and hand out conflicting prepares (lost updates).
+            if tid not in self.resolved:  # else decided later in the log
+                self.pending.add(PendingTxn(
+                    tid=tid,
+                    read_keys=frozenset(command.read_keys),
+                    write_keys=frozenset(command.write_keys),
+                    read_versions=command.read_versions,
+                    term=0, coordinator_id=""))
+        else:
+            self.pending.remove(tid)
+        self.marks.forget_resolved(tid.client_id, command.low_water,
+                                   self.resolved, self.prepare_decisions,
+                                   self.pending)
+
+    def _apply_commit(self, command: LayeredCommitRecord) -> None:
+        tid = command.tid
+        if self._forgotten(tid) or tid in self.resolved:
+            return
+        self.resolved[tid] = command.decision
+        self.marks.hold(tid)
+        if command.decision == COMMIT:
+            for key, value in command.writes:
+                self.store.write(key, value,
+                                 self.store.version(key) + 1)
+        self.pending.remove(tid)
 
 
 @dataclass
@@ -245,6 +255,8 @@ class LayeredServer(RaftHost):
         LayeredPrepareAck: "_on_prepare_ack",
         LayeredWritebackAck: "_on_writeback_ack",
     }
+    #: The replicated decision its coordinator role mirrors.
+    RECORDS = {LayeredDecisionRecord: "_apply_decision"}
 
     def __init__(self, node_id: str, dc: str, kernel, network, directory,
                  service_time_ms: float = 0.0, raft_config=None,
@@ -255,10 +267,6 @@ class LayeredServer(RaftHost):
         self.raft_config = raft_config
         #: Writeback retransmission schedule.
         self.retry_policy = retry_policy
-        self.handlers = Handlers(
-            self, (self.HANDLERS, self),
-            (dict.fromkeys(self.PARTITION_HANDLERS, "_to_partition"), self),
-            (self.COORDINATOR_HANDLERS, self))
         self.attach_wal()
         self._reset_roles()
 
@@ -270,6 +278,18 @@ class LayeredServer(RaftHost):
         #: coordinating group's decision records carried them, and the
         #: tids held above them.
         self.marks = ClientMarks()
+        self.journal = DecisionJournal(self, self)
+        self._bind(
+            (dict.fromkeys([*self.PARTITION_HANDLERS,
+                            *_LayeredPartition.RECORDS], "_to_partition"),
+             self),
+            (self.COORDINATOR_HANDLERS, self),
+            (DecisionJournal.RECORDS, self.journal))
+        super()._reset_roles()
+
+    def durable_roles(self):
+        """The coordinator's journal (partitions journal nothing)."""
+        return [self.journal]
 
     def add_partition(self, partition_id: str, member_ids: List[str],
                       bootstrap_leader: Optional[str] = None
@@ -299,39 +319,28 @@ class LayeredServer(RaftHost):
             if state.decision is not None and state.replied:
                 self._arm_writeback_retry(state)
 
-    def _restore_roles(self, records) -> str:
-        """Re-drive the writeback phase of every journaled-but-unfinished
-        decision.  Partition pending lists rebuild through the Raft apply
-        path as the commit index re-advances under a live leader."""
-        self.finished, owed = restore_decisions(records, self.marks)
-        for record in owed:
-            state = _CoordState(
-                tid=record.tid, client_id=record.client_id,
-                group_id=record.group_id,
-                participants=dict(record.participants),
-                writes=dict(record.writes),
-                decision=record.decision, decision_replicated=True,
-                replied=True)
-            self.coord_states[record.tid] = state
-            self.marks.hold(record.tid, (record.group_id, record.client_id))
-            self._send_writebacks(state)
-        return f"redriven={len(owed)}"
+    def redrive(self, record) -> None:
+        """Re-drive the writeback phase of a journaled decision its
+        writebacks were still owed for (:meth:`DecisionJournal.resume`).
+        Partition pending lists rebuild through the Raft apply path as
+        the commit index re-advances under a live leader."""
+        state = _CoordState(
+            tid=record.tid, client_id=record.client_id,
+            group_id=record.group_id,
+            participants=dict(record.participants),
+            writes=dict(record.writes),
+            decision=record.decision, decision_replicated=True,
+            replied=True)
+        self.coord_states[record.tid] = state
+        self.marks.hold(record.tid, (record.group_id, record.client_id))
+        self._send_writebacks(state)
 
-    def fold_wal_records(self, records):
-        """A WAL fold forgets the decision/finish pairs below the
-        coordinator's marks, journaling the marks."""
-        return forget_decisions(records, self.marks)
-
-    def _apply(self, group_id: str, entry) -> None:
-        command = entry.command
-        if isinstance(command, LayeredDecisionRecord):
-            state = self.coord_states.get(command.tid)
-            if state is not None:
-                state.decision_replicated = True
-            self._forget((group_id, command.tid.client_id),
-                         command.low_water)
-            return
-        self.partitions[group_id].apply(command)
+    def _apply_decision(self, command: LayeredDecisionRecord,
+                        group_id: str) -> None:
+        state = self.coord_states.get(command.tid)
+        if state is not None:
+            state.decision_replicated = True
+        self._forget((group_id, command.tid.client_id), command.low_water)
 
     def _forget(self, scope, low_water: int) -> None:
         """Raise the mark of ``scope`` (a group and client): forget the
@@ -346,14 +355,6 @@ class LayeredServer(RaftHost):
                 del self.coord_states[tid]
             else:
                 self.marks.hold(tid, scope)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _to_partition(self, msg) -> None:
-        partition = self.partitions.get(msg.partition_id)
-        if partition is not None:  # else stale addressing; sender retries
-            partition.handlers[type(msg)](msg)
 
     # ------------------------------------------------------------------
     # Coordinator role (2PC driver)
@@ -460,7 +461,7 @@ class LayeredServer(RaftHost):
         def decision_replicated(__):
             # Only after the decision is durable may the client learn it —
             # the layered architecture's extra sequential round trip.
-            self._persist_decision(state)
+            self.journal.persist_decision(state)
             state.replied = True
             reason = REASON_COMMITTED if decision == COMMIT \
                 else REASON_CONFLICT
@@ -479,17 +480,6 @@ class LayeredServer(RaftHost):
         member.propose_keyed(key, LayeredDecisionRecord(
             tid=state.tid, decision=decision, low_water=state.low_water),
             decision_replicated)
-
-    def _persist_decision(self, state: _CoordState) -> None:
-        """Journal the 2PC outcome before the reply externalizes it."""
-        if self.wal is None:
-            return
-        self.wal.append(CoordDecisionWal(
-            tid=state.tid, group_id=state.group_id,
-            client_id=state.client_id,
-            decision=state.decision or ABORT,
-            participants=tuple(sorted(state.participants.items())),
-            writes=tuple(sorted(state.writes.items()))))
 
     def _send_writebacks(self, state: _CoordState) -> None:
         # Sorted so writeback order never depends on insertion history —
@@ -536,7 +526,6 @@ class LayeredServer(RaftHost):
             if state.writeback_timer is not None:
                 state.writeback_timer.cancel()
                 state.writeback_timer = None
-            if self.wal is not None and state.decision is not None:
-                self.wal.append(CoordFinishWal(tid=state.tid))
+            self.journal.finish(state)
             self.finished[state.tid] = state.decision or ABORT
             del self.coord_states[state.tid]

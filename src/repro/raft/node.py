@@ -25,8 +25,9 @@ Design notes
 * Persistent state (term, vote, log) survives crash/recovery in RAM, and —
   when the host carries a :class:`~repro.wal.log.WriteAheadLog` — is
   journaled so a power-cycled host can rebuild it from the WAL image
-  (:meth:`RaftHost.on_restart`); volatile leadership state never
-  survives.
+  (the member's :attr:`RaftMember.RECORDS`, replayed by
+  :meth:`~repro.sim.node.Node.on_restart`); volatile leadership state
+  never survives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.raft.log import LogEntry, RaftLog
-from repro.trace.tracer import SPAN_RAFT, SPAN_RECOVERY
+from repro.trace.tracer import SPAN_RAFT
 from repro.raft.messages import (
     AppendEntries,
     AppendEntriesReply,
@@ -100,6 +101,11 @@ class RaftMember:
         CANDIDATE: (FOLLOWER, CANDIDATE, LEADER),
         LEADER: (FOLLOWER,),
     }
+    #: Its host replays each journaled record of the group here.
+    RECORDS = {
+        RaftTermRecord: "_replay_term",
+        RaftAppendRecord: "_replay_entries",
+    }
 
     def __init__(self, host: "RaftHost", group_id: str,
                  member_ids: List[str],
@@ -114,7 +120,8 @@ class RaftMember:
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("duplicate member ids")
         self.host = host
-        self.handlers = Handlers(host, (self.HANDLERS, self))
+        self.handlers = Handlers(host, (self.HANDLERS, self),
+                                 (self.RECORDS, self))
         self.group_id = group_id
         self.member_ids = list(member_ids)
         self._peers = [m for m in self.member_ids if m != host.node_id]
@@ -268,6 +275,20 @@ class RaftMember:
         if wal is not None:
             wal.append(RaftAppendRecord(group_id=self.group_id,
                                         entries=tuple(entries)))
+
+    def _replay_term(self, record: RaftTermRecord) -> None:
+        """Restart replay: the last journaled currentTerm/votedFor wins."""
+        self.current_term = record.term
+        self.voted_for = record.voted_for
+
+    def _replay_entries(self, record: RaftAppendRecord) -> None:
+        """Restart replay: install the entries at their carried indexes
+        (truncate-then-append, which subsumes follower conflict
+        truncation).  Commit/apply state stays at zero — it is volatile
+        by Raft's rules and is rebuilt through the normal apply path once
+        a leader's commit index reaches this member."""
+        for entry in record.entries:
+            self.log.install_at(entry)
 
     def handle_host_crash(self) -> None:
         """Drop volatile leadership state; keep persistent state."""
@@ -629,10 +650,11 @@ class RaftMember:
 class RaftHost(Node):
     """A network node hosting one or more Raft group members.
 
-    Raft messages (:attr:`HANDLERS`) are routed to the member with the
-    matching ``group_id`` and run through its table; protocol servers
-    bind their own tables into :attr:`handlers` beside them, and a type
-    the host has no entry for goes to :meth:`handle_app_message`.
+    Raft messages (:attr:`HANDLERS`) and journaled Raft records are
+    routed to the member with the matching ``group_id`` and run through
+    its table; protocol servers bind their own tables into
+    :attr:`handlers` beside them, and a message type the host has no
+    entry for goes to :meth:`handle_app_message`.
     """
 
     HANDLERS = {
@@ -645,6 +667,10 @@ class RaftHost(Node):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.members: Dict[str, RaftMember] = {}
+
+    def _bind(self, *bindings) -> None:
+        super()._bind((dict.fromkeys(RaftMember.RECORDS, "_to_member"),
+                       self), *bindings)
 
     def add_member(self, member: RaftMember) -> None:
         """Attach a consensus-group member to this host."""
@@ -674,10 +700,26 @@ class RaftHost(Node):
         else:
             self.handle_app_message(msg)
 
-    def _to_member(self, msg: Message) -> None:
-        member = self.members.get(msg.group_id)
+    def _to_member(self, item) -> None:
+        """Run a Raft message or journaled record through its group's
+        member (one this host does not serve is dropped)."""
+        member = self.members.get(item.group_id)
         if member is not None:
-            member.handlers[type(msg)](msg)
+            member.handlers[type(item)](item)
+
+    def _to_partition(self, item, *__) -> None:
+        """Run a message or record through the role a server keeps for
+        its partition in ``partitions`` (a Raft command's group is that
+        partition); stale addressing is dropped, and the sender retries."""
+        role = self.partitions.get(item.partition_id)
+        if role is not None:
+            role.handlers[type(item)](item)
+
+    def _apply(self, group_id: str, entry) -> None:
+        """Apply a committed entry of ``group_id``: its command runs the
+        method bound for its type, with the group."""
+        command = entry.command
+        self.handlers[type(command)](command, group_id)
 
     def handle_app_message(self, msg: Message) -> None:
         """Handle a message :attr:`handlers` has no entry for: a
@@ -699,67 +741,18 @@ class RaftHost(Node):
         for member in self.members.values():
             member.handle_host_recover()
 
-    # ------------------------------------------------------------------
-    # Power-cycle restart
-    # ------------------------------------------------------------------
-    def on_restart(self) -> None:
-        """Power-cycle recovery: the one skeleton every Raft-hosting
-        server restarts through.
-
-        Every hosted group is re-created fresh — in the order, and over
-        the ``member_ids``, its wiped member held; nothing bootstraps, so
-        the host rejoins each group as a follower.  Raft persistent state
-        (terms, votes, logs) then comes back from the WAL image, and the
-        server restores its own roles from the same image.
-        """
-        records = self.wal.replay()
+    def _reset_roles(self) -> None:
+        """Re-create every hosted group fresh — in the order, and over the
+        ``member_ids``, its wiped member held — with
+        :meth:`add_partition`; nothing bootstraps, so after a power cycle
+        the host rejoins each group as a follower.  A server resets its
+        own roles first, then calls this."""
         groups = [(member.group_id, list(member.member_ids))
                   for member in self.members.values()]
         self.members = {}
-        self._reset_roles()
         for group_id, member_ids in groups:
             self.add_partition(group_id, member_ids)
-        self.replay_raft_wal(records)
-        restored = self._restore_roles(records)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
-                         detail=(f"wal-restart records={len(records)} "
-                                 f"{restored}").rstrip())
-
-    def _reset_roles(self) -> None:
-        """(Re-)create, empty, every piece of role state a power cycle
-        wipes.  Servers call this from ``__init__`` too."""
 
     def add_partition(self, partition_id: str, member_ids: List[str]):
         """Host a fresh member of consensus group ``partition_id``."""
         raise NotImplementedError
-
-    def _restore_roles(self, records: List[Any]) -> str:
-        """Rebuild role state from a WAL image, after the groups are back;
-        returns a summary for the recovery trace point."""
-        return ""
-
-    def replay_raft_wal(self, records: List[Any]) -> None:
-        """Rebuild every member's persistent state from a WAL image.
-
-        Called by :meth:`on_restart`, after the members have been re-created
-        fresh (term 0, empty log, no bootstrap).  Records replay in
-        append order: the last :class:`RaftTermRecord` per group wins for
-        currentTerm/votedFor, and :class:`RaftAppendRecord` entries are
-        installed at their carried indexes (truncate-then-append, which
-        subsumes follower conflict truncation).  Commit/apply state stays
-        at zero — it is volatile by Raft's rules and is rebuilt through
-        the normal apply path once a leader's commit index reaches us.
-        """
-        for record in records:
-            if isinstance(record, RaftTermRecord):
-                member = self.members.get(record.group_id)
-                if member is not None:
-                    member.current_term = record.term
-                    member.voted_for = record.voted_for
-            elif isinstance(record, RaftAppendRecord):
-                member = self.members.get(record.group_id)
-                if member is not None:
-                    for entry in record.entries:
-                        member.log.install_at(entry)

@@ -8,6 +8,10 @@ receives messages through :meth:`handle_message`, which runs the method its
 is a small machine declares it the same way, in a ``TRANSITIONS`` table
 that :func:`goto` checks on every state change.
 
+Durable roles declare ``RECORDS`` tables the same way, bound into the
+same :attr:`~Node.handlers`; :meth:`Node.on_restart` replays a WAL image
+through them and :meth:`Node.fold_wal_records` folds one.
+
 CPU model
 ---------
 Each node is a single server with a FIFO queue: a message delivered at time
@@ -26,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.sim.kernel import Event, Kernel
 from repro.sim.message import Message
 from repro.sim.network import Network
+from repro.trace.tracer import SPAN_RECOVERY
 from repro.wal.log import WriteAheadLog
 
 
@@ -41,10 +46,11 @@ def goto(owner: object, current: str, new: str) -> str:
 
 
 class Handlers(dict):
-    """``*HANDLERS`` tables bound to their targets: message type -> bound
-    method.  Built once per receiver at construction, so a handler patched
-    onto its class before then (``repro.chaos.bugs``) is what runs; a type
-    with no entry raises ``TypeError`` naming the receiving node's class.
+    """``*HANDLERS`` and ``*RECORDS`` tables bound to their targets:
+    message or record type -> bound method.  Built once per receiver at
+    construction, so a method patched onto its class before then
+    (``repro.chaos.bugs``) is what runs; a type with no entry raises
+    ``TypeError`` naming the receiving node's class.
     """
 
     def __init__(self, node: "Node", *bindings: Tuple[Dict[type, str],
@@ -69,6 +75,9 @@ class Node:
     #: Message type -> name of the method that handles it; bound into
     #: :attr:`handlers` at construction.
     HANDLERS: Dict[type, str] = {}
+    #: Record type -> name of the method that applies it (a Raft
+    #: command's also takes its group id); bound beside :attr:`HANDLERS`.
+    RECORDS: Dict[type, str] = {}
 
     def __init__(self, node_id: str, dc: str, kernel: Kernel,
                  network: Network, service_time_ms: float = 0.0):
@@ -89,8 +98,13 @@ class Node:
         #: (clients, bare test hosts).  Subclasses that support restart
         #: call :meth:`attach_wal`.
         self.wal: Optional[WriteAheadLog] = None
-        self.handlers = Handlers(self, (self.HANDLERS, self))
+        self._bind()
         network.register(self)
+
+    def _bind(self, *bindings: Tuple[Dict[type, str], object]) -> None:
+        """Bind :attr:`handlers`: this class's tables, then its roles'."""
+        self.handlers = Handlers(self, (self.HANDLERS, self),
+                                 (self.RECORDS, self), *bindings)
 
     def attach_wal(self) -> None:
         """Give this node a durable log on its clock, with fsync latency
@@ -205,23 +219,52 @@ class Node:
         self.crashed = False
         self.on_recover()
 
-    def fold_wal_records(self, records: List[object]) -> List[object]:
-        """Hook: the role records (all but Raft's) a WAL fold keeps, in
-        append order — servers drop what their transaction GC forgot.
-        Default: every one."""
-        return records
-
     def on_crash(self) -> None:
         """Hook for subclasses to clear volatile state. Default: no-op."""
 
     def on_recover(self) -> None:
         """Hook for subclasses to restart timers etc. Default: no-op."""
 
+    # ------------------------------------------------------------------
+    # Durable roles: the one replay and the one fold
+    # ------------------------------------------------------------------
     def on_restart(self) -> None:
-        """Hook: wipe in-memory state and rebuild it from ``self.wal``.
-        Subclasses that attach a WAL must override."""
+        """Power-cycle recovery, the one replay: wipe every role, run the
+        WAL image through :attr:`handlers` in append order, then let each
+        durable role ``resume()`` what it still owes."""
+        records = self.wal.replay()
+        self._reset_roles()
+        run = self.handlers
+        for record in records:
+            run[type(record)](record)
+        notes = [role.resume() for role in self.durable_roles()]
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
+                         detail=" ".join([f"wal-restart records="
+                                          f"{len(records)}",
+                                          *filter(None, notes)]))
+
+    def _reset_roles(self) -> None:
+        """Hook: (re-)create, empty, the role state a power cycle wipes,
+        and bind its tables; durable nodes call it from ``__init__``."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement WAL restart")
+
+    def durable_roles(self) -> List[object]:
+        """The roles with durable records, in fold and resume order.
+        Each has ``fold(records) -> records``, its share of a WAL fold,
+        and ``resume()``, which re-drives what it still owes after a
+        replay and may return a note for the recovery trace point."""
+        return []
+
+    def fold_wal_records(self, records: List[object]) -> List[object]:
+        """The one fold of role records (all but Raft's), in append
+        order: each durable role in turn drops what it has forgotten,
+        and may append a record that notes it."""
+        for role in self.durable_roles():
+            records = role.fold(records)
+        return records
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.node_id} @{self.dc}>"

@@ -27,7 +27,6 @@ from repro.tapir.messages import (
     TapirRead,
     TapirReadReply,
 )
-from repro.trace.tracer import SPAN_RECOVERY
 from repro.txn import TID
 from repro.wal.records import (
     TapirFinalizeWal,
@@ -45,6 +44,13 @@ class TapirReplica(Node):
         TapirFinalize: "_on_finalize",
         TapirCommit: "_on_commit",
     }
+    #: The state changes it journals, applied live and on restart replay
+    #: alike.
+    RECORDS = {
+        TapirPrepareWal: "_apply_prepare",
+        TapirFinalizeWal: "_apply_finalize",
+        TapirResolveWal: "_apply_resolve",
+    }
 
     def __init__(self, node_id: str, dc: str, kernel, network,
                  partition_id: str, group, config: TapirConfig,
@@ -57,9 +63,9 @@ class TapirReplica(Node):
         self.prepares_ok = 0
         self.prepares_rejected = 0
         self.attach_wal()
-        self._reset_state()
+        self._reset_roles()
 
-    def _reset_state(self) -> None:
+    def _reset_roles(self) -> None:
         """Everything a power cycle wipes (and WAL replay rebuilds)."""
         self.store = VersionedKVStore()
         #: Transactions prepared here but not yet resolved.
@@ -149,9 +155,12 @@ class TapirReplica(Node):
     # Durable state transitions (live and on crash-restart replay)
     # ------------------------------------------------------------------
     def _journal(self, record) -> None:
-        """Make ``record`` durable, then apply it."""
+        """Make ``record`` durable, then apply it through :attr:`RECORDS`
+        — the same rules a restart replays the image with, so the rebuilt
+        state is exactly what a replica that had processed the journaled
+        prefix holds in RAM."""
         self.wal.append(record)
-        self._apply(record)
+        self.handlers[type(record)](record)
 
     def _add_prepared(self, tid: TID, read_versions=(),
                       write_keys=()) -> None:
@@ -160,40 +169,25 @@ class TapirReplica(Node):
             frozenset(write_keys), tuple(read_versions), term=0,
             coordinator_id=""))
 
-    def _apply(self, record) -> None:
-        """One journaled state change.  Live handlers and WAL replay share
-        these adopt-and-drop rules, so the rebuilt state is exactly what
-        a replica that had processed the journaled prefix holds in RAM."""
+    def _apply_prepare(self, record: TapirPrepareWal) -> None:
         tid = record.tid
-        if isinstance(record, TapirPrepareWal):
-            if tid not in self.resolved and tid not in self.prepared:
-                self._add_prepared(tid, record.read_versions,
-                                   record.write_keys)
-        elif isinstance(record, TapirFinalizeWal):
-            if tid in self.resolved:
-                return
-            if record.result != PREPARE_OK:
-                self.prepared.remove(tid)
-            elif tid not in self.prepared:
-                # Adopt the group's decision even though we abstained.
-                self._add_prepared(tid)
-        elif isinstance(record, TapirResolveWal):
-            self.resolved[tid] = record.commit
-            if record.commit:
-                for key, value, version in record.writes:
-                    self.store.write_if_newer(key, value, version)
-            self.prepared.remove(tid)
+        if tid not in self.resolved and tid not in self.prepared:
+            self._add_prepared(tid, record.read_versions, record.write_keys)
 
-    def on_restart(self) -> None:
-        """Power-cycle recovery: rebuild store, prepared set and resolved
-        outcomes by replaying the WAL in append order."""
-        records = self.wal.replay()
-        self._reset_state()
-        for record in records:
-            self._apply(record)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.point(None, SPAN_RECOVERY, self.node_id, self.dc,
-                         detail=(f"wal-restart records={len(records)} "
-                                 f"prepared={len(self.prepared)} "
-                                 f"resolved={len(self.resolved)}"))
+    def _apply_finalize(self, record: TapirFinalizeWal) -> None:
+        tid = record.tid
+        if tid in self.resolved:
+            return
+        if record.result != PREPARE_OK:
+            self.prepared.remove(tid)
+        elif tid not in self.prepared:
+            # Adopt the group's decision even though we abstained.
+            self._add_prepared(tid)
+
+    def _apply_resolve(self, record: TapirResolveWal) -> None:
+        tid = record.tid
+        self.resolved[tid] = record.commit
+        if record.commit:
+            for key, value, version in record.writes:
+                self.store.write_if_newer(key, value, version)
+        self.prepared.remove(tid)

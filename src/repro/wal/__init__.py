@@ -7,7 +7,8 @@ it fsynced — needs a durability boundary.  :class:`WriteAheadLog` is
 that boundary: protocol code appends records and fsyncs them; a crash
 truncates everything that was not durable at the instant of power loss
 (optionally leaving a torn tail of the in-flight sync window); a restart
-replays the surviving image into a freshly constructed node.  The log
+wipes the node's roles and replays the surviving image through their
+``RECORDS`` tables (:meth:`repro.sim.node.Node.on_restart`).  The log
 folds its durable prefix as it grows, so an image holds the net effect
 of the history rather than all of it.
 

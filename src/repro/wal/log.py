@@ -17,7 +17,7 @@ by), the durable prefix is rewritten as its net effect: each group's
 :class:`RaftAppendRecord` installs become one chunk (the log those
 installs build), only the latest :class:`RaftTermRecord` per group
 stays, and the host's :meth:`~repro.sim.node.Node.fold_wal_records`
-drops the role records its transaction GC has forgotten.  Replaying a
+drops the role records its durable roles have forgotten.  Replaying a
 folded image rebuilds what replaying the unfolded one and then running
 the same GC rebuilds; durable records never need a stamp again, so only
 the unfolded tail keeps one.  A fold changes no counter and, because it

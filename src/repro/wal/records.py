@@ -17,9 +17,9 @@ lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.txn import TID, ClientMarks
+from repro.txn import TID
 
 
 # --------------------------------------------------------------------------
@@ -100,29 +100,6 @@ class CoordFinishWal:
     tid: TID
 
 
-def fold_decisions(records: Iterable[object]
-                   ) -> Tuple[Dict[TID, str], List[CoordDecisionWal]]:
-    """Decided minus finished, over a WAL image in append order.
-
-    Returns ``(finished, owed)``: ``{tid: decision}`` for decisions whose
-    finish record is durable, and the decision records whose writeback
-    phase a restarted coordinator still owes its participants — the
-    client already saw the reply — in append order, which is
-    deterministic under a fixed seed.
-    """
-    decided: Dict[TID, CoordDecisionWal] = {}
-    done = set()
-    for record in records:
-        if isinstance(record, CoordDecisionWal):
-            decided[record.tid] = record
-        elif isinstance(record, CoordFinishWal):
-            done.add(record.tid)
-    finished = {tid: record.decision
-                for tid, record in decided.items() if tid in done}
-    owed = [record for tid, record in decided.items() if tid not in done]
-    return finished, owed
-
-
 @dataclass(frozen=True, slots=True)
 class CoordMarkWal:
     """A coordinator's low-water marks, written by a WAL fold that dropped
@@ -133,73 +110,111 @@ class CoordMarkWal:
     marks: Tuple
 
 
-#: Role records :func:`forget_decisions` may drop.
-_FORGETTABLE = (CoordDecisionWal, CoordFinishWal, CoordMarkWal)
+class DecisionJournal:
+    """The decision journal both coordinators share, Carousel's and the
+    layered baseline's (§4.3, made crash-proof).
 
-
-def forget_decisions(records: List[object],
-                     marks: ClientMarks) -> List[object]:
-    """A coordinator's WAL fold step, over role records in append order.
-
-    Drops each finish record whose tid is below the mark of its
-    decision's scope, ``(group_id, client_id)``, and the decision it
-    finished; when any were dropped, a :class:`CoordMarkWal` holding
-    the current marks replaces the previous one.  Every other record is
-    kept in order; decisions without a journaled finish are still owed
-    and stay.
+    Its coordinator keeps ``finished`` (tid -> outcome), ``marks`` (per
+    ``(group_id, client_id)``) and ``redrive(record)``, which rebuilds a
+    decision still owed to its participants and sends its writebacks.
+    A restart replays the image through :attr:`RECORDS`; :meth:`resume`
+    then restores decided minus finished.
     """
-    scopes = {}
-    forgotten = set()
-    for record in records:
-        kind = type(record)
-        if kind is CoordDecisionWal:
-            tid = record.tid
-            scopes[tid.client_id, tid.seq] = (record.group_id,
-                                              record.client_id)
-        elif kind is CoordFinishWal:
-            key = (record.tid.client_id, record.tid.seq)
-            scope = scopes.get(key)
-            if scope is not None and marks.below(record.tid, scope):
-                forgotten.add(key)
-    if not forgotten:
-        return records
-    kept = []
-    for record in records:
-        if type(record) in _FORGETTABLE and (
-                type(record) is CoordMarkWal
-                or (record.tid.client_id, record.tid.seq) in forgotten):
-            continue
-        kept.append(record)
-    kept.append(CoordMarkWal(marks=tuple(marks.marks.items())))
-    return kept
 
+    #: The journal's records, as a restart replays them.
+    RECORDS = {
+        CoordDecisionWal: "_replay_decision",
+        CoordFinishWal: "_replay_finish",
+        CoordMarkWal: "_replay_marks",
+    }
 
-def restore_decisions(records: Iterable[object], marks: ClientMarks
-                      ) -> Tuple[Dict[TID, str], List[CoordDecisionWal]]:
-    """A coordinator's restart from its WAL image, over records in
-    append order: raise ``marks`` to the last :class:`CoordMarkWal`, and
-    return :func:`fold_decisions` minus what those marks forgot — the
-    finished outcomes above the mark of their ``(group_id, client_id)``
-    scope (each now held under it) and the decisions still owed."""
-    records = list(records)
-    finished, owed = fold_decisions(records)
-    scopes = {}
-    last = None
-    for record in records:
-        if isinstance(record, CoordDecisionWal):
-            scopes[record.tid] = (record.group_id, record.client_id)
-        elif isinstance(record, CoordMarkWal):
-            last = record
-    if last is not None:
-        for scope, mark in last.marks:
+    def __init__(self, node, coordinator) -> None:
+        self.node = node
+        self.coordinator = coordinator
+        # What a replayed image said: the last decision per tid (in the
+        # order first decided), the finished tids and the last marks.
+        self._decided: Dict[TID, CoordDecisionWal] = {}
+        self._done: Set[TID] = set()
+        self._marks: Tuple = ()
+
+    def persist_decision(self, state, reason: str = "") -> None:
+        """Fsync ``state``'s 2PC decision, with everything needed to
+        re-drive its writeback phase from a cold start (``reason`` is
+        Carousel's abort attribution)."""
+        wal = self.node.wal
+        if wal is not None:
+            wal.append(CoordDecisionWal(
+                tid=state.tid, group_id=state.group_id,
+                client_id=state.client_id, decision=state.decision,
+                reason=reason,
+                participants=tuple(sorted(state.participants.items())),
+                writes=tuple(sorted(state.writes.items()))))
+
+    def finish(self, state) -> None:
+        """Every writeback of ``state`` acked: its decision is owed no
+        more."""
+        wal = self.node.wal
+        if wal is not None and state.decision is not None:
+            wal.append(CoordFinishWal(tid=state.tid))
+
+    def _replay_decision(self, record: CoordDecisionWal) -> None:
+        # A finish closes only the decisions before it, as a fold does.
+        self._done.discard(record.tid)
+        self._decided.pop(record.tid, None)
+        self._decided[record.tid] = record
+
+    def _replay_finish(self, record: CoordFinishWal) -> None:
+        self._done.add(record.tid)
+
+    def _replay_marks(self, record: CoordMarkWal) -> None:
+        self._marks = record.marks
+
+    def resume(self) -> str:
+        """After the whole image replayed: raise the marks to the last
+        journaled ones, remember the finished outcomes above them, then
+        re-drive the owed decisions in append order (the client already
+        saw their replies).  Notes how many of each it handled."""
+        coordinator = self.coordinator
+        marks = coordinator.marks
+        for scope, mark in self._marks:
             marks.advance(scope, mark)
-    kept: Dict[TID, str] = {}
-    for tid, decision in finished.items():
-        scope = scopes[tid]
-        if not marks.below(tid, scope):
-            kept[tid] = decision
-            marks.hold(tid, scope)
-    return kept, owed
+        owed = []
+        for tid, record in self._decided.items():
+            scope = (record.group_id, record.client_id)
+            if tid not in self._done:
+                owed.append(record)
+            elif not marks.below(tid, scope):
+                coordinator.finished[tid] = record.decision
+                marks.hold(tid, scope)
+        self._decided, self._done, self._marks = {}, set(), ()
+        for record in owed:
+            coordinator.redrive(record)
+        return f"redriven={len(owed)} finished={len(coordinator.finished)}"
+
+    def fold(self, records: List[object]) -> List[object]:
+        """A WAL fold's share, over role records in append order: drop
+        each finish below the mark of its decision's scope, with the
+        decision it finished, and when any went, swap the previous
+        :class:`CoordMarkWal` for one noting the current marks, last.
+        Decisions without a journaled finish are still owed and stay."""
+        marks = self.coordinator.marks
+        scopes = {}
+        gone = set()
+        for record in records:
+            kind = type(record)
+            if kind is CoordDecisionWal:
+                scopes[record.tid] = (record.group_id, record.client_id)
+            elif kind is CoordFinishWal:
+                scope = scopes.get(record.tid)
+                if scope is not None and marks.below(record.tid, scope):
+                    gone.add(record.tid)
+        if not gone:
+            return records
+        return [record for record in records
+                if type(record) is not CoordMarkWal
+                and (type(record) not in (CoordDecisionWal, CoordFinishWal)
+                     or record.tid not in gone)] \
+            + [CoordMarkWal(marks=tuple(marks.marks.items()))]
 
 
 # --------------------------------------------------------------------------

@@ -136,10 +136,11 @@ def test_term_start_barrier_gates_new_leaders():
 
 
 # ----------------------------------------------------------------------
-# The one restart skeleton (RaftHost.on_restart) re-creates a server's
-# groups from the member ids its members held: a host of two groups must
-# come back with both, in the pre-crash order, over the pre-crash member
-# lists, with Raft persistent state restored from the WAL image.
+# The one restart path (Node.on_restart, with RaftHost._reset_roles)
+# re-creates a server's groups from the member ids its members held: a
+# host of two groups must come back with both, in the pre-crash order,
+# over the pre-crash member lists, with Raft persistent state restored
+# from the WAL image.
 # ----------------------------------------------------------------------
 
 _RAFT = RaftConfig(election_timeout_min_ms=150.0,
@@ -231,8 +232,8 @@ def test_unplanted_discriminator_seeds_are_green():
 
 
 def test_planted_lost_commit_restores_handler_on_exit():
-    from repro.core.coordinator import CoordinatorComponent
-    original = CoordinatorComponent._persist_decision
+    from repro.wal.records import DecisionJournal
+    original = DecisionJournal.persist_decision
     with planted_lost_commit_bug():
-        assert CoordinatorComponent._persist_decision is not original
-    assert CoordinatorComponent._persist_decision is original
+        assert DecisionJournal.persist_decision is not original
+    assert DecisionJournal.persist_decision is original

@@ -29,7 +29,7 @@ class PlainRaftHost(RaftHost):
 
 class WalRaftHost(PlainRaftHost):
     """Test host carrying a WAL so ``Node.restart`` works: it restarts
-    through :meth:`RaftHost.on_restart`, each re-created member keeping
+    through :meth:`Node.on_restart`, each re-created member keeping
     the config and apply recorder of the one it replaces."""
 
     def __init__(self, *args, **kwargs):

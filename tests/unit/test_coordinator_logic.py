@@ -186,8 +186,9 @@ class TestRecordsAfterTheFact:
         tid = TID("test-client", 7)
         # An abort decided and finished before the write data applied.
         coord.finished[tid] = ABORT
-        coord.apply(CoordWriteDataRecord(tid=tid, writes=(("k", 1),),
-                                         read_versions=()), "p0")
+        record = CoordWriteDataRecord(tid=tid, writes=(("k", 1),),
+                                      read_versions=())
+        coord.server.handlers[type(record)](record, "p0")
         assert tid not in coord.states
 
     def test_new_leader_carries_no_mark_before_its_log_reapplies(self):

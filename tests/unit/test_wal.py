@@ -2,20 +2,23 @@
 torn tails, CPU billing, crash-epoch timers, and the recover/restart race.
 """
 
+from types import SimpleNamespace
+
 from repro.sim.failure import FailureInjector
 from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.sim.stats import restart_summary
 from repro.sim.topology import uniform_topology
+from repro.txn import TID, ClientMarks
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (CoordDecisionWal, CoordFinishWal,
-                               RaftTermRecord, fold_decisions)
+                               DecisionJournal, RaftTermRecord)
 
 import pytest
 
 
-def _decision(tid: str) -> CoordDecisionWal:
+def _decision(tid) -> CoordDecisionWal:
     return CoordDecisionWal(tid=tid, group_id="g", client_id="c",
                             decision="commit", reason="committed",
                             participants=(), writes=())
@@ -122,31 +125,56 @@ class TestCpuBilling:
         assert node._busy_until == 5.0       # back-to-back syncs queue up
 
 
+def _restore(records):
+    """What a coordinator restores from a WAL image through its decision
+    journal: ``(finished, owed)`` — the outcomes it remembers and the
+    decisions it re-drives, in that order.  Records of other roles go to
+    their own tables, not the journal's."""
+    coordinator = SimpleNamespace(finished={}, marks=ClientMarks(), owed=[])
+    coordinator.redrive = coordinator.owed.append
+    journal = DecisionJournal(None, coordinator)
+    for record in records:
+        method = DecisionJournal.RECORDS.get(type(record))
+        if method is not None:
+            getattr(journal, method)(record)
+    journal.resume()
+    return coordinator.finished, coordinator.owed
+
+
 class TestFoldDecisions:
-    """Decided minus finished: the one fold both coordinators restart
+    """Decided minus finished: the one restore both coordinators restart
     through (Carousel's and the layered baseline's)."""
 
     def test_splits_finished_from_owed_in_append_order(self):
-        abort = CoordDecisionWal(tid="t3", group_id="g", client_id="c",
+        t1, t2, t3 = (TID("c", seq) for seq in (1, 2, 3))
+        abort = CoordDecisionWal(tid=t3, group_id="g", client_id="c",
                                  decision="abort", participants=(),
                                  writes=())
         assert abort.reason == ""            # layered leaves it empty
-        finished, owed = fold_decisions([
-            _decision("t2"), RaftTermRecord("g", 1, None), _decision("t1"),
-            CoordFinishWal("t2"), abort, CoordFinishWal("t3")])
-        assert finished == {"t2": "commit", "t3": "abort"}
-        assert list(finished) == ["t2", "t3"]
-        assert owed == [_decision("t1")]
+        finished, owed = _restore([
+            _decision(t2), RaftTermRecord("g", 1, None), _decision(t1),
+            CoordFinishWal(t2), abort, CoordFinishWal(t3)])
+        assert finished == {t2: "commit", t3: "abort"}
+        assert list(finished) == [t2, t3]
+        assert owed == [_decision(t1)]
 
     def test_finish_without_a_local_decision_is_ignored(self):
         # A successor coordinator finishes a decision only its
         # predecessor journaled.
-        finished, owed = fold_decisions([CoordFinishWal("t9"),
-                                         _decision("t1")])
-        assert finished == {} and owed == [_decision("t1")]
+        t1, t9 = TID("c", 1), TID("c", 9)
+        finished, owed = _restore([CoordFinishWal(t9), _decision(t1)])
+        assert finished == {} and owed == [_decision(t1)]
+
+    def test_a_decision_after_its_finish_is_owed_anew(self):
+        # A finish closes only the decisions journaled before it, so a
+        # fold that dropped the pair leaves the same image behind.
+        t1, t2 = TID("c", 1), TID("c", 2)
+        finished, owed = _restore([_decision(t1), _decision(t2),
+                                   CoordFinishWal(t1), _decision(t1)])
+        assert finished == {} and owed == [_decision(t2), _decision(t1)]
 
     def test_empty_image(self):
-        assert fold_decisions([]) == ({}, [])
+        assert _restore([]) == ({}, [])
 
 
 class _RestartableNode(Node):
