@@ -14,15 +14,9 @@ bisect halves, then greedily drop one event at a time until the result
 is 1-minimal (removing any single remaining event makes the failure
 disappear).
 
-Every layer asks one question of a *batch* of candidates: "which is the
-first (lowest-index) candidate that still fails?".  That question is the
-``first_failing`` hook.  The default answer scans lazily with
-``still_fails`` — exactly the historical sequential behaviour, stopping
-at the first failure.  A parallel caller (``repro chaos --jobs N``)
-instead evaluates the whole batch concurrently through
-:meth:`repro.sweep.executor.SweepExecutor.first_failing` and returns the
-smallest failing index — the same selection, so the minimized schedule
-is identical regardless of worker count; only wall-clock changes.
+Every layer asks one question of a batch of candidates, "which is the
+first (lowest-index) candidate that still fails?", and answers it by
+replaying the candidates in order and stopping at the first failure.
 """
 
 from __future__ import annotations
@@ -31,26 +25,16 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 
 Event = TypeVar("Event")
 
-#: Answers "which is the first failing candidate?" for a batch of
-#: candidate schedules; ``None`` means none of them fail.
-FirstFailing = Callable[[List[List[Event]]], Optional[int]]
 
-
-def _lazy_first_failing(still_fails: Callable[[List[Event]], bool]
-                        ) -> FirstFailing:
-    def first_failing(candidates: List[List[Event]]) -> Optional[int]:
-        for i, candidate in enumerate(candidates):
-            if still_fails(candidate):
-                return i
-        return None
-
-    return first_failing
+def _first_failing(candidates: List[List[Event]],
+                   still_fails: Callable[[List[Event]], bool]
+                   ) -> Optional[int]:
+    return next((i for i, candidate in enumerate(candidates)
+                 if still_fails(candidate)), None)
 
 
 def minimize_schedule(events: Sequence[Event],
-                      still_fails: Callable[[List[Event]], bool],
-                      *,
-                      first_failing: Optional[FirstFailing] = None
+                      still_fails: Callable[[List[Event]], bool]
                       ) -> List[Event]:
     """Shrink ``events`` to a 1-minimal failing subsequence.
 
@@ -58,25 +42,19 @@ def minimize_schedule(events: Sequence[Event],
     candidate events injected and reports whether an oracle still
     trips.  The caller must already know the full schedule fails; an
     empty input returns empty.
-
-    ``first_failing`` optionally overrides how candidate batches are
-    evaluated (see the module docstring); it must return the smallest
-    index of a failing candidate, which keeps the result independent of
-    evaluation order.
     """
-    if first_failing is None:
-        first_failing = _lazy_first_failing(still_fails)
     current = list(events)
     if len(current) <= 1:
         return current
     # Fast path: one event alone often reproduces the failure.
-    winner = first_failing([[event] for event in current])
+    winner = _first_failing([[event] for event in current], still_fails)
     if winner is not None:
         return [current[winner]]
     # Bisection: keep whichever half still fails, while one does.
     while len(current) > 2:
         half = len(current) // 2
-        winner = first_failing([current[:half], current[half:]])
+        winner = _first_failing([current[:half], current[half:]],
+                                still_fails)
         if winner is None:
             break
         current = current[:half] if winner == 0 else current[half:]
@@ -86,7 +64,7 @@ def minimize_schedule(events: Sequence[Event],
         changed = False
         candidates = [current[:i] + current[i + 1:]
                       for i in range(len(current))]
-        winner = first_failing(candidates)
+        winner = _first_failing(candidates, still_fails)
         if winner is not None:
             current = candidates[winner]
             changed = True

@@ -92,44 +92,6 @@ class NemesisEvent:
         return f"{self.kind} {self.targets[0]} {window}"
 
 
-def event_to_json(event: NemesisEvent) -> dict:
-    """A ``NemesisEvent`` as a plain JSON document — the form a chaos
-    replay spec carries across process boundaries in a sweep."""
-    doc = {
-        "kind": event.kind,
-        "at_ms": event.at_ms,
-        "duration_ms": event.duration_ms,
-        "targets": list(event.targets),
-        "period_ms": event.period_ms,
-        "cycles": event.cycles,
-    }
-    if event.faults is not None:
-        doc["faults"] = {
-            "drop_prob": event.faults.drop_prob,
-            "dup_prob": event.faults.dup_prob,
-            "delay_prob": event.faults.delay_prob,
-            "delay_ms": event.faults.delay_ms,
-            "dup_lag_ms": event.faults.dup_lag_ms,
-        }
-    return doc
-
-
-def event_from_json(doc: dict) -> NemesisEvent:
-    """Rebuild a ``NemesisEvent`` from :func:`event_to_json` output."""
-    faults = None
-    if doc.get("faults") is not None:
-        faults = LinkFaults(**doc["faults"])
-    return NemesisEvent(
-        kind=doc["kind"],
-        at_ms=float(doc["at_ms"]),
-        duration_ms=float(doc["duration_ms"]),
-        targets=tuple(doc["targets"]),
-        faults=faults,
-        period_ms=float(doc.get("period_ms", 0.0)),
-        cycles=int(doc.get("cycles", 0)),
-    )
-
-
 def generate_schedule(seed: int, servers: Sequence[str],
                       links: Sequence[Tuple[str, str]],
                       start_ms: float, end_ms: float,

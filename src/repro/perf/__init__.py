@@ -16,9 +16,8 @@ subsystem:
   (host-independent), so CI can flag behavioural regressions exactly
   without trusting noisy timers.
 * :mod:`repro.perf.compare` — diff two BENCH files: rates against a
-  relative threshold, op counters exactly.
-* :mod:`repro.perf.cli` — ``python -m repro perf`` / ``repro perf
-  compare``.
+  relative threshold, op counters exactly (``python -m repro perf
+  compare``).
 
 This package is the one place in the simulated codebase allowed to read
 the wall clock (``time.perf_counter``); detlint's DL003 allowlist is

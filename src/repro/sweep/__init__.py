@@ -8,9 +8,8 @@ Records of cacheable kinds land in an on-disk content-addressed
 :class:`ResultCache` keyed by ``sha256(spec, code fingerprint)`` — see
 :mod:`repro.sweep.spec` — making a repeated figure run near-instant.
 
-Consumers: the figure runners (:mod:`repro.bench.experiments`), the perf
-suites (:mod:`repro.perf.suites`), and chaos schedule minimization
-(:mod:`repro.chaos.minimize` via ``SweepExecutor.first_failing``).
+Consumers: the figure runners (:mod:`repro.bench.experiments`) and the
+perf suites (:mod:`repro.perf.suites`).
 """
 
 from repro.sweep.cache import CACHE_ENV, ResultCache, default_cache_dir
@@ -18,7 +17,6 @@ from repro.sweep.executor import SweepError, SweepExecutor, SweepStats
 from repro.sweep.kinds import (
     KINDS,
     Kind,
-    chaos_replay_spec,
     execute_spec,
     figure_spec,
     perf_suite_spec,
@@ -42,7 +40,6 @@ __all__ = [
     "SweepExecutor",
     "SweepStats",
     "canonical_json",
-    "chaos_replay_spec",
     "code_fingerprint",
     "default_cache_dir",
     "execute_spec",

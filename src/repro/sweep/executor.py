@@ -150,15 +150,3 @@ class SweepExecutor:
                                    kind.encode(results[i]))
         self.stats.wall_seconds += time.perf_counter() - start
         return results
-
-    # ------------------------------------------------------------------
-    def first_failing(self, specs: Sequence[RunSpec]) -> Optional[int]:
-        """Index of the first spec (in spec order) whose record is
-        truthy, or ``None``.  The batch evaluates concurrently but the
-        *selection* is positional, so the answer matches a sequential
-        scan — the contract :func:`repro.chaos.minimize` relies on."""
-        verdicts = self.run(specs)
-        for i, verdict in enumerate(verdicts):
-            if verdict:
-                return i
-        return None

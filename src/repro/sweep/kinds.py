@@ -5,14 +5,12 @@ Each kind supplies an ``execute`` function mapping the spec's decoded
 parameters to a run in a **fresh deterministic kernel** — workers never
 share simulator state, so a record depends only on its spec — plus, for
 cacheable kinds, a JSON codec for the record.  Kinds without a codec
-(perf repetitions, whose wall-clock rates must be measured fresh; chaos
-replays, whose verdict is a throwaway boolean) always execute.
+(perf repetitions, whose wall-clock rates must be measured fresh) always
+execute.
 
 Built-in kinds
     ``figure``        one experiment curve point -> ``RunRecord``
     ``perf-suite``    one repetition of a perf suite -> ``SuiteResult``
-    ``chaos-replay``  one nemesis-schedule replay -> ``True`` iff an
-                      oracle still trips (the minimizer's verdict)
 
 Imports of the heavy consumer modules happen inside the execute
 functions so this module stays cheap to import in worker processes.
@@ -20,7 +18,7 @@ functions so this module stays cheap to import in worker processes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 
 class Kind(NamedTuple):
@@ -112,46 +110,5 @@ def perf_suite_spec(name: str, scale: str, rep: int = 0):
                         label=f"{name}#{rep}")
 
 
-# ----------------------------------------------------------------------
-# chaos-replay: one nemesis-schedule replay for the minimizer
-
-
-def _execute_chaos_replay(params: Dict[str, Any]) -> bool:
-    from repro.chaos.bugs import PLANTABLE_BUGS
-    from repro.chaos.nemesis import event_from_json
-    from repro.chaos.runner import ChaosOptions, run_chaos
-
-    schedule = [event_from_json(doc) for doc in params["schedule"]]
-    planted = None
-    if params.get("plant_bug"):
-        planted = PLANTABLE_BUGS[params["plant_bug"]]
-    rerun = run_chaos(params["system"], params["seed"],
-                      ChaosOptions(**params["opts"]),
-                      schedule=schedule, planted_bug=planted)
-    return not rerun.ok
-
-
-def chaos_replay_spec(system: str, seed: int, opts,
-                      schedule: Sequence, plant_bug: Optional[str] = None):
-    """Spec replaying a candidate nemesis schedule; its record is
-    ``True`` when an oracle still trips."""
-    from dataclasses import asdict
-
-    from repro.chaos.nemesis import event_to_json
-    from repro.sweep.spec import RunSpec
-
-    params = {
-        "system": system,
-        "seed": int(seed),
-        "opts": asdict(opts),
-        "schedule": [event_to_json(event) for event in schedule],
-        "plant_bug": plant_bug,
-    }
-    return RunSpec.make(
-        "chaos-replay", params,
-        label=f"{system}:{seed} {len(params['schedule'])}ev")
-
-
 register_kind("figure", _execute_figure, _encode_figure, _decode_figure)
 register_kind("perf-suite", _execute_perf_suite)
-register_kind("chaos-replay", _execute_chaos_replay)

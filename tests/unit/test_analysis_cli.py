@@ -1,9 +1,9 @@
 """analysis CLI tests: exit codes, JSON schema, github format, and
 detlint's suppression round-trip.
 
-These drive :func:`repro.analysis.cli.main` exactly as ``python -m repro
-lint|protolint`` does (via the dispatch in :mod:`repro.cli`), asserting
-the shared exit discipline: 0 clean, 1 findings, 2 usage errors.
+These drive :func:`repro.cli.main` exactly as ``python -m repro
+lint|protolint`` does, asserting the shared exit discipline: 0 clean,
+1 findings, 2 usage errors.
 """
 
 import json
@@ -11,8 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.cli import main as analysis_main
-from repro.cli import main as repro_main
+from repro.cli import main
 
 DIRTY = textwrap.dedent("""
     import time
@@ -41,17 +40,21 @@ def clean_file(tmp_path):
 # Dispatch and usage errors
 # ----------------------------------------------------------------------
 def test_empty_argv_is_usage_error(capsys):
-    assert analysis_main([]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error(capsys):
-    assert analysis_main(["frobnicate"]) == 2
-    assert "unknown analysis command" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_repro_cli_routes_protolint(capsys):
-    assert repro_main(["protolint", "--list-rules"]) == 0
+    assert main(["protolint", "--list-rules"]) == 0
     rules = capsys.readouterr().out.splitlines()
     assert len(rules) == 4
     assert rules[0].startswith("PL001[dead-letter]")
@@ -59,7 +62,7 @@ def test_repro_cli_routes_protolint(capsys):
 
 
 def test_repro_cli_routes_lint(capsys, clean_file):
-    assert repro_main(["lint", str(clean_file)]) == 0
+    assert main(["lint", str(clean_file)]) == 0
     assert "clean" in capsys.readouterr().out
 
 
@@ -67,20 +70,20 @@ def test_repro_cli_routes_lint(capsys, clean_file):
 # Exit codes
 # ----------------------------------------------------------------------
 def test_lint_exit_codes(clean_file, dirty_file, capsys):
-    assert analysis_main(["lint", str(clean_file)]) == 0
-    assert analysis_main(["lint", str(dirty_file)]) == 1
+    assert main(["lint", str(clean_file)]) == 0
+    assert main(["lint", str(dirty_file)]) == 1
     capsys.readouterr()
 
 
 def test_protolint_exit_codes_on_tree(capsys):
-    assert analysis_main(["protolint"]) == 0
-    assert analysis_main(["protolint", "--plant-bug", "dead-handler"]) == 1
+    assert main(["protolint"]) == 0
+    assert main(["protolint", "--plant-bug", "dead-handler"]) == 1
     capsys.readouterr()
 
 
 def test_protolint_invalid_plant_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        analysis_main(["protolint", "--plant-bug", "nonsense"])
+        main(["protolint", "--plant-bug", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -91,7 +94,7 @@ def test_protolint_drifted_plant_anchor_is_exit_2(monkeypatch, capsys):
     from repro.core.server import CarouselServer
     monkeypatch.delitem(CarouselServer.COORDINATOR_HANDLERS,
                         ClientHeartbeat)
-    assert analysis_main(["protolint", "--plant-bug", "dead-handler"]) == 2
+    assert main(["protolint", "--plant-bug", "dead-handler"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot plant dead-handler" in captured.err
@@ -102,7 +105,7 @@ def test_protolint_drifted_plant_anchor_is_exit_2(monkeypatch, capsys):
 # JSON output schema
 # ----------------------------------------------------------------------
 def test_lint_json_schema(dirty_file, capsys):
-    assert analysis_main(["lint", "--format", "json",
+    assert main(["lint", "--format", "json",
                           str(dirty_file)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["tool"] == "detlint"
@@ -117,11 +120,11 @@ def test_lint_json_schema(dirty_file, capsys):
 
 
 def test_protolint_json_schema_clean_and_planted(capsys):
-    assert analysis_main(["protolint", "--format", "json"]) == 0
+    assert main(["protolint", "--format", "json"]) == 0
     clean = json.loads(capsys.readouterr().out)
     assert clean == {"tool": "protolint", "findings": [],
                      "errors": 0, "warnings": 0}
-    assert analysis_main(["protolint", "--format", "json",
+    assert main(["protolint", "--format", "json",
                           "--plant-bug", "missing-reply"]) == 1
     planted = json.loads(capsys.readouterr().out)
     assert planted["errors"] >= 1
@@ -132,7 +135,7 @@ def test_protolint_json_schema_clean_and_planted(capsys):
 # GitHub workflow-annotation format
 # ----------------------------------------------------------------------
 def test_lint_github_format(dirty_file, capsys):
-    assert analysis_main(["lint", "--format", "github",
+    assert main(["lint", "--format", "github",
                           str(dirty_file)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("::")
@@ -142,13 +145,13 @@ def test_lint_github_format(dirty_file, capsys):
 
 
 def test_github_format_clean_prints_nothing(clean_file, capsys):
-    assert analysis_main(["lint", "--format", "github",
+    assert main(["lint", "--format", "github",
                           str(clean_file)]) == 0
     assert capsys.readouterr().out == ""
 
 
 def test_protolint_github_format_planted(capsys):
-    assert analysis_main(["protolint", "--format", "github",
+    assert main(["protolint", "--format", "github",
                           "--plant-bug", "dead-handler"]) == 1
     out = capsys.readouterr().out
     assert "::error " in out and "title=PL001[dead-letter]" in out
@@ -165,9 +168,9 @@ def test_lint_suppression_round_trip(tmp_path, capsys):
         def now():
             return time.time()  # detlint: ignore[DL003]
     """))
-    assert analysis_main(["lint", str(target)]) == 0
+    assert main(["lint", str(target)]) == 0
     capsys.readouterr()
-    assert analysis_main(["lint", "--keep-suppressed", str(target)]) == 1
+    assert main(["lint", "--keep-suppressed", str(target)]) == 1
     assert "DL003" in capsys.readouterr().out
 
 
@@ -175,7 +178,7 @@ def test_lint_suppression_round_trip(tmp_path, capsys):
 # Catalog / docs subcommands
 # ----------------------------------------------------------------------
 def test_catalog_prints_all_four_protocols(capsys):
-    assert analysis_main(["protolint", "--catalog"]) == 0
+    assert main(["protolint", "--catalog"]) == 0
     out = capsys.readouterr().out
     for heading in ("#### carousel", "#### layered", "#### raft",
                     "#### tapir"):
@@ -183,20 +186,20 @@ def test_catalog_prints_all_four_protocols(capsys):
 
 
 def test_check_docs_matches_and_detects_drift(tmp_path, capsys):
-    assert analysis_main(["protolint", "--check-docs"]) == 0
+    assert main(["protolint", "--check-docs"]) == 0
     capsys.readouterr()
     stale = tmp_path / "STALE.md"
     stale.write_text("<!-- protolint:catalog:begin -->\nstale\n"
                      "<!-- protolint:catalog:end -->\n")
-    assert analysis_main(["protolint", "--check-docs",
+    assert main(["protolint", "--check-docs",
                           str(stale)]) == 1
     assert "stale" in capsys.readouterr().err
     missing = tmp_path / "NOMARK.md"
     missing.write_text("nothing\n")
-    assert analysis_main(["protolint", "--check-docs",
+    assert main(["protolint", "--check-docs",
                           str(missing)]) == 2
     capsys.readouterr()
-    assert analysis_main(["protolint", "--check-docs",
+    assert main(["protolint", "--check-docs",
                           str(tmp_path / "absent.md")]) == 2
     capsys.readouterr()
 
@@ -205,9 +208,9 @@ def test_write_docs_regenerates_stale_section(tmp_path, capsys):
     stale = tmp_path / "DOC.md"
     stale.write_text("head\n<!-- protolint:catalog:begin -->\nstale\n"
                      "<!-- protolint:catalog:end -->\ntail\n")
-    assert analysis_main(["protolint", "--write-docs", str(stale)]) == 0
+    assert main(["protolint", "--write-docs", str(stale)]) == 0
     capsys.readouterr()
-    assert analysis_main(["protolint", "--check-docs", str(stale)]) == 0
+    assert main(["protolint", "--check-docs", str(stale)]) == 0
     text = stale.read_text()
     assert text.startswith("head\n") and text.endswith("tail\n")
     capsys.readouterr()

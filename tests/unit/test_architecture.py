@@ -1,6 +1,7 @@
 """Architecture gates: :mod:`repro.systems` is the only module that knows
-the systems by name, and a state machine changes state only through its
-checked ``_goto``.
+the systems by name, a state machine changes state only through its
+checked ``_goto``, and :mod:`repro.cli` is the only module that builds a
+command-line parser.
 
 An AST walk over ``src/repro`` (reported through the analyzers' shared
 :mod:`repro.analysis.findings` model) fails when any other module
@@ -9,7 +10,9 @@ table of system names — the per-harness dispatchers and ``SYSTEMS``
 tuples this package used to have five of — and when any code outside a
 ``_goto`` or an ``__init__`` stores a Raft role or a client phase,
 which would bypass the ``TRANSITIONS`` check in
-:func:`repro.sim.node.goto`.
+:func:`repro.sim.node.goto`, and when any module but ``repro/cli.py``
+imports ``argparse`` — the per-package CLIs this package used to have
+four of.
 """
 
 import ast
@@ -32,6 +35,9 @@ OWN_TABLE = Rule(
 STATE_STORE = Rule(
     "AR003", "direct-state-store", SEVERITY_ERROR,
     "a declared state attribute stored outside _goto and __init__")
+SECOND_PARSER = Rule(
+    "AR004", "argparse-outside-cli", SEVERITY_ERROR,
+    "an argparse import outside repro.cli")
 
 #: Attributes holding a declared machine's state: ``RaftMember.state``
 #: and ``ClientTxn.phase``.
@@ -144,3 +150,38 @@ def test_the_state_gate_catches_a_direct_store():
     found = list(_state_stores("planted.py", ast.parse(planted)))
     assert [(f.rule.slug, f.line) for f in found] == [
         ("direct-state-store", 7), ("direct-state-store", 9)]
+
+
+def _argparse_imports(path, source):
+    """AR004 findings: every ``argparse`` import in ``source``."""
+    return sorted(
+        (Finding(SECOND_PARSER, str(path), node.lineno, node.col_offset,
+                 "imports argparse; add a subparser to repro.cli")
+         for node in ast.walk(ast.parse(source, str(path)))
+         if isinstance(node, ast.Import)
+         and any(alias.name == "argparse" for alias in node.names)
+         or isinstance(node, ast.ImportFrom) and node.module == "argparse"),
+        key=lambda finding: finding.line)
+
+
+def test_only_the_cli_builds_a_parser():
+    findings = [f for path in sorted(SRC.rglob("*.py"))
+                if path != SRC / "cli.py"
+                for f in _argparse_imports(
+                    path.relative_to(SRC.parent),
+                    path.read_text(encoding="utf-8"))]
+    assert not findings, "\n" + format_findings(findings)
+
+
+def test_the_parser_gate_catches_a_second_parser():
+    """Self-check on the shapes the deleted per-package CLIs had."""
+    planted = (
+        'import argparse\n'
+        'from argparse import ArgumentParser\n'
+        'def main(argv):\n'
+        '    import argparse as ap\n'
+        '    return ap.ArgumentParser().parse_args(argv)\n')
+    found = _argparse_imports("planted.py", planted)
+    assert [(f.rule.slug, f.line) for f in found] == [
+        ("argparse-outside-cli", 1), ("argparse-outside-cli", 2),
+        ("argparse-outside-cli", 4)]

@@ -257,14 +257,14 @@ class TestSuites:
 
 class TestPerfCli:
     def test_list_names_all_suites(self, capsys):
-        from repro.perf.cli import main
+        from repro.cli import main
         assert main(["perf", "list"]) == 0
         out = capsys.readouterr().out
         for name in SUITES:
             assert name in out
 
     def test_run_writes_valid_bench_file(self, tmp_path, capsys):
-        from repro.perf.cli import main
+        from repro.cli import main
         out_path = tmp_path / "BENCH_t.json"
         assert main(["perf", "run", "--label", "t", "--suites",
                      "zipf-approx", "--out", str(out_path)]) == 0
@@ -274,7 +274,7 @@ class TestPerfCli:
         assert "zipf-approx" in doc["suites"]
 
     def test_compare_exit_codes(self, tmp_path, capsys):
-        from repro.perf.cli import main
+        from repro.cli import main
         base, cand = tmp_path / "b.json", tmp_path / "c.json"
         base.write_text(json.dumps(_doc(s=_suite(rate=1000.0))))
         cand.write_text(json.dumps(_doc(s=_suite(rate=500.0))))
@@ -284,11 +284,12 @@ class TestPerfCli:
         assert main(["perf", "compare", str(base), str(base)]) == 0
 
     def test_compare_rejects_invalid_file(self, tmp_path):
-        from repro.perf.cli import main
+        from repro.cli import main
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nope": 1}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             main(["perf", "compare", str(bad), str(bad)])
+        assert exit_info.value.code == 2
 
     def test_repro_cli_routes_perf(self, tmp_path, capsys):
         from repro.cli import main

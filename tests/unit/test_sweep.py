@@ -17,7 +17,6 @@ from repro.sweep import (
     code_fingerprint,
     register_kind,
 )
-from repro.chaos.minimize import minimize_schedule
 
 
 # ----------------------------------------------------------------------
@@ -194,47 +193,3 @@ def test_executor_stats_track_jobs_and_wall():
     ex.run(_square_specs(3))
     assert ex.stats.jobs == 2
     assert ex.stats.wall_seconds > 0
-
-
-def test_first_failing_matches_sequential_scan():
-    register_kind("test-verdict", lambda params: params["fails"])
-
-    def specs(flags):
-        return [RunSpec.make("test-verdict", {"fails": flag, "i": i})
-                for i, flag in enumerate(flags)]
-
-    ex = SweepExecutor(jobs=2)
-    assert ex.first_failing(specs([False, True, True])) == 1
-    assert ex.first_failing(specs([True, False, False])) == 0
-    assert ex.first_failing(specs([False, False])) is None
-
-
-# ----------------------------------------------------------------------
-# minimizer equivalence: lazy scan vs batch-parallel first_failing
-
-
-def _batch_first_failing(still_fails):
-    """An eager batch evaluator with the executor's selection rule:
-    evaluate everything, return the smallest failing index."""
-
-    def first_failing(candidates):
-        verdicts = [still_fails(c) for c in candidates]
-        return next((i for i, v in enumerate(verdicts) if v), None)
-
-    return first_failing
-
-
-@pytest.mark.parametrize("bad", [{3}, {1, 4}, {0, 2, 5}, {2, 3, 4}])
-def test_minimize_identical_with_batch_first_failing(bad):
-    events = list(range(8))
-
-    def still_fails(candidate):
-        # Fails whenever every "bad" event is present.
-        return bad <= set(candidate)
-
-    lazy = minimize_schedule(events, still_fails)
-    batch = minimize_schedule(
-        events, still_fails,
-        first_failing=_batch_first_failing(still_fails))
-    assert lazy == batch
-    assert set(lazy) == bad
