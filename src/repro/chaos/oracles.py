@@ -84,7 +84,7 @@ class OracleAdapter:
         """No active/queued work and no unacknowledged commit rounds."""
         if self.client_pending(client):
             return False
-        return not getattr(client, "_commit_acks_pending", None)
+        return not getattr(client, "_commits", None)
 
     def client_counters(self) -> List[ClientCounters]:
         """The liveness counters of every live client, construction

@@ -129,9 +129,10 @@ def _partition_state(server, pid):
 
 
 def _tapir_state(replica, pid):
-    """A TAPIR replica is one partition; IR resolves to booleans."""
-    return replica.store, {tid: ("commit" if ok else "abort")
-                           for tid, ok in replica.resolved.items()}
+    """A TAPIR replica is one partition; its outcomes are read from its
+    WAL (``decided()``), which keeps what the transaction GC has since
+    forgotten from ``resolved``."""
+    return replica.store, replica.decided()
 
 
 _READ_ONLY = WanrtClaim("carousel-read-only", 1.0, 1.0,

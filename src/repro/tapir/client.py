@@ -74,6 +74,23 @@ class _Partition:
     finalizing: bool = False
 
 
+@dataclass(slots=True)
+class _PendingCommit:
+    """One asynchronous commit round, retransmitted until every replica
+    of every partition acknowledges it."""
+
+    commit: bool
+    #: ``(partition id, replica id)`` pairs yet to acknowledge.
+    acks: Set[Tuple[str, str]]
+    #: Per partition: the writes and their installation versions.
+    writes: Dict[str, Dict]
+    versions: Dict[str, Dict[str, int]]
+    #: The keys a committed round holds locked (§6.3); none for an abort.
+    locked: Tuple[str, ...] = ()
+    timer: Any = None
+    attempts: int = 0
+
+
 @dataclass
 class _TapirTxn(ClientTxn):
     TIMERS = ("fast_timer", "retry_timer")
@@ -113,14 +130,9 @@ class TapirClient(TxnClient):
         self.config = config
         #: Keys of our own committed-but-unacknowledged transactions.
         self._locked_keys: Dict[str, int] = {}
-        self._commit_acks_pending: Dict[TID, Set[Tuple[str, str]]] = {}
-        #: Retransmission state for the asynchronous commit round:
-        #: payloads, timers and attempt counts per unacknowledged tid.
-        self._commit_payload: Dict[
-            TID, Tuple[bool, Dict[str, Dict], Dict[str, Dict[str, int]]]] = {}
-        self._commit_timers: Dict[TID, Any] = {}
-        self._commit_attempts: Dict[TID, int] = {}
-        self._locked_writes: Dict[TID, Tuple[str, ...]] = {}
+        #: The asynchronous commit rounds not yet acknowledged by every
+        #: replica.
+        self._commits: Dict[TID, _PendingCommit] = {}
         self._queued: List[Tuple[TransactionSpec,
                                  Optional[CompletionCallback]]] = []
         self.slow_paths = 0
@@ -128,6 +140,18 @@ class TapirClient(TxnClient):
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
+    @property
+    def low_water(self) -> int:
+        """The lowest seq still active *or* whose commit round is still
+        unacknowledged: the commit round runs after ``done``, and a
+        replica must not forget a transaction this client may still
+        retransmit to it."""
+        mark = super().low_water
+        for tid in self._commits:
+            if tid.seq < mark:
+                mark = tid.seq
+        return mark
+
     def submit(self, spec: TransactionSpec,
                on_complete: Optional[CompletionCallback] = None
                ) -> Optional[TID]:
@@ -194,6 +218,7 @@ class TapirClient(TxnClient):
             self.config.fast_path_timeout_ms, self._fast_path_timeout, txn)
 
     def _send_prepares(self, txn: _TapirTxn) -> None:
+        low_water = self.low_water
         # Ordered: partitions is populated over sorted(pids) in _start,
         # so insertion order is the sorted order.
         # detlint: ignore[values-fanout]
@@ -205,7 +230,8 @@ class TapirClient(TxnClient):
             for replica in part.replicas:
                 self.send(replica, TapirPrepare(
                     tid=txn.tid, partition_id=part.pid,
-                    read_versions=versions, write_keys=part.write_keys))
+                    read_versions=versions, write_keys=part.write_keys,
+                    low_water=low_water))
 
     def _on_prepare_reply(self, msg: TapirPrepareReply) -> None:
         txn = self._active.get(msg.tid)
@@ -300,9 +326,10 @@ class TapirClient(TxnClient):
     # Commit phase (asynchronous; locks the keys until acknowledged)
     # ------------------------------------------------------------------
     def _send_commits(self, txn: _TapirTxn, commit: bool) -> None:
-        pending: Set[Tuple[str, str]] = set()
+        acks: Set[Tuple[str, str]] = set()
         writes_by_pid: Dict[str, Dict] = {}
         versions_by_pid: Dict[str, Dict[str, int]] = {}
+        low_water = self.low_water
         # Ordered: partitions insertion order is sorted(pids); see _start.
         # detlint: ignore[values-fanout]
         for part in txn.partitions.values():
@@ -316,61 +343,54 @@ class TapirClient(TxnClient):
             writes_by_pid[part.pid] = writes
             versions_by_pid[part.pid] = versions
             for replica in part.replicas:
-                pending.add((part.pid, replica))
+                acks.add((part.pid, replica))
                 self.send(replica, TapirCommit(
                     tid=txn.tid, partition_id=part.pid,
-                    commit=commit, writes=writes, write_versions=versions))
-        if pending:
-            # Track every outstanding (partition, replica) ack and
-            # retransmit until all arrive: a lost TapirCommit would
-            # otherwise strand the replica's prepared entry (aborts) or
-            # this client's key locks (commits) forever.
-            self._commit_acks_pending[txn.tid] = pending
-            self._commit_payload[txn.tid] = (commit, writes_by_pid,
-                                             versions_by_pid)
-            self._arm_commit_retry(txn.tid)
-        if commit and pending:
-            keys = txn.spec.all_keys()
-            self._locked_writes[txn.tid] = keys
-            for key in keys:
+                    commit=commit, writes=writes, write_versions=versions,
+                    low_water=low_water))
+        if not acks:
+            return
+        # Track every outstanding (partition, replica) ack and retransmit
+        # until all arrive: a lost TapirCommit would otherwise strand the
+        # replica's prepared entry (aborts) or this client's key locks
+        # (commits) forever.
+        pending = self._commits[txn.tid] = _PendingCommit(
+            commit, acks, writes_by_pid, versions_by_pid)
+        self._arm_commit_retry(txn.tid, pending)
+        if commit:
+            pending.locked = txn.spec.all_keys()
+            for key in pending.locked:
                 self._locked_keys[key] = self._locked_keys.get(key, 0) + 1
 
-    def _arm_commit_retry(self, tid: TID) -> None:
-        attempts = self._commit_attempts.get(tid, 0)
-        delay = self.retry_policy.delay_ms(attempts, self.kernel.random)
-        self._commit_timers[tid] = self.set_timer(
-            delay, self._retry_commits, tid)
+    def _arm_commit_retry(self, tid: TID, pending: _PendingCommit) -> None:
+        delay = self.retry_policy.delay_ms(pending.attempts,
+                                           self.kernel.random)
+        pending.timer = self.set_timer(delay, self._retry_commits, tid)
 
     def _retry_commits(self, tid: TID) -> None:
-        pending = self._commit_acks_pending.get(tid)
-        if not pending:
-            return
-        self._commit_attempts[tid] = self._commit_attempts.get(tid, 0) + 1
-        commit, writes_by_pid, versions_by_pid = self._commit_payload[tid]
-        # Sorted so retransmission order never depends on set history.
-        for pid, replica in sorted(pending):
-            self.send(replica, TapirCommit(
-                tid=tid, partition_id=pid, commit=commit,
-                writes=writes_by_pid[pid],
-                write_versions=versions_by_pid[pid]))
-        self._arm_commit_retry(tid)
-
-    def _on_commit_ack(self, msg: TapirCommitAck) -> None:
-        pending = self._commit_acks_pending.get(msg.tid)
+        pending = self._commits.get(tid)
         if pending is None:
             return
-        pending.discard((msg.partition_id, msg.replica_id))
-        if not pending:
-            del self._commit_acks_pending[msg.tid]
-            timer = self._commit_timers.pop(msg.tid, None)
-            if timer is not None:
-                timer.cancel()
-            self._commit_payload.pop(msg.tid, None)
-            self._commit_attempts.pop(msg.tid, None)
-            self._release_locks(msg.tid)
+        pending.attempts += 1
+        low_water = self.low_water
+        # Sorted so retransmission order never depends on set history.
+        for pid, replica in sorted(pending.acks):
+            self.send(replica, TapirCommit(
+                tid=tid, partition_id=pid, commit=pending.commit,
+                writes=pending.writes[pid],
+                write_versions=pending.versions[pid], low_water=low_water))
+        self._arm_commit_retry(tid, pending)
 
-    def _release_locks(self, tid: TID) -> None:
-        for key in self._locked_writes.pop(tid, ()):
+    def _on_commit_ack(self, msg: TapirCommitAck) -> None:
+        pending = self._commits.get(msg.tid)
+        if pending is None:
+            return
+        pending.acks.discard((msg.partition_id, msg.replica_id))
+        if pending.acks:
+            return
+        del self._commits[msg.tid]
+        pending.timer.cancel()
+        for key in pending.locked:
             count = self._locked_keys.get(key, 0) - 1
             if count <= 0:
                 self._locked_keys.pop(key, None)

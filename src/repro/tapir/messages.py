@@ -40,6 +40,8 @@ class TapirPrepare(Message):
     partition_id: str = ""
     read_versions: Tuple[Tuple[str, int], ...] = ()
     write_keys: Tuple[str, ...] = ()
+    #: The client's low-water mark (:attr:`TapirClient.low_water`).
+    low_water: int = 0
 
 
 @dataclass
@@ -87,6 +89,8 @@ class TapirCommit(Message):
     commit: bool = True
     writes: Dict[str, Any] = field(default_factory=dict)
     write_versions: Dict[str, int] = field(default_factory=dict)
+    #: The client's low-water mark (:attr:`TapirClient.low_water`).
+    low_water: int = 0
 
 
 @dataclass

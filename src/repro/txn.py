@@ -102,7 +102,8 @@ class ClientMarks:
                 return False
         return True
 
-    # -- the participant GC, shared by Carousel and the layered baseline --
+    # -- the participant GC, shared by Carousel, the layered baseline and
+    # -- TAPIR's replicas
 
     def settled(self, tid: TID, resolved: Dict[TID, str],
                 prepared: Dict[TID, Any]) -> bool:
@@ -117,10 +118,13 @@ class ClientMarks:
         client's resolved transactions below it (outcome and prepare
         entry); one prepared but not yet resolved stays held, its
         writeback still due; a pending entry no prepare backs goes (its
-        outcome was settled without this replica)."""
+        outcome was settled without this replica).  A TAPIR replica's
+        prepared list is both ``prepared`` and ``pending``: resolving a
+        transaction already removed its entry."""
         for tid in self.advance(client_id, mark):
             if resolved.pop(tid, None) is not None:
-                prepared.pop(tid, None)
+                if prepared is not pending:
+                    prepared.pop(tid, None)
             elif tid in prepared:
                 self.hold(tid)
             else:

@@ -27,6 +27,7 @@ from repro.wal.records import (
     RaftAppendRecord,
     RaftTermRecord,
     TapirFinalizeWal,
+    TapirFoldWal,
     TapirPrepareWal,
     TapirResolveWal,
 )
@@ -41,5 +42,6 @@ __all__ = [
     "OccPrepareWal",
     "TapirPrepareWal",
     "TapirFinalizeWal",
+    "TapirFoldWal",
     "TapirResolveWal",
 ]

@@ -7,16 +7,17 @@ freshly constructed node after a power cycle.  Keeping them out of the
 message hierarchy keeps the protolint message graph (and the generated
 PROTOCOL.md catalog) unchanged.
 
-All records are frozen dataclasses holding only immutable payloads
-(tuples, strings, numbers) so a WAL image is a plain value — two
-images compare equal iff the durable histories are identical, which is
-what the property tests in ``tests/property/test_wal_properties.py``
-lean on.
+All records but :class:`TapirFoldWal` (the folded prefix of a TAPIR
+replica's journal, rewritten in place by each fold) are frozen
+dataclasses holding only immutable payloads (tuples, strings, numbers),
+so a WAL image is a plain value — two images compare equal iff the
+durable histories are identical, which is what the property tests in
+``tests/property/test_wal_properties.py`` lean on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.txn import TID
@@ -194,26 +195,28 @@ class DecisionJournal:
     def fold(self, records: List[object]) -> List[object]:
         """A WAL fold's share, over role records in append order: drop
         each finish below the mark of its decision's scope, with the
-        decision it finished, and when any went, swap the previous
-        :class:`CoordMarkWal` for one noting the current marks, last.
-        Decisions without a journaled finish are still owed and stay."""
+        decisions it finished (those before it, as replay reads them),
+        and when any went, swap the previous :class:`CoordMarkWal` for
+        one noting the current marks, last.  Decisions without a
+        journaled finish after them are still owed and stay."""
         marks = self.coordinator.marks
         scopes = {}
-        gone = set()
-        for record in records:
+        # tid -> position of its last finish below the mark
+        closed = {}
+        for at, record in enumerate(records):
             kind = type(record)
             if kind is CoordDecisionWal:
                 scopes[record.tid] = (record.group_id, record.client_id)
             elif kind is CoordFinishWal:
                 scope = scopes.get(record.tid)
                 if scope is not None and marks.below(record.tid, scope):
-                    gone.add(record.tid)
-        if not gone:
+                    closed[record.tid] = at
+        if not closed:
             return records
-        return [record for record in records
+        return [record for at, record in enumerate(records)
                 if type(record) is not CoordMarkWal
                 and (type(record) not in (CoordDecisionWal, CoordFinishWal)
-                     or record.tid not in gone)] \
+                     or at > closed.get(record.tid, -1))] \
             + [CoordMarkWal(marks=tuple(marks.marks.items()))]
 
 
@@ -255,6 +258,8 @@ class TapirPrepareWal:
     # ((key, version), ...) as validated
     read_versions: Tuple
     write_keys: Tuple[str, ...]
+    #: The client's low-water mark the prepare carried.
+    low_water: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,3 +278,25 @@ class TapirResolveWal:
     commit: bool
     # ((key, value, version), ...) in application order
     writes: Tuple
+    #: The client's low-water mark the commit carried.
+    low_water: int = 0
+
+
+@dataclass(slots=True)
+class TapirFoldWal:
+    """What WAL folds kept of the TAPIR records they dropped, the records
+    of transactions the replica had forgotten: replayed first, it
+    rebuilds their net effect.  Unlike every other record it is not a
+    value: each fold adds what it drops to the one record in place (as
+    the WAL extends its install chunks in place), so a fold costs what
+    it drops, not what earlier folds kept.  It only ever absorbs durable
+    records, so no crash can lose what it holds."""
+
+    #: client id -> the mark the replica had applied at the last fold
+    marks: Dict[str, int] = field(default_factory=dict)
+    #: client id -> one outcome byte per seq
+    #: (:data:`repro.tapir.replica.COMMITTED`, ``ABORTED`` or 0)
+    outcomes: Dict[str, bytearray] = field(default_factory=dict)
+    #: key -> its newest folded committed write, a
+    #: :class:`repro.store.kvstore.Record`
+    rows: Dict[str, object] = field(default_factory=dict)

@@ -3,14 +3,19 @@
 Clients piggyback their low-water mark (lowest unfinished seq) on the
 requests that register a transaction; the replicated records carry it,
 and applying them forgets each client's finished transactions below it
-on every replica, while the WAL folds its durable prefix.  These tests
-pin the three consequences: the per-transaction maps and the WAL stop
-growing with the committed count, a power cycle from a folded image
-still passes every oracle, and a duplicate writeback for a forgotten
-transaction is still recognised as one.
+on every replica, while the WAL folds its durable prefix.  A TAPIR
+replica journals the mark its client's prepares and commits carry, and
+applies it the same way.  These tests pin the consequences: the
+per-transaction maps, the WAL and the retained heap stop growing with
+the committed count, a power cycle from a folded image still passes
+every oracle, a late or duplicate message about a forgotten transaction
+is still recognised as one, and forgetting one too early is caught.
 """
 
+import gc
 import random
+import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
@@ -26,11 +31,14 @@ from repro.layered.messages import LayeredPrepare
 from repro.core.participant import PartitionComponent
 from repro.sim.failure import FailureInjector
 from repro.sim.topology import uniform_topology
+from repro.tapir.messages import PREPARE_OK, TapirCommit, TapirPrepare
+from repro.tapir.replica import TapirReplica
 from repro.txn import TID
 from repro.wal.log import WriteAheadLog
+from repro.wal.records import TapirFoldWal
 from repro.workloads.plans import increment_spec
 
-SYSTEMS = ("carousel-basic", "carousel-fast", "layered")
+SYSTEMS = ("carousel-basic", "carousel-fast", "layered", "tapir")
 
 
 def _closed_loop(system, n_txns, seed=0):
@@ -66,7 +74,15 @@ def _sizes(system, cluster):
     """Per server: the length of every per-transaction map the GC
     bounds, and of the WAL image."""
     sizes = {}
-    for node_id, server in cluster.servers.items():
+    for node_id, server in systems.get(system).nodes(cluster).items():
+        if system == "tapir":
+            sizes[node_id] = {
+                "resolved": len(server.resolved),
+                "prepared": len(server.prepared),
+                "held": sum(len(held)
+                            for held in server.marks._held.values()),
+                "wal": len(server.wal)}
+            continue
         if system == "layered":
             row = {"coord_states": len(server.coord_states),
                    "finished": len(server.finished),
@@ -102,18 +118,28 @@ def test_power_cycle_from_a_folded_image_is_judged_green(system,
     # Power-cycle p0's participant leader, then the leader of p1 (a
     # coordinator for every client whose transactions it leads), both
     # mid-workload; the run then power-cycles every server and judges
-    # durability on the state rebuilt from the folded images.
+    # durability on the state rebuilt from the folded images.  TAPIR is
+    # leaderless, and this seed's transactions miss p1: two replicas of
+    # p0 go, and some image they restart from must hold a fold record.
     cluster = systems.build(system, DeploymentSpec())
-    victims = [cluster.directory.lookup(pid).leader for pid in ("p0", "p1")]
+    if system == "tapir":
+        victims = [replica.node_id
+                   for replica in cluster.replicas_of("p0")[:2]]
+    else:
+        victims = [cluster.directory.lookup(pid).leader
+                   for pid in ("p0", "p1")]
     schedule = [NemesisEvent(KIND_RESTART, at_ms=4000.0 + 2500.0 * i,
                              duration_ms=1500.0, targets=(victim,))
                 for i, victim in enumerate(victims)]
     folds_at_crash = []
+    tapir_folds = []
     crash = WriteAheadLog.crash
 
     def counting_crash(wal, now=None):
         if wal.owner_id in victims:
             folds_at_crash.append(wal.folds)
+            tapir_folds.append(any(type(record) is TapirFoldWal
+                                   for record in wal.replay()))
         return crash(wal, now)
 
     monkeypatch.setattr(WriteAheadLog, "crash", counting_crash)
@@ -124,6 +150,7 @@ def test_power_cycle_from_a_folded_image_is_judged_green(system,
     assert result.ok, [str(v) for v in result.violations]
     assert dict(result.restart_counts)[victims[0]] >= 1
     assert folds_at_crash[:2] and min(folds_at_crash[:2]) >= 1
+    assert any(tapir_folds) == (system == "tapir")
 
 
 def test_writeback_dup_plant_reapplies_a_forgotten_transaction():
@@ -258,3 +285,99 @@ def test_one_groups_mark_leaves_another_groups_writebacks_owed(monkeypatch):
             part = replica.partitions["p0"]
             assert part.pending.get(t) is None
             assert part.store.version(key["p0"]) == 1
+
+
+def _forgotten_commit(replica):
+    """A transaction ``replica`` resolved as a commit and has since
+    forgotten."""
+    forgotten = [tid for tid, decision in replica.decided().items()
+                 if decision == "commit" and tid not in replica.resolved]
+    assert forgotten, "the GC forgot no committed transaction"
+    assert replica.marks.forgotten(forgotten[0], replica.resolved,
+                                   replica.prepared)
+    return forgotten[0]
+
+
+def test_a_late_tapir_prepare_below_the_mark_leaves_no_entry():
+    # A prepare that arrives after its client finished the transaction
+    # (committed here, or never prepared here at all) journals nothing
+    # and gets no vote back: an entry would never resolve, and every
+    # later prepare conflicting with it would abstain.
+    cluster = _closed_loop("tapir", 60)
+    replica = cluster.replicas[cluster.directory.lookup("p0").leader]
+    late = _forgotten_commit(replica)
+    never = TID(late.client_id, 0)
+    appends = replica.wal.appends
+    for tid in (late, never):
+        msg = TapirPrepare(tid=tid, partition_id="p0",
+                           read_versions=(("k-late", 0),),
+                           write_keys=("k-late",))
+        msg.src = tid.client_id
+        replica._on_prepare(msg)
+        assert tid not in replica.prepared
+    assert replica.wal.appends == appends
+    rival = TapirPrepare(tid=TID("rival", 1), partition_id="p0",
+                         read_versions=(("k-late", 0),),
+                         write_keys=("k-late",))
+    assert replica._validate(rival) == PREPARE_OK
+
+
+def test_a_duplicate_blind_tapir_commit_of_a_forgotten_txn_applies_nothing():
+    # A blind write carries no installation version, so a replica that
+    # re-applied the duplicate would bump the key's version again.
+    cluster = _closed_loop("tapir", 60)
+    replica = cluster.replicas[cluster.directory.lookup("p0").leader]
+    tid = _forgotten_commit(replica)
+    duplicate = TapirCommit(tid=tid, partition_id="p0", commit=True,
+                            writes={"k-dup": 1})
+    duplicate.src = tid.client_id
+    before = replica.store.version("k-dup")
+    appends = replica.wal.appends
+    replica._on_commit(duplicate)
+    assert replica.store.version("k-dup") == before
+    assert replica.wal.appends == appends
+
+
+def _retained_tapir_bytes(n_txns):
+    """Bytes allocated in ``tapir/replica.py`` and ``wal/log.py`` that a
+    ``n_txns`` closed loop leaves live once it has drained."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cluster = _closed_loop("tapir", n_txns)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert cluster.replicas
+    return sum(stat.size for stat in snapshot.statistics("filename")
+               if stat.traceback[0].filename.endswith(
+                   ("tapir/replica.py", "wal/log.py")))
+
+
+def test_tapir_replicas_retain_no_heap_per_transaction():
+    small = _retained_tapir_bytes(150)
+    large = _retained_tapir_bytes(300)
+    assert large - small <= 0.2 * 1024 * 150, (small, large)
+
+
+@contextmanager
+def planted_early_forget():
+    """A TAPIR replica applies its client's mark plus one, so it forgets
+    a transaction whose commit round is still unacknowledged."""
+    original = TapirReplica._forget
+    TapirReplica._forget = lambda self, client_id, mark: original(
+        self, client_id, mark + 1)
+    try:
+        yield
+    finally:
+        TapirReplica._forget = original
+
+
+def test_a_planted_early_tapir_forget_is_caught():
+    opts = ChaosOptions(restart_weight=4)
+    assert all(run_chaos("tapir", seed, opts).ok for seed in (22, 23))
+    caught = [seed for seed in range(32)
+              if not run_chaos("tapir", seed, opts,
+                               planted_bug=planted_early_forget).ok]
+    assert caught, "no oracle caught a replica forgetting too early"

@@ -25,7 +25,7 @@ journal, which reach cases one node's roles rarely write.
 
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import systems
@@ -248,17 +248,33 @@ class _Life:
 
     def restart(self, wal):
         """Power-cycle from ``wal``'s image through the one replay, then
-        let the Raft log re-apply.  Returns what the coordinator
-        remembered before the log re-applied — its finished outcomes and
-        marks — and the role state rebuilt after."""
+        let the Raft log re-apply (a TAPIR replica, with no log, applies
+        the marks it held before instead).  Returns what the coordinator
+        (a TAPIR replica) remembered before the log re-applied — its
+        finished (resolved) outcomes and marks — and the role state
+        rebuilt after."""
         node = self.node
+        tapir = isinstance(node, TapirReplica)
+        marks = dict(node.marks.marks) if tapir else {}
         node.wal = wal
         node.on_restart()
         coordinator = getattr(node, "coordinator", node)
-        remembered = (dict(getattr(coordinator, "finished", {})),
-                      dict(getattr(coordinator, "marks", ClientMarks()).marks))
+        if tapir:
+            # A replica's resolved outcomes and its marks (scoped by its
+            # partition) play the coordinator's part.
+            remembered = (
+                {tid: "commit" if ok else "abort"
+                 for tid, ok in node.resolved.items()},
+                {(node.partition_id, client): mark
+                 for client, mark in node.marks.marks.items()})
+        else:
+            remembered = (
+                dict(getattr(coordinator, "finished", {})),
+                dict(getattr(coordinator, "marks", ClientMarks()).marks))
         for index, (group, command) in enumerate(self.history, 1):
             node._apply(group, LogEntry(1, index, command))
+        for client_id, mark in marks.items():
+            node._forget(client_id, mark)
         return remembered, _rebuilt(node)
 
     def step(self, op):
@@ -274,7 +290,7 @@ class _Life:
         elif kind == "fold":
             node.wal.fold()
         elif tapir:
-            self.tapir_step(kind, self.tid(client, seq), flag)
+            self.tapir_step(kind, self.tid(client, seq), flag, a)
         elif kind == "term":
             member = node.members[self.group(a)]
             member.current_term = max(member.current_term, seq)
@@ -343,19 +359,24 @@ class _Life:
                 read_keys=(), write_keys=(), read_versions=(),
                 low_water=seq))
 
-    def tapir_step(self, kind, tid, flag):
-        """A TAPIR replica's share: prepare, finalize, commit."""
+    def tapir_step(self, kind, tid, flag, a):
+        """A TAPIR replica's share: prepare, finalize, commit; a
+        ``part-mark`` prepare carries its client's mark, at or one past
+        its own seq, and a commit with ``a`` set one at its own seq."""
         node = self.node
-        if kind == "prepare":
+        if kind in ("prepare", "part-mark"):
             msg = TapirPrepare(tid=tid, partition_id=node.partition_id,
                                read_versions=(("k", 0),),
-                               write_keys=(f"w{tid.seq}",))
+                               write_keys=(f"w{tid.seq}",),
+                               low_water=tid.seq + a
+                               if kind == "part-mark" else 0)
         elif kind == "finalize":
             msg = TapirFinalize(tid=tid, partition_id=node.partition_id,
                                 result=PREPARE_OK if flag else "abort")
         elif kind == "resolve":
             msg = TapirCommit(tid=tid, partition_id=node.partition_id,
-                              commit=flag, writes={f"w{tid.seq}": tid.seq})
+                              commit=flag, writes={f"w{tid.seq}": tid.seq},
+                              low_water=tid.seq if a else 0)
         else:
             return
         msg.src = node.node_id
@@ -417,7 +438,8 @@ def _rebuilt(node):
             part.store.snapshot())
     if isinstance(node, TapirReplica):
         out["replica"] = (sorted(e.tid for e in node.prepared.entries()),
-                          dict(node.resolved), node.store.snapshot())
+                          dict(node.resolved), node.store.snapshot(),
+                          dict(node.marks.marks), node.decided())
         return out
     coordinator = node.coordinator if isinstance(node, CarouselServer) \
         else node
@@ -517,10 +539,27 @@ def _restart(records, host):
                             if not host.settled(tid)]}
 
 
+# A TAPIR fold notes the marks the replica applied, and one may come from
+# a record still in flight.  With 3 ms syncs: another client's prepare is
+# journaled at 7 ms, tid 3's commit at 7.5 ms and tid 4's, whose mark
+# passes tid 3, at 8 ms; a fold at 10 ms (the prepare just durable)
+# notes that mark, and the crash at 10.5 ms keeps tid 3's commit but not
+# tid 4's.  The folded image must replay tid 3 as forgotten, as the
+# unfolded one forgets it once the mark is applied again.
+_TICK = ("tick", 0, 0, 0, False)  # half a millisecond
+_RESOLVE_BELOW_A_FOLDED_MARK = [
+    ("resolve", 0, 0, 0, True), ("resolve", 1, 1, 0, True),
+    ("tick", 0, 2, 0, False), _TICK, ("prepare", 0, 0, 1, False), _TICK,
+    ("resolve", 0, 2, 0, True), _TICK, ("resolve", 1, 3, 0, True),
+    *[_TICK] * 4, ("fold", 0, 0, 0, False), _TICK]
+
+
 class TestFold:
     @given(system=st.sampled_from(_SYSTEMS), ops=_fold_ops_st,
            latency=st.sampled_from((0.0, 0.0, 3.0, 12.5)),
            torn=st.booleans())
+    @example(system="tapir", ops=_RESOLVE_BELOW_A_FOLDED_MARK, latency=3.0,
+             torn=False)
     @settings(max_examples=150, deadline=None)
     def test_fold_then_replay_equals_replay_then_gc(self, system, ops,
                                                     latency, torn):
@@ -548,6 +587,14 @@ class TestFold:
     @given(ops=_stream_ops_st,
            latency=st.sampled_from((0.0, 0.0, 3.0, 12.5)),
            torn=st.booleans())
+    # A decision journaled again after its finish is owed once more: a
+    # fold below the mark must keep it, as replay does.
+    @example(ops=[("decide", "g0", "c0", 2, 0, False),
+                  ("finish", "g0", "c0", 2, 0, False),
+                  ("decide", "g0", "c0", 2, 0, False),
+                  ("mark", "g0", "c0", 3, 0, False),
+                  ("install", "g0", "c0", 1, 0, True)],
+             latency=0.0, torn=False)
     @settings(max_examples=100, deadline=None)
     def test_fold_then_replay_equals_replay_then_gc_on_any_stream(
             self, ops, latency, torn):
