@@ -46,7 +46,7 @@ from repro.runtime.wire import (
 class CtlPeers:
     """Driver -> serve: the full ``proc -> (host, port)`` address table."""
 
-    addresses: dict = field(default_factory=dict)
+    addresses: Dict[str, Any] = field(default_factory=dict)
 
 
 @register_extra
@@ -63,7 +63,7 @@ class CtlSnapshotReply:
     """Serve -> driver: one process's :func:`snapshot_cluster` result."""
 
     proc: str = ""
-    snapshot: dict = field(default_factory=dict)
+    snapshot: Dict[str, Any] = field(default_factory=dict)
 
 
 @register_extra

@@ -9,23 +9,28 @@ cache object, rather than spending simulated round trips on lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import dataclasses
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class PartitionInfo:
-    """Placement of one partition's consensus group."""
+    """Placement of one partition's consensus group (immutable: the
+    replica lists are stored as tuples, and a leader change makes a new
+    info)."""
 
     partition_id: str
     #: Replica node ids in group order.
-    replicas: List[str]
+    replicas: Tuple[str, ...]
     #: Datacenter of each replica, parallel to ``replicas``.
-    datacenters: List[str]
+    datacenters: Tuple[str, ...]
     #: Node id of the current consensus group leader.
     leader: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "replicas", tuple(self.replicas))
+        object.__setattr__(self, "datacenters", tuple(self.datacenters))
         if len(self.replicas) != len(self.datacenters):
             raise ValueError("replicas and datacenters length mismatch")
         if self.leader not in self.replicas:
@@ -69,9 +74,10 @@ class PartitionInfo:
 class DirectoryService:
     """Authoritative registry of partition placements.
 
-    Supports leader changes (tests exercise Raft elections) and hands out
-    :class:`PartitionInfo` copies so cached views don't alias authority
-    state.
+    Supports leader changes (tests exercise Raft elections).  It hands
+    out the stored :class:`PartitionInfo` itself: the info is immutable
+    and a leader change replaces it, so a cached view never sees
+    authority state change under it.
     """
 
     def __init__(self) -> None:
@@ -85,10 +91,8 @@ class DirectoryService:
         self._partitions[info.partition_id] = info
 
     def lookup(self, partition_id: str) -> PartitionInfo:
-        """A detached copy of the partition's placement."""
-        info = self._partitions[partition_id]
-        return PartitionInfo(info.partition_id, list(info.replicas),
-                             list(info.datacenters), info.leader)
+        """The partition's current placement."""
+        return self._partitions[partition_id]
 
     def partitions(self) -> List[str]:
         """All registered partition ids."""
@@ -100,7 +104,8 @@ class DirectoryService:
         if leader not in info.replicas:
             raise ValueError(f"{leader!r} is not a replica of "
                              f"{partition_id!r}")
-        info.leader = leader
+        self._partitions[partition_id] = dataclasses.replace(
+            info, leader=leader)
 
     def leaders_in(self, dc: str) -> List[str]:
         """Partition ids whose leader currently sits in datacenter ``dc``."""
@@ -133,7 +138,7 @@ class DirectoryCache:
         self.hits = 0
 
     def lookup(self, partition_id: str) -> PartitionInfo:
-        """A detached copy of the partition's placement."""
+        """The partition's placement as of the last refresh."""
         now = self.clock()
         cached = self._entries.get(partition_id)
         if cached is not None and now - cached[0] <= self.ttl_ms:

@@ -64,7 +64,7 @@ class _Partition:
     """Per-partition prepare bookkeeping."""
 
     pid: str
-    replicas: List[str]
+    replicas: Tuple[str, ...]
     read_keys: Tuple[str, ...] = ()
     write_keys: Tuple[str, ...] = ()
     votes: Dict[str, str] = field(default_factory=dict)
@@ -136,6 +136,9 @@ class TapirClient(TxnClient):
         self._queued: List[Tuple[TransactionSpec,
                                  Optional[CompletionCallback]]] = []
         self.slow_paths = 0
+        #: Partition id -> its replica closest to this client's
+        #: datacenter (placements and RTTs never change).
+        self._nearest: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -176,7 +179,7 @@ class TapirClient(TxnClient):
         for pid, read_keys, write_keys in groups:
             info = self.directory.lookup(pid)
             txn.partitions[pid] = _Partition(
-                pid=pid, replicas=list(info.replicas),
+                pid=pid, replicas=info.replicas,
                 read_keys=read_keys, write_keys=write_keys)
         if txn.awaiting_reads:
             self._enter_span(txn, SPAN_READ)
@@ -188,11 +191,14 @@ class TapirClient(TxnClient):
     # Read phase: closest replica per partition
     # ------------------------------------------------------------------
     def _closest_replica(self, pid: str) -> str:
-        info = self.directory.lookup(pid)
-        best = min(range(len(info.replicas)),
-                   key=lambda i: self.network.topology.rtt(
-                       self.dc, info.datacenters[i]))
-        return info.replicas[best]
+        nearest = self._nearest.get(pid)
+        if nearest is None:
+            info = self.directory.lookup(pid)
+            best = min(range(len(info.replicas)),
+                       key=lambda i: self.network.topology.rtt(
+                           self.dc, info.datacenters[i]))
+            nearest = self._nearest[pid] = info.replicas[best]
+        return nearest
 
     def _send_reads(self, txn: _TapirTxn) -> None:
         for pid in sorted(txn.awaiting_reads):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.protolint import messages
-from repro.core.messages import PartitionSets
+from repro.core.messages import PartitionSets, ReadPrepareRequest, Writeback
 from repro.core.occ import PendingTxn
 from repro.core.records import PrepareRecord
 from repro.raft.log import LogEntry
@@ -216,6 +216,65 @@ def test_pending_list_vote_payload_roundtrips():
 
 
 # ----------------------------------------------------------------------
+# Interning: str-typed positions share one object, Any values do not
+# ----------------------------------------------------------------------
+
+def _twice(msg):
+    msg.src, msg.dst, msg.sent_at = "s0", "s1", 1.5
+    data = wire.encode_message(msg)
+    return wire.decode_message(data), wire.decode_message(data)
+
+
+def test_str_typed_positions_decode_to_one_shared_object():
+    a, b = _twice(ReadPrepareRequest(
+        tid=TID("client-7", 3), partition_id="p0", coordinator_id="s0",
+        coord_group_id="p1", read_keys=("user:000012", "user:000034"),
+        write_keys=("user:000034",)))
+    assert a is not b and a == b
+    for left, right in [(a.partition_id, b.partition_id),
+                        (a.src, b.src), (a.dst, b.dst),
+                        (a.tid.client_id, b.tid.client_id),
+                        *zip(a.read_keys, b.read_keys)]:
+        assert left is right
+    a, b = _twice(Writeback(tid=TID("client-7", 3), partition_id="p0",
+                            decision="commit",
+                            writes={"user:000012": 1, "user:000034": 2}))
+    for left, right in zip(a.writes, b.writes):
+        assert left is right
+    assert a.decision is b.decision
+
+
+def test_records_inside_any_are_interned_too():
+    a, b = (wire.decode_message(_replicating_append()) for _ in range(2))
+    for left, right in zip(a.entries, b.entries):
+        assert left.command.partition_id is right.command.partition_id
+        assert left.command.tid.client_id is right.command.tid.client_id
+
+
+def test_any_typed_values_stay_distinct_objects():
+    value = "v" * 64
+    a, b = _twice(Writeback(tid=TID("c1", 1), partition_id="p0",
+                            decision="commit", writes={"k": value}))
+    assert a.writes["k"] == b.writes["k"] == value
+    assert a.writes["k"] is not b.writes["k"]
+
+
+@pytest.mark.parametrize("annotation", [
+    float, typing.Optional[str], dict, typing.Tuple[str, ..., int],
+    typing.Callable[[int], int], typing.Set[str],
+], ids=["float", "optional", "bare-dict", "bad-ellipsis", "callable",
+        "set"])
+def test_undecodable_annotation_fails_registration(annotation):
+    @dataclasses.dataclass
+    class Rogue:
+        x: annotation = None
+
+    with pytest.raises(wire.WireError, match="Rogue.x"):
+        wire.register_extra(Rogue)
+    assert "Rogue" not in wire.registry()
+
+
+# ----------------------------------------------------------------------
 # Malformed frames: every one is a WireError, nothing else escapes
 # ----------------------------------------------------------------------
 
@@ -262,9 +321,13 @@ def test_mangled_frames_decode_or_raise_wire_error(decode):
     b'{"c":"CtlShutdown","f":[]}',
     b"[" * 100_000 + b"]" * 100_000,
     b'"just a string"',
+    b'{"t":"ReadReply","p":{"partition_id":["p0"]}}',
+    b'{"t":"TapirRead","p":{"keys":{"__t":[1,2]}}}',
+    b'{"t":"ReadReply","p":{"tid":"c1"}}',
 ], ids=["unknown-field", "not-a-message", "short-pair", "unhashable-key",
         "unhashable-tag", "control-unknown-field", "control-fields-list",
-        "deep-nesting", "not-an-object"])
+        "deep-nesting", "not-an-object", "str-field-list",
+        "str-tuple-ints", "tid-field-string"])
 def test_malformed_frame_is_wire_error(frame):
     decode = decode_control if frame.startswith(b'{"c"') \
         else wire.decode_message

@@ -1,5 +1,7 @@
 """Unit tests for the storage substrate."""
 
+import dataclasses
+
 import pytest
 
 from repro.store.directory import DirectoryService, PartitionInfo
@@ -158,13 +160,17 @@ class TestDirectoryService:
         with pytest.raises(ValueError):
             directory.register(info)
 
-    def test_lookup_returns_copy(self):
+    def test_lookup_is_immutable(self):
         directory = DirectoryService()
         directory.register(PartitionInfo("p0", ["n0", "n1"],
                                          ["dc0", "dc1"], "n0"))
         cached = directory.lookup("p0")
-        cached.leader = "n1"
-        assert directory.lookup("p0").leader == "n0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cached.leader = "n1"
+        assert cached.replicas == ("n0", "n1")
+        # A leader change replaces the info; a cached one keeps its view.
+        directory.set_leader("p0", "n1")
+        assert (cached.leader, directory.lookup("p0").leader) == ("n0", "n1")
 
     def test_set_leader(self):
         directory = DirectoryService()
